@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_blocks
 from .coupling import (
     cmt_coupling_from_draws,
     plain_coupling_from_draws,
@@ -35,14 +36,14 @@ from .coupling import (
 from .errors import InvalidParameterError
 from .mlmc import MlmcConfig, call_level_sampler, lookback_level_sampler, mlmc_estimate
 from .models import VolModelSpec
-from .pricing import bs_call, romano_touzi_call
+from .pricing import call_values_from_draws, chunk_sizes, romano_touzi_call
 from .rng import RngStream
 from .schemes import (
+    FactorDraws,
     SchemeKind,
     coarsen_factor_draws,
     draw_brownian_increments,
     draw_factor_paths,
-    drift_and_mult,
 )
 
 # Converged at-the-money call price under the benchmark Scott parameters
@@ -145,11 +146,29 @@ class _Accumulator:
         return mean, math.sqrt(var / self.n)
 
 
-def _chunk_sizes(npaths: int, chunk_paths: int):
-    sizes = [chunk_paths] * (npaths // chunk_paths)
-    if npaths % chunk_paths:
-        sizes.append(npaths % chunk_paths)
-    return sizes
+def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
+                 db: np.ndarray, g: np.ndarray | None, cutoff: str):
+    """Per-path squared log and asset errors of one coupled fine/coarse pair."""
+    if mode == "terminal":
+        if kind is SchemeKind.CMT:
+            pair = cmt_coupling_from_draws(spec, draws, db)
+            x_f, x_c = pair.x_fine[-1], pair.x_coarse[-1]
+        else:
+            pair = terminal_coupling_from_draws(spec, kind, draws, g, cutoff)
+            x_f, x_c = pair.x_fine, pair.x_coarse
+        return (x_f - x_c) ** 2, (np.exp(x_f) - np.exp(x_c)) ** 2
+    if kind is SchemeKind.CMT:
+        pair = cmt_coupling_from_draws(spec, draws, db)
+    elif mode == "strong":
+        pair = plain_coupling_from_draws(spec, kind, draws, db, cutoff)
+    elif mode == "traj":
+        pair = traj_coupling_from_draws(spec, kind, draws, db, cutoff)
+    else:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    # sup over the shared coarse grid nodes, then squared
+    x_f, x_c = pair.x_fine[::2], pair.x_coarse
+    return (np.abs(x_f - x_c).max(axis=0) ** 2,
+            np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0) ** 2)
 
 
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
@@ -158,7 +177,7 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
     rows: list[ExperimentRow] = []
     for n_coarse in config.n_ladder:
         acc = {(k, m): _Accumulator() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
-        for i, size in enumerate(_chunk_sizes(config.npaths, config.chunk_paths)):
+        for i, size in enumerate(chunk_sizes(config.npaths, config.chunk_paths)):
             cell = rng.child(experiment, n_coarse, "chunk", i)
             db = draw_brownian_increments(cell.child("b"), 2 * n_coarse, size,
                                           spec.T / (2 * n_coarse))
@@ -171,28 +190,13 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
                 draws = shared
                 if draws is None:
                     draws = draw_factor_paths(spec, kind, 2 * n_coarse, cell.child("y"), size)
-                if mode == "terminal":
-                    if kind is SchemeKind.CMT:
-                        pair = cmt_coupling_from_draws(spec, draws, db)
-                        x_f, x_c = pair.x_fine[-1], pair.x_coarse[-1]
-                    else:
-                        pair = terminal_coupling_from_draws(spec, kind, draws, g, config.cutoff)
-                        x_f, x_c = pair.x_fine, pair.x_coarse
-                    log_err = (x_f - x_c) ** 2
-                    asset_err = (np.exp(x_f) - np.exp(x_c)) ** 2
-                else:
-                    if kind is SchemeKind.CMT:
-                        pair = cmt_coupling_from_draws(spec, draws, db)
-                    elif mode == "strong":
-                        pair = plain_coupling_from_draws(spec, kind, draws, db, config.cutoff)
-                    elif mode == "traj":
-                        pair = traj_coupling_from_draws(spec, kind, draws, db, config.cutoff)
-                    else:
-                        raise InvalidParameterError(f"unknown mode {mode!r}")
-                    # sup over the shared coarse grid nodes, then squared
-                    x_f, x_c = pair.x_fine[::2], pair.x_coarse
-                    log_err = np.abs(x_f - x_c).max(axis=0) ** 2
-                    asset_err = np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0) ** 2
+                # paths are independent once drawn: couple them in column
+                # blocks, and accumulate only the joined per-path errors
+                blocks = map_blocks(
+                    lambda cols: _pair_errors(spec, kind, mode, draws.columns(cols), db[:, cols],
+                                              None if g is None else g[cols], config.cutoff),
+                    size)
+                log_err, asset_err = (np.concatenate(parts) for parts in zip(*blocks))
                 acc[kind, "log_sq_err"].add(log_err)
                 acc[kind, "asset_sq_err"].add(asset_err)
         for kind in kinds:
@@ -265,7 +269,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
     acc = {n: _Accumulator() for n in n_ladder}
-    for i, size in enumerate(_chunk_sizes(npaths, chunk_paths)):
+    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
         draws = draw_factor_paths(spec, kind, fine_steps,
                                   rng.child("weak-refine", "chunk", i).child("y"), size)
         values = {}
@@ -273,11 +277,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
         while True:
             n = level.dW.shape[0]
             if n in n_ladder or n == fine_steps:
-                drift, mult = drift_and_mult(spec, kind, level, cutoff)
-                total_drift = drift.sum(axis=0)
-                total_var = level.delta * (mult**2).sum(axis=0)
-                spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
-                values[n] = bs_call(spot_eff, total_var, spec.r, spec.T, strike)
+                values[n] = call_values_from_draws(spec, kind, level, strike, cutoff)
             if n // 2 < min(n_ladder):
                 break
             level = coarsen_factor_draws(spec, kind, level)

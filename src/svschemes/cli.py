@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .analysis import (
     BENCHMARK_CALL_PRICE,
     ExperimentConfig,
@@ -25,7 +23,7 @@ from .analysis import (
 from .coupling import lookback_single_level
 from .errors import ConfigError, InvalidParameterError, NumericalError
 from .models import benchmark_scott_params, scott_model, spec_from_config
-from .pricing import romano_touzi_call
+from .pricing import _mc_estimate, romano_touzi_call
 from .rng import RngStream
 from .schemes import SchemeKind
 
@@ -171,12 +169,10 @@ def _run(args) -> int:
             est = romano_touzi_call(spec, kind, args.steps, args.strike, rng, args.paths,
                                     cutoff=args.cutoff)
         else:
-            payoffs = lookback_single_level(spec, kind, args.steps, rng, args.paths,
-                                            cutoff=args.cutoff)
-            est_value = float(np.mean(payoffs))
-            est_se = float(np.std(payoffs, ddof=1) / np.sqrt(payoffs.size))
+            est = _mc_estimate(lookback_single_level(spec, kind, args.steps, rng, args.paths,
+                                                     cutoff=args.cutoff))
             _emit_json({"payoff": "lookback", "scheme": kind.value, "steps": args.steps,
-                        "paths": args.paths, "value": est_value, "stderr": est_se}, args.out)
+                        "paths": args.paths, "value": est.value, "stderr": est.stderr}, args.out)
             return 0
         _emit_json({"payoff": "call", "scheme": kind.value, "steps": args.steps,
                     "strike": args.strike, "paths": est.npaths,

@@ -26,9 +26,9 @@ import numpy as np
 from .coupling import coupled_lookback_levels, lookback_single_level
 from .errors import BudgetExceededError, InvalidParameterError
 from .models import VolModelSpec
-from .pricing import bs_call, conditional_call_values
+from .pricing import call_values_from_draws, conditional_call_values
 from .rng import RngStream
-from .schemes import SchemeKind, coarsen_factor_draws, draw_factor_paths, drift_and_mult
+from .schemes import SchemeKind, coarsen_factor_draws, draw_factor_paths
 
 LevelSampler = Callable[[int, RngStream, int], np.ndarray]
 
@@ -190,17 +190,10 @@ def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
         if level == 0:
             return conditional_call_values(spec, kind, base_steps, strike, rng, n, cutoff)
-        n_fine = base_steps * 2**level
-        fine = draw_factor_paths(spec, kind, n_fine, rng.child("y"), n)
+        fine = draw_factor_paths(spec, kind, base_steps * 2**level, rng.child("y"), n)
         coarse = coarsen_factor_draws(spec, kind, fine)
-        values = []
-        for draws in (fine, coarse):
-            drift, mult = drift_and_mult(spec, kind, draws, cutoff)
-            total_drift = drift.sum(axis=0)
-            total_var = draws.delta * (mult**2).sum(axis=0)
-            spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
-            values.append(bs_call(spot_eff, total_var, spec.r, spec.T, strike))
-        return values[0] - values[1]
+        return (call_values_from_draws(spec, kind, fine, strike, cutoff)
+                - call_values_from_draws(spec, kind, coarse, strike, cutoff))
 
     return sampler
 

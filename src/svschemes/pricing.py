@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidParameterError
+from ._parallel import map_blocks
+from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream
-from .schemes import SchemeKind, draw_factor_paths, drift_and_mult, simulate_paths
+from .schemes import FactorDraws, SchemeKind, draw_factor_paths, drift_and_mult, simulate_paths
 
 
 @dataclass
@@ -80,37 +81,49 @@ def discounted_call_payoff(spec: VolModelSpec, x_terminal, strike: float):
     return math.exp(-spec.r * spec.T) * call_payoff(np.exp(x_terminal), strike)
 
 
-def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
-                            strike: float, rng: RngStream, npaths: int,
-                            cutoff: str = "floor") -> np.ndarray:
-    """Per-path conditional call prices given the factor draws.
+def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
+                           strike: float, cutoff: str = "floor") -> np.ndarray:
+    """Per-path conditional call prices of drawn factor paths.
 
     Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V) the
     accumulated drift and conditional variance of the scheme, so the
-    spread across paths carries only the factor-side noise.
+    spread across paths carries only the factor-side noise. Paths are
+    independent, so the work runs over column blocks of the draws.
     """
+    def block(cols):
+        part = draws.columns(cols)
+        drift, mult = drift_and_mult(spec, kind, part, cutoff)
+        total_drift = drift.sum(axis=0)
+        total_var = part.delta * (mult**2).sum(axis=0)
+        spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
+        return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
+
+    return np.concatenate(map_blocks(block, draws.dW.shape[-1]))
+
+
+def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
+                            strike: float, rng: RngStream, npaths: int,
+                            cutoff: str = "floor") -> np.ndarray:
+    """Per-path conditional call prices given factor draws from ``rng``."""
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
     draws = draw_factor_paths(spec, kind, n_steps, rng.child("y"), npaths)
-    drift, mult = drift_and_mult(spec, kind, draws, cutoff)
-    total_drift = drift.sum(axis=0)
-    total_var = draws.delta * (mult**2).sum(axis=0)
-    spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
-    return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
+    return call_values_from_draws(spec, kind, draws, strike, cutoff)
 
 
 def _mc_estimate(values: np.ndarray) -> PriceEstimate:
     n = values.size
     if n < 2:
         raise InvalidParameterError("need at least two samples for a standard error")
-    return PriceEstimate(
-        value=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(n)),
-        npaths=n,
-    )
+    value = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(n))
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise NumericalError(f"estimate {value} with stderr {stderr} is not finite")
+    return PriceEstimate(value=value, stderr=stderr, npaths=n)
 
 
-def _chunk_sizes(npaths: int, chunk_paths: int):
+def chunk_sizes(npaths: int, chunk_paths: int) -> list[int]:
+    """Sizes of the fixed-size path chunks, each simulated on its own stream."""
     sizes = [chunk_paths] * (npaths // chunk_paths)
     if npaths % chunk_paths:
         sizes.append(npaths % chunk_paths)
@@ -128,7 +141,7 @@ def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike
     if npaths < 2:
         raise InvalidParameterError(f"need at least two paths, got {npaths}")
     pieces = []
-    for i, size in enumerate(_chunk_sizes(npaths, chunk_paths)):
+    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
         chunk_rng = rng.child("chunk", i)
         if kind is SchemeKind.CMT:
             path = simulate_paths(kind, spec, n_steps, chunk_rng, size, cutoff)
@@ -147,7 +160,7 @@ def plain_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float
     if npaths < 2:
         raise InvalidParameterError(f"need at least two paths, got {npaths}")
     pieces = []
-    for i, size in enumerate(_chunk_sizes(npaths, chunk_paths)):
+    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
         path = simulate_paths(kind, spec, n_steps, rng.child("chunk", i), size, cutoff)
         pieces.append(discounted_call_payoff(spec, path.x[-1], strike))
     return _mc_estimate(np.concatenate(pieces))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import OUParams
 
@@ -63,9 +64,24 @@ class RngStream:
         return 1.0 - self._gen.random(size)
 
     def normal(self, size=None):
-        """Standard normals by inversion of the normal CDF."""
+        """Standard normals by inversion of the normal CDF.
+
+        The uniforms are drawn in one sequential call, so the stream is
+        consumed the same way for any number of workers; the inversion
+        then runs in place over blocks of the flat array.
+        """
         u = self._gen.random(size)
-        return ndtri(np.maximum(u, _U_FLOOR))
+        if np.ndim(u) == 0:
+            return ndtri(np.maximum(u, _U_FLOOR))
+        flat = u.reshape(-1)
+
+        def invert(cols):
+            block = flat[cols]
+            np.maximum(block, _U_FLOOR, out=block)
+            ndtri(block, out=block)
+
+        map_blocks(invert, flat.size)
+        return u
 
 
 def gaussian(rng: RngStream) -> float:

@@ -96,6 +96,10 @@ class FactorDraws:
     dW: np.ndarray
     iW: np.ndarray
 
+    def columns(self, cols: slice) -> "FactorDraws":
+        """The draws of the paths selected by ``cols``, as views."""
+        return FactorDraws(self.delta, self.y[..., cols], self.dW[..., cols], self.iW[..., cols])
+
 
 def _require_ou(spec: VolModelSpec, kind: SchemeKind):
     if spec.ou is None:
@@ -104,6 +108,12 @@ def _require_ou(spec: VolModelSpec, kind: SchemeKind):
 
 def _sqrt1m_rho2(spec: VolModelSpec) -> float:
     return math.sqrt(max(0.0, 1.0 - spec.rho**2))
+
+
+def _check_finite(values, what: str):
+    """Raise NumericalError unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} is not finite (NaN or inf)")
 
 
 def cutoff_radicand(spec: VolModelSpec, y, correction, cutoff: str = "floor"):
@@ -118,9 +128,8 @@ def cutoff_radicand(spec: VolModelSpec, y, correction, cutoff: str = "floor"):
         rad = np.minimum(rad, spec.psi_hat(y))
     elif cutoff != "floor":
         raise InvalidParameterError(f"unknown cutoff {cutoff!r}; expected 'floor' or 'band'")
-    floor = max(spec.psi_lower, 0.0)
-    rad = np.maximum(rad, floor)
-    assert np.all(rad >= floor), "cutoff failed to enforce the variance floor"
+    rad = np.maximum(rad, max(spec.psi_lower, 0.0))
+    _check_finite(rad, "variance radicand")
     return rad
 
 
@@ -182,8 +191,7 @@ def ou_improved_step(spec: VolModelSpec, x, y_prev, y_next, delta: float, iW, dB
         + (pull * spec.psi1(y_prev) + 0.5 * ou.nu**2 * spec.psi2(y_prev)) * delta / 2.0,
         max(spec.psi_lower, 0.0),
     )
-    floor = max(spec.psi_lower, 0.0)
-    assert np.all(psi_tilde >= floor), "cutoff failed to enforce the variance floor"
+    _check_finite(psi_tilde, "variance radicand")
     return (
         x
         + spec.rho * (spec.F(y_next) - spec.F(y_prev))
@@ -373,14 +381,13 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
             + ou.nu * spec.h1(y_prev) * draws.iW
             + (pull * spec.h1(y_prev) + 0.5 * ou.nu**2 * spec.h2(y_prev)) * delta**2 / 2.0
         )
-        floor = max(spec.psi_lower, 0.0)
         psi_tilde = np.maximum(
             spec.psi(y_prev)
             + ou.nu * spec.psi1(y_prev) * draws.iW / delta
             + (pull * spec.psi1(y_prev) + 0.5 * ou.nu**2 * spec.psi2(y_prev)) * delta / 2.0,
-            floor,
+            max(spec.psi_lower, 0.0),
         )
-        assert np.all(psi_tilde >= floor), "cutoff failed to enforce the variance floor"
+        _check_finite(psi_tilde, "variance radicand")
         mult = sqrt1m * np.sqrt(psi_tilde)
     elif kind is SchemeKind.EULER:
         drift = (spec.r - 0.5 * spec.psi(y_prev)) * delta + spec.rho * spec.f(y_prev) * draws.dW

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from svschemes import _parallel
 from svschemes.cli import main
 
 SCOTT_CFG = {
@@ -10,6 +11,11 @@ SCOTT_CFG = {
     "nu": 0.4949747468305833, "rho": -0.2, "r": 0.05,
     "s0": 100.0, "y0": 0.0, "T": 1.0,
 }
+
+
+# The factor starts so high that e^{2y} overflows: radicands and prices
+# turn NaN or infinite.
+BLOWUP_CFG = dict(SCOTT_CFG, y0=400.0)
 
 
 def write_cfg(tmp_path, cfg):
@@ -145,3 +151,37 @@ class TestConfigErrors:
     def test_bad_steps_flag(self, tmp_path):
         assert main(["strong-conv", "--steps", "3", "--paths", "100"]) == 2
         assert main(["strong-conv", "--steps", "2", "--paths", "100"]) == 2
+
+
+class TestNumericalGuards:
+    @pytest.mark.parametrize("scheme", ["weaktraj1", "ou-improved"])
+    @pytest.mark.parametrize("payoff", ["call", "lookback"])
+    def test_non_finite_radicand_exits_3(self, tmp_path, capsys, scheme, payoff):
+        rc = main(["price", "--scheme", scheme, "--payoff", payoff, "--steps", "8",
+                   "--paths", "1000", "--config", write_cfg(tmp_path, BLOWUP_CFG),
+                   "--out", str(tmp_path / "price.json")])
+        assert rc == 3
+        assert "radicand is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payoff", ["call", "lookback"])
+    def test_non_finite_estimate_exits_3(self, tmp_path, capsys, payoff):
+        out = tmp_path / "price.json"
+        rc = main(["price", "--scheme", "weak2", "--payoff", payoff, "--steps", "8",
+                   "--paths", "1000", "--config", write_cfg(tmp_path, BLOWUP_CFG),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--scheme", "weaktraj1", "--steps", "8", "--paths", "1000"],
+        ["strong-conv", "--steps", "4", "--paths", "1000"],
+        ["terminal-conv", "--steps", "4", "--paths", "1000"],
+    ])
+    def test_guard_in_worker_block_exits_3(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        rc = main(argv + ["--config", write_cfg(tmp_path, BLOWUP_CFG),
+                          "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "radicand is not finite" in capsys.readouterr().err

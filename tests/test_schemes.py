@@ -114,6 +114,13 @@ class TestCutoffRadicand:
         with pytest.raises(InvalidParameterError):
             cutoff_radicand(scott_spec(), 0.0, 0.0, "clip")
 
+    @pytest.mark.parametrize("cutoff", ["floor", "band"])
+    def test_non_finite_raises(self, cutoff):
+        with pytest.raises(NumericalError):
+            cutoff_radicand(scott_spec(), np.array([0.0, 0.1]), np.array([0.0, np.nan]), cutoff)
+        with pytest.raises(NumericalError):
+            cutoff_radicand(scott_spec(), 400.0, -np.inf, cutoff)
+
 
 class TestWeakTraj1Step:
     def test_bs_reduction(self):
@@ -188,6 +195,10 @@ class TestOuImprovedStep:
     def test_requires_ou(self):
         with pytest.raises(InvalidParameterError):
             ou_improved_step(gbm_factor_spec(), 0.0, 1.0, 1.1, 0.25, 0.0, 0.0)
+
+    def test_non_finite_radicand_raises(self):
+        with pytest.raises(NumericalError):
+            ou_improved_step(scott_spec(), 0.0, np.nan, 0.1, 0.25, 0.01, 0.05)
 
 
 class TestEulerStep:
@@ -339,6 +350,14 @@ class TestDriftAndMult:
             x, _ = euler_step(spec, x, draws.y[k], draws.delta, draws.dW[k], db[k],
                               y_next=draws.y[k + 1])
             assert np.allclose(spec.x0 + np.cumsum(drift + mult * db, axis=0)[k], x)
+
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED])
+    def test_non_finite_radicand_raises(self, kind):
+        spec = scott_spec()
+        draws = draw_factor_paths(spec, kind, 4, RngStream(15), 5)
+        draws.y[2, 3] = np.nan
+        with pytest.raises(NumericalError):
+            drift_and_mult(spec, kind, draws)
 
     def test_cmt_rejected(self):
         spec = scott_spec()
