@@ -17,8 +17,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 # CPUs this process may run on; one worker thread each.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# Fewest paths per block: below this the hand-off costs more than it saves.
-MIN_BLOCK = 4096
+# Fewest values (rows x paths) per block: below this the hand-off to a
+# worker costs more than it saves. On a 2-core Xeon, two workers first
+# beat one at about 64k values, alike for the normal inversion, the
+# conditional call values and the coupled errors.
+MIN_BLOCK = 32768
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -37,15 +40,19 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def map_blocks(fn, n: int) -> list:
+def map_blocks(fn, n: int, rows: int = 1) -> list:
     """Results of ``fn(cols)`` for contiguous slices ``cols`` covering range(n).
 
-    The results come in block order. Runs inline, on one block, with a
-    single CPU, below two minimum blocks, or when called from inside a
-    block (so nested calls cannot deadlock the pool). Every block runs to
-    completion; the first exception in block order is re-raised.
+    ``n`` counts paths (columns) and ``rows`` the values per path, so the
+    work holds ``rows * n`` values. The results come in block order. Runs
+    inline, on one block, with a single CPU, below two minimum blocks of
+    values, or when called from inside a block (so nested calls cannot
+    deadlock the pool). Every block runs to completion; the first
+    exception in block order is re-raised.
     """
-    count = min(WORKERS, n // MIN_BLOCK)
+    # at least two paths a block: numpy sums a single column pairwise,
+    # but several columns row by row, as in one block
+    count = min(WORKERS, n // 2, rows * n // MIN_BLOCK)
     if count < 2 or getattr(_in_worker, "flag", False):
         return [fn(slice(0, n))]
     edges = [n * i // count for i in range(count + 1)]

@@ -14,7 +14,9 @@ Within one (experiment, N, chunk) cell all schemes consume the same
 child streams, which shares the factor draws and B-increments across
 schemes and removes cross-scheme Monte Carlo noise from slope
 comparisons. Paths are processed in fixed-size chunks so results do
-not depend on available memory.
+not depend on available memory. Within a chunk, the paths of each
+parallel block are coupled one tile at a time: one node table per tile
+serves both levels of every template scheme that shares the draws.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .schemes import (
     coarsen_factor_draws,
     draw_brownian_increments,
     draw_factor_paths,
+    path_tiles,
+    with_coeffs,
 )
 
 # Converged at-the-money call price under the benchmark Scott parameters
@@ -171,32 +175,65 @@ def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorD
             np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0) ** 2)
 
 
+def _tile_errors(spec: VolModelSpec, kinds, mode: str, draws: FactorDraws, db: np.ndarray,
+                 g: np.ndarray | None, cutoff: str, tiles: list[slice]):
+    """Per-path errors of each kind, one tile of paths at a time.
+
+    Each tile gets one node table, which every kind reads at both
+    levels. Returns {kind: [(log_err, asset_err) per tile]}.
+    """
+    errors = {kind: [] for kind in kinds}
+    for tile in tiles:
+        tile_draws = with_coeffs(spec, draws.columns(tile), kinds)
+        for kind in kinds:
+            errors[kind].append(_pair_errors(spec, kind, mode, tile_draws, db[:, tile],
+                                             None if g is None else g[tile], cutoff))
+    return errors
+
+
+def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine: int,
+                 size: int, cutoff: str) -> dict:
+    """Per-path (log_err, asset_err) of every kind in one (N, chunk) cell.
+
+    Each group of kinds shares one factor draw. Its arrays are released
+    when the cell returns, before the next cell draws.
+    """
+    db = draw_brownian_increments(cell.child("b"), n_fine, size, spec.T / n_fine)
+    g = cell.child("g").normal(size) if mode == "terminal" else None
+    errors = {}
+    for group in groups:
+        draws = draw_factor_paths(spec, group[0], n_fine, cell.child("y"), size)
+        template = [k for k in group if k is not SchemeKind.CMT]
+        runs = [(template, lambda cols: path_tiles(cols, n_fine))] if template else []
+        if SchemeKind.CMT in group:
+            # whole blocks: the CMT per-step loop slows down on narrow tiles
+            runs.append(([SchemeKind.CMT], lambda cols: [cols]))
+        for run_kinds, tiles in runs:
+            # paths are independent once drawn: couple them in column
+            # blocks, and join the per-path errors in path order
+            blocks = map_blocks(
+                lambda cols: _tile_errors(spec, run_kinds, mode, draws, db, g, cutoff,
+                                          tiles(cols)),
+                size, rows=n_fine)
+            for kind in run_kinds:
+                parts = [part for block in blocks for part in block[kind]]
+                errors[kind] = tuple(np.concatenate(errs) for errs in zip(*parts))
+    return errors
+
+
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
                      experiment: str, mode: str) -> list[ExperimentRow]:
     kinds = [k for k in config.kinds if not (k is SchemeKind.CMT and mode == "traj")]
+    # factor draws are kind-independent for OU-backed specs
+    groups = [kinds] if spec.ou is not None else [[k] for k in kinds]
     rows: list[ExperimentRow] = []
     for n_coarse in config.n_ladder:
         acc = {(k, m): _Accumulator() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         for i, size in enumerate(chunk_sizes(config.npaths, config.chunk_paths)):
             cell = rng.child(experiment, n_coarse, "chunk", i)
-            db = draw_brownian_increments(cell.child("b"), 2 * n_coarse, size,
-                                          spec.T / (2 * n_coarse))
-            g = cell.child("g").normal(size) if mode == "terminal" else None
-            shared = None
-            if spec.ou is not None:
-                # factor draws are kind-independent for OU-backed specs
-                shared = draw_factor_paths(spec, kinds[0], 2 * n_coarse, cell.child("y"), size)
+            errors = _cell_errors(spec, groups, mode, cell, 2 * n_coarse, size, config.cutoff)
             for kind in kinds:
-                draws = shared
-                if draws is None:
-                    draws = draw_factor_paths(spec, kind, 2 * n_coarse, cell.child("y"), size)
-                # paths are independent once drawn: couple them in column
-                # blocks, and accumulate only the joined per-path errors
-                blocks = map_blocks(
-                    lambda cols: _pair_errors(spec, kind, mode, draws.columns(cols), db[:, cols],
-                                              None if g is None else g[cols], config.cutoff),
-                    size)
-                log_err, asset_err = (np.concatenate(parts) for parts in zip(*blocks))
+                log_err, asset_err = errors[kind]
                 acc[kind, "log_sq_err"].add(log_err)
                 acc[kind, "asset_sq_err"].add(asset_err)
         for kind in kinds:

@@ -20,10 +20,11 @@ log-asset nodes and adds Brownian-bridge minima over each fine substep,
 reusing one uniform per fine substep at both levels.
 
 Functions come in pairs: a ``*_from_draws`` core that consumes
-pre-drawn randomness (so experiment harnesses can share draws across
-schemes), and a thin wrapper that draws from an ``RngStream`` using the
-child streams "y" (factor), "b" (B-increments), "g" (terminal closing
-normal) and "u" (bridge uniforms).
+pre-drawn randomness (so experiment harnesses can share draws, and
+their node table, across schemes), and a thin wrapper that draws from
+an ``RngStream`` using the child streams "y" (factor), "b"
+(B-increments), "g" (terminal closing normal) and "u" (bridge
+uniforms).
 """
 
 from __future__ import annotations
@@ -242,11 +243,12 @@ def bridge_min(left, right, vol2, delta: float, u, anchor=None):
     return 0.5 * (left + right - np.sqrt(rad))
 
 
-def _euler_spot_step(spec: VolModelSpec, x_node, y_node, delta: float, dw, db):
-    """Exponential-Euler spot endpoint used by the bridge construction."""
+def _euler_spot_step(spec: VolModelSpec, x_node, f_node, delta: float, dw, db):
+    """Exponential-Euler spot endpoint used by the bridge construction;
+    ``f_node`` is f at the left factor node."""
     sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
     spot = np.exp(x_node)
-    return spot * (1.0 + spec.r * delta + spec.f(y_node) * (spec.rho * dw + sqrt1m * db))
+    return spot * (1.0 + spec.r * delta + f_node * (spec.rho * dw + sqrt1m * db))
 
 
 def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
@@ -265,30 +267,33 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     delta_f = fine.delta
     drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
     x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine)
-
-    min_f = np.full(x_f.shape[1:], np.inf)
-    for j in range(n_fine):
-        left = np.exp(x_f[j])
-        right = _euler_spot_step(spec, x_f[j], fine.y[j], delta_f, fine.dW[j], db_fine[j])
-        vol2 = spec.psi(fine.y[j])
-        min_f = np.minimum(min_f, bridge_min(left, right, vol2, delta_f, uniforms[j]))
-    payoff_f = np.exp(-spec.r * spec.T) * (np.exp(x_f[-1]) - min_f)
-
-    coarse = coarsen_factor_draws(spec, kind, fine)
     db1, db2 = db_fine[0::2], db_fine[1::2]
     v1, v2 = mult_f[0::2], mult_f[1::2]
     db_tilde = coupled_db_tilde(db1, db2, v1, v2)
     db_mid = lookback_db_mid(db1, db2, v1, v2)
-    drift_c, mult_c = drift_and_mult(spec, kind, coarse, cutoff)
-    x_c = _assemble_x(spec.x0, drift_c, mult_c, db_tilde)
+    del drift_f, mult_f, v1, v2  # what follows reads only nodes and increments
+    coarse = coarsen_factor_draws(spec, kind, fine)
+    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_tilde)
+
+    nodes = spec.node_table(spec, fine.y, ())
+    f_f, psi_f = nodes.prev("f"), nodes.prev("psi")
+    min_f = np.full(x_f.shape[1:], np.inf)
+    for j in range(n_fine):
+        left = np.exp(x_f[j])
+        right = _euler_spot_step(spec, x_f[j], f_f[j], delta_f, fine.dW[j], db_fine[j])
+        min_f = np.minimum(min_f, bridge_min(left, right, psi_f[j], delta_f, uniforms[j]))
+    payoff_f = np.exp(-spec.r * spec.T) * (np.exp(x_f[-1]) - min_f)
 
     delta_c = coarse.delta
     sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
+    # OU coarse nodes are the even fine nodes; generic specs re-ran the factor
+    nodes = nodes.even_nodes() if spec.ou is not None else spec.node_table(spec, coarse.y, ())
+    f_c, psi_c = nodes.prev("f"), nodes.prev("psi")
     min_c = np.full(x_c.shape[1:], np.inf)
     for k in range(n_fine // 2):
         left = np.exp(x_c[k])
-        f_val = spec.f(coarse.y[k])
-        vol2 = spec.psi(coarse.y[k])
+        f_val = f_c[k]
+        vol2 = psi_c[k]
         base = left * (1.0 + spec.r * delta_c + f_val * spec.rho * coarse.dW[k])
         s_mid = base + left * f_val * sqrt1m * db_mid[k]
         s_end = base + left * f_val * sqrt1m * db_tilde[k]
@@ -323,10 +328,12 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     uniforms = rng.child("u").uniform_open((n_steps, npaths))
     drift, mult = drift_and_mult(spec, kind, fine, cutoff)
     x = _assemble_x(spec.x0, drift, mult, db)
+    nodes = spec.node_table(spec, fine.y, ())
+    f_vals, psi_vals = nodes.prev("f"), nodes.prev("psi")
     running_min = np.full(x.shape[1:], np.inf)
     for j in range(n_steps):
         left = np.exp(x[j])
-        right = _euler_spot_step(spec, x[j], fine.y[j], fine.delta, fine.dW[j], db[j])
-        vol2 = spec.psi(fine.y[j])
-        running_min = np.minimum(running_min, bridge_min(left, right, vol2, fine.delta, uniforms[j]))
+        right = _euler_spot_step(spec, x[j], f_vals[j], fine.delta, fine.dW[j], db[j])
+        running_min = np.minimum(running_min,
+                                 bridge_min(left, right, psi_vals[j], fine.delta, uniforms[j]))
     return np.exp(-spec.r * spec.T) * (np.exp(x[-1]) - running_min)

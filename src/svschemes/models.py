@@ -16,10 +16,14 @@ All derivatives are supplied analytically by the model builder; the
 schemes need them exactly and every model of interest is closed-form.
 When F has no closed form it is evaluated by cached adaptive quadrature
 of f/sigma.
+
+The schemes read these functions at the nodes of a factor draw through
+a ``NodeCoeffs`` table, which evaluates each coefficient once per draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -81,12 +85,137 @@ class ScottParams:
         return OUParams(self.kappa, self.theta, self.nu, self.y0)
 
 
+class NodeCoeffs:
+    """Model coefficients at the nodes y (shape (N+1, ...)) of one factor draw.
+
+    Each coefficient is evaluated once, on first use, and kept for the
+    table's lifetime. A coefficient named in ``both_ends`` is evaluated
+    on all N+1 nodes, and ``prev``, ``next`` and ``all`` are slices of
+    it; any other coefficient is evaluated on the left nodes y[:-1]
+    only, which is all that ``prev`` needs. Values are elementwise, so
+    they are the same bytes as the spec's function applied to the slice.
+    """
+
+    def __init__(self, spec: VolModelSpec, y: np.ndarray, both_ends=frozenset()):
+        self.spec = spec
+        self.y = y
+        self.both_ends = frozenset(both_ends)
+        self._all: dict[str, np.ndarray] = {}
+        self._prev: dict[str, np.ndarray] = {}
+
+    def all(self, name: str) -> np.ndarray:
+        """``name`` on every node."""
+        if name == "y":
+            return self.y
+        if name not in self._all:
+            self._all[name] = self._eval(name, self.all)
+        return self._all[name]
+
+    def prev(self, name: str) -> np.ndarray:
+        """``name`` on the left node of every step, y[:-1]."""
+        if name in self.both_ends or name in self._all:
+            return self.all(name)[:-1]
+        if name == "y":
+            return self.y[:-1]
+        if name not in self._prev:
+            self._prev[name] = self._eval(name, self.prev)
+        return self._prev[name]
+
+    def next(self, name: str) -> np.ndarray:
+        """``name`` on the right node of every step, y[1:]."""
+        return self.all(name)[1:]
+
+    def even_nodes(self) -> _EvenNodes:
+        """A table with the same reads over y[::2], taking its values from this one."""
+        return _EvenNodes(self)
+
+    def _eval(self, name: str, get) -> np.ndarray:
+        """``name`` on the nodes ``get("y")``; ``get`` reads other entries there."""
+        return getattr(self.spec, name)(get("y"))
+
+
+class _EvenNodes:
+    """Node table of the coarse grid y[::2], read from the fine grid's table."""
+
+    def __init__(self, fine: NodeCoeffs):
+        self.fine = fine
+        self.y = fine.y[::2]
+
+    def all(self, name: str) -> np.ndarray:
+        return self.fine.all(name)[::2]
+
+    def prev(self, name: str) -> np.ndarray:
+        # the coarse left nodes are the even fine left nodes
+        return self.fine.prev(name)[::2]
+
+    def next(self, name: str) -> np.ndarray:
+        return self.all(name)[1:]
+
+    def even_nodes(self) -> _EvenNodes:
+        return _EvenNodes(self)
+
+
+# Scott coefficients from one exp(y) and one expm1(y) per node. Each
+# expression keeps the operation order of the closures in scott_model
+# (and of psi, psi1, psi2, psi_hat in make_spec), so values are the same
+# bytes as calling those closures.
+_SCOTT_FORMULAS = {
+    "exp": lambda p, get: np.exp(get("y")),
+    "F": lambda p, get: p.sigma0 * np.expm1(get("y")) / p.nu,
+    "f": lambda p, get: p.sigma0 * get("exp"),
+    "f1": lambda p, get: get("f"),  # f1 = f2 = f
+    "f2": lambda p, get: get("f"),
+    "psi": lambda p, get: get("f") ** 2,
+    "psi1": lambda p, get: 2.0 * get("f") * get("f"),
+    "psi2": lambda p, get: 2.0 * (get("f") ** 2 + get("f") * get("f")),
+    "psi_hat": lambda p, get: 1.5 * get("f") ** 2,
+    "h": lambda p, get: (
+        p.r - 0.5 * p.sigma0**2 * get("exp") ** 2
+        - p.rho * p.sigma0 * get("exp") * (p.kappa * (p.theta - get("y")) / p.nu + p.nu / 2)
+    ),
+    "h1": lambda p, get: (
+        -(p.sigma0**2) * get("exp") ** 2
+        - p.rho * p.sigma0 * get("exp")
+        * (p.kappa * (p.theta - get("y")) / p.nu + p.nu / 2 - p.kappa / p.nu)
+    ),
+    "h2": lambda p, get: (
+        -2.0 * p.sigma0**2 * get("exp") ** 2
+        - p.rho * p.sigma0 * get("exp")
+        * (p.kappa * (p.theta - get("y")) / p.nu + p.nu / 2 - 2.0 * p.kappa / p.nu)
+    ),
+}
+
+
+class _ScottCoeffs(NodeCoeffs):
+    """Scott-model node table; coefficients without a formula call the spec."""
+
+    def __init__(self, params: ScottParams, spec: VolModelSpec, y: np.ndarray,
+                 both_ends=frozenset()):
+        both_ends = frozenset(both_ends)
+        if both_ends - {"F"}:
+            # every coefficient but F is built on exp and f: evaluate those
+            # on all nodes too, rather than once on y[:-1] and again on y
+            both_ends |= {"exp", "f"}
+        super().__init__(spec, y, both_ends)
+        self.params = params
+
+    def _eval(self, name: str, get) -> np.ndarray:
+        formula = _SCOTT_FORMULAS.get(name)
+        if formula is None:
+            return super()._eval(name, get)
+        return formula(self.params, get)
+
+
 @dataclass(frozen=True)
 class VolModelSpec:
     """Immutable model specification consumed by the schemes.
 
     All callables accept scalars or numpy arrays. ``ou`` is set when the
     factor is an OU process, which unlocks exact factor simulation.
+    ``node_table(spec, y, both_ends)`` builds the ``NodeCoeffs`` table the
+    schemes read the coefficients from; a spec whose functions share work
+    (Scott) supplies its own, and one that replaces a function of such a
+    spec must replace the table as well.
     ``flow_drift(y, t)`` and ``flow_vol(y, s)`` are the closed-form ODE
     flows of V0 = b - sigma*sigma'/2 and V = sigma used by the
     Ninomiya-Victoir step; they may be None for OU-backed specs (never
@@ -116,7 +245,7 @@ class VolModelSpec:
     h1: Fn | None = None
     h2: Fn | None = None
     ou: OUParams | None = None
-    scott: ScottParams | None = None
+    node_table: Callable[..., NodeCoeffs] = NodeCoeffs
     flow_drift: Callable[[float | np.ndarray, float], float | np.ndarray] | None = None
     flow_vol: Callable[[float | np.ndarray, float | np.ndarray], float | np.ndarray] | None = None
 
@@ -215,7 +344,7 @@ def make_spec(
     psi_lower: float | None = None,
     psi_upper: float | None = None,
     ou: OUParams | None = None,
-    scott: ScottParams | None = None,
+    node_table: Callable[..., NodeCoeffs] = NodeCoeffs,
     flow_drift=None,
     flow_vol=None,
 ) -> VolModelSpec:
@@ -265,7 +394,7 @@ def make_spec(
         psi=psi, psi1=psi1, psi2=psi2,
         psi_lower=0.0 if psi_lower is None else psi_lower,
         psi_hat=psi_hat,
-        h1=h1, h2=h2, ou=ou, scott=scott,
+        h1=h1, h2=h2, ou=ou, node_table=node_table,
         flow_drift=flow_drift, flow_vol=flow_vol,
     )
 
@@ -317,7 +446,7 @@ def scott_model(params: ScottParams) -> VolModelSpec:
         sigma2=lambda y: 0.0 * np.asarray(y, dtype=float),
         F=F, h=h, h1=h1, h2=h2,
         psi_lower=0.0, psi_upper=None,
-        ou=params.ou, scott=params,
+        ou=params.ou, node_table=functools.partial(_ScottCoeffs, params),
         flow_drift=lambda y, t: th + (y - th) * np.exp(-kap * t),
         flow_vol=lambda y, s: y + nu * s,
     )

@@ -98,7 +98,8 @@ def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, draws: FactorDr
         spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
         return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
 
-    return np.concatenate(map_blocks(block, draws.dW.shape[-1]))
+    n_steps, npaths = draws.dW.shape[0], draws.dW.shape[-1]
+    return np.concatenate(map_blocks(block, npaths, rows=n_steps))
 
 
 def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,

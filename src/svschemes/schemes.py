@@ -8,8 +8,12 @@ where drift_k and mult_k depend only on the factor-side randomness
 (Y values, W increments and the time integral iW). ``drift_and_mult``
 computes those two arrays for a whole path at once; the couplings, the
 terminal-form simulation and the Romano-Touzi conditioning all reuse
-them. CMT does not fit the template (its update mixes dB into the
-factor recursion) and keeps a dedicated recursion.
+them. It reads the model coefficients from a node table
+(``models.NodeCoeffs``), which evaluates each coefficient once per
+factor draw, a tile of paths at a time; draws that carry a table
+(``FactorDraws.coeffs``) share it between schemes and with their
+coarsened draws. CMT does not fit the template (its update mixes dB
+into the factor recursion) and keeps a dedicated recursion.
 
 Simulation is vectorized across paths: arrays are laid out with shape
 (steps, paths). Draw order per step and stream: the factor stream "y"
@@ -20,6 +24,7 @@ bridge uniforms, each an independent child stream of the caller's.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,16 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .models import VolModelSpec
-from .rng import (
-    JointIncrement,
-    OUJointDraw,
-    RngStream,
-    joint_chol,
-    ou_joint_from_normals,
-    ou_transition_moments,
-    ou_triple_chol,
-)
+from .models import NodeCoeffs, VolModelSpec
+from .rng import RngStream, joint_chol, ou_transition_moments, ou_triple_chol
 
 
 class SchemeKind(str, Enum):
@@ -61,14 +58,20 @@ GAUSSIAN_TEMPLATE_KINDS = (
     SchemeKind.IJK,
 )
 
+# Values (steps x paths) evaluated through one node table at a time: a
+# tile's table and scheme arrays stay this small.
+TILE_VALUES = 2**16
 
-@dataclass(frozen=True)
-class StepDraws:
-    """Randomness consumed by one step: factor joint draw, dB, extras."""
-
-    joint: JointIncrement | OUJointDraw
-    dB: float
-    g: float | None = None
+# Coefficients each template scheme reads at both ends of a step; it
+# reads every other coefficient at the left node only.
+_BOTH_ENDS = {
+    SchemeKind.EULER: frozenset(),
+    SchemeKind.WEAKTRAJ1: frozenset({"F"}),
+    SchemeKind.WEAKTRAJ1_OU_EXACT: frozenset({"F"}),
+    SchemeKind.OU_IMPROVED: frozenset({"F"}),
+    SchemeKind.WEAK2: frozenset({"F", "h", "psi"}),
+    SchemeKind.IJK: frozenset({"f", "psi"}),
+}
 
 
 @dataclass
@@ -88,17 +91,42 @@ class FactorDraws:
 
     y has shape (N+1, paths); dW and iW have shape (N, paths). For
     OU-backed specs y is the exact solution at the grid nodes and stays
-    consistent under coarsening (coarse nodes = fine even nodes).
+    consistent under coarsening (coarse nodes = fine even nodes), and
+    the coarse draws read the node table ``coeffs`` of the fine draws
+    when those carry one.
     """
 
     delta: float
     y: np.ndarray
     dW: np.ndarray
     iW: np.ndarray
+    coeffs: NodeCoeffs | None = None
 
     def columns(self, cols: slice) -> "FactorDraws":
-        """The draws of the paths selected by ``cols``, as views."""
+        """The draws of the paths selected by ``cols``, as views, without a table."""
         return FactorDraws(self.delta, self.y[..., cols], self.dW[..., cols], self.iW[..., cols])
+
+
+def path_tiles(cols: slice, n_steps: int) -> list[slice]:
+    """The paths ``cols`` split evenly into tiles of about TILE_VALUES values.
+
+    A tile holds at least two paths unless ``cols`` holds fewer: numpy
+    sums a single column pairwise but several columns row by row, so
+    per-path sums taken tile by tile are the same bytes as over ``cols``.
+    """
+    n = cols.stop - cols.start
+    count = max(1, n // max(2, TILE_VALUES // n_steps))
+    edges = [cols.start + n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def with_coeffs(spec: VolModelSpec, draws: FactorDraws, kinds) -> FactorDraws:
+    """The draws with a node table, built for the template schemes ``kinds``
+    unless the draws already carry one."""
+    if draws.coeffs is not None:
+        return draws
+    both_ends = frozenset().union(*(_BOTH_ENDS.get(kind, ()) for kind in kinds))
+    return dataclasses.replace(draws, coeffs=spec.node_table(spec, draws.y, both_ends))
 
 
 def _require_ou(spec: VolModelSpec, kind: SchemeKind):
@@ -123,9 +151,13 @@ def cutoff_radicand(spec: VolModelSpec, y, correction, cutoff: str = "floor"):
     first caps at psi_hat(y), then floors, matching the left-to-right
     reading of the band cutoff.
     """
-    rad = spec.psi(y) + correction
+    return _cutoff(spec, spec.psi(y) + correction, lambda: spec.psi_hat(y), cutoff)
+
+
+def _cutoff(spec: VolModelSpec, rad, psi_hat, cutoff: str):
+    """``rad`` under the cutoff; ``psi_hat()`` gives the band cap."""
     if cutoff == "band":
-        rad = np.minimum(rad, spec.psi_hat(y))
+        rad = np.minimum(rad, psi_hat())
     elif cutoff != "floor":
         raise InvalidParameterError(f"unknown cutoff {cutoff!r}; expected 'floor' or 'band'")
     rad = np.maximum(rad, max(spec.psi_lower, 0.0))
@@ -338,8 +370,9 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     Coarse dW sums the two fine increments; the coarse time integral
     uses iW_coarse = iW_1 + iW_2 + delta_fine * dW_1. For OU-backed
     specs the coarse factor values are the fine even nodes (the exact
-    solution restricted to the coarse grid); generic specs re-run their
-    factor recursion on the summed increments.
+    solution restricted to the coarse grid), and the coarse node table
+    reads the fine one; generic specs re-run their factor recursion on
+    the summed increments.
     """
     if fine.dW.shape[0] % 2 != 0:
         raise InvalidParameterError("fine draws must have an even number of steps")
@@ -347,9 +380,9 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     dW_c = fine.dW[0::2] + fine.dW[1::2]
     iW_c = fine.iW[0::2] + fine.iW[1::2] + fine.delta * fine.dW[0::2]
     if spec.ou is not None:
-        y_c = fine.y[::2]
-    else:
-        y_c = _recursive_factor_path(spec, delta_c, dW_c, use_nv=kind is SchemeKind.WEAK2)
+        coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
+        return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
+    y_c = _recursive_factor_path(spec, delta_c, dW_c, use_nv=kind is SchemeKind.WEAK2)
     return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
 
 
@@ -359,62 +392,82 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
 
     Conditionally on the factor draws, the log-asset path is
     x_{k+1} = x_k + drift[k] + mult[k]*dB[k]; both arrays have shape
-    (N, paths).
+    (N, paths). The coefficients come from the node table of ``draws``;
+    draws without one are walked one path tile at a time, with a table
+    per tile.
     """
-    y_prev = draws.y[:-1]
-    y_next = draws.y[1:]
+    if kind not in _BOTH_ENDS:
+        raise InvalidParameterError(f"scheme {kind.value} has no drift/multiplier form")
+    if draws.coeffs is not None:
+        return _drift_and_mult(spec, kind, draws, cutoff)
+    tiles = path_tiles(slice(0, draws.dW.shape[-1]), draws.dW.shape[0])
+    if len(tiles) == 1:
+        return _drift_and_mult(spec, kind, with_coeffs(spec, draws, (kind,)), cutoff)
+    drift = np.empty(draws.dW.shape)
+    mult = np.empty(draws.dW.shape)
+    for tile in tiles:
+        drift[:, tile], mult[:, tile] = _drift_and_mult(
+            spec, kind, with_coeffs(spec, draws.columns(tile), (kind,)), cutoff)
+    return drift, mult
+
+
+def _drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws, cutoff: str):
+    """``drift_and_mult`` on draws that carry their node table."""
+    prev, nxt = draws.coeffs.prev, draws.coeffs.next
     delta = draws.delta
     sqrt1m = _sqrt1m_rho2(spec)
     if kind in (SchemeKind.WEAKTRAJ1, SchemeKind.WEAKTRAJ1_OU_EXACT):
-        drift = spec.rho * (spec.F(y_next) - spec.F(y_prev)) + delta * spec.h(y_prev)
-        correction = spec.sigma(y_prev) * spec.psi1(y_prev) * draws.iW / delta
-        mult = sqrt1m * np.sqrt(cutoff_radicand(spec, y_prev, correction, cutoff))
+        drift = spec.rho * (nxt("F") - prev("F")) + delta * prev("h")
+        correction = prev("sigma") * prev("psi1") * draws.iW / delta
+        rad = _cutoff(spec, prev("psi") + correction, lambda: prev("psi_hat"), cutoff)
+        mult = sqrt1m * np.sqrt(rad)
     elif kind is SchemeKind.OU_IMPROVED:
         _require_ou(spec, kind)
         if spec.h1 is None or spec.h2 is None:
             raise InvalidParameterError("OU_IMPROVED needs closed-form h' and h''")
         ou = spec.ou
-        pull = ou.kappa * (ou.theta - y_prev)
+        pull = ou.kappa * (ou.theta - prev("y"))
         drift = (
-            spec.rho * (spec.F(y_next) - spec.F(y_prev))
-            + delta * spec.h(y_prev)
-            + ou.nu * spec.h1(y_prev) * draws.iW
-            + (pull * spec.h1(y_prev) + 0.5 * ou.nu**2 * spec.h2(y_prev)) * delta**2 / 2.0
+            spec.rho * (nxt("F") - prev("F"))
+            + delta * prev("h")
+            + ou.nu * prev("h1") * draws.iW
+            + (pull * prev("h1") + 0.5 * ou.nu**2 * prev("h2")) * delta**2 / 2.0
         )
         psi_tilde = np.maximum(
-            spec.psi(y_prev)
-            + ou.nu * spec.psi1(y_prev) * draws.iW / delta
-            + (pull * spec.psi1(y_prev) + 0.5 * ou.nu**2 * spec.psi2(y_prev)) * delta / 2.0,
+            prev("psi")
+            + ou.nu * prev("psi1") * draws.iW / delta
+            + (pull * prev("psi1") + 0.5 * ou.nu**2 * prev("psi2")) * delta / 2.0,
             max(spec.psi_lower, 0.0),
         )
         _check_finite(psi_tilde, "variance radicand")
         mult = sqrt1m * np.sqrt(psi_tilde)
     elif kind is SchemeKind.EULER:
-        drift = (spec.r - 0.5 * spec.psi(y_prev)) * delta + spec.rho * spec.f(y_prev) * draws.dW
-        mult = sqrt1m * spec.f(y_prev)
+        drift = (spec.r - 0.5 * prev("psi")) * delta + spec.rho * prev("f") * draws.dW
+        mult = sqrt1m * prev("f")
         mult = np.broadcast_to(np.asarray(mult), drift.shape)
     elif kind is SchemeKind.IJK:
         _require_ou(spec, kind)
         nu = spec.ou.nu
         drift = (
-            (spec.r - (spec.psi(y_next) + spec.psi(y_prev)) / 4.0) * delta
-            + spec.rho * spec.f(y_prev) * draws.dW
-            + 0.5 * spec.rho * nu * spec.f1(y_prev) * (draws.dW**2 - delta)
+            (spec.r - (nxt("psi") + prev("psi")) / 4.0) * delta
+            + spec.rho * prev("f") * draws.dW
+            + 0.5 * spec.rho * nu * prev("f1") * (draws.dW**2 - delta)
         )
-        mult = sqrt1m * 0.5 * (spec.f(y_next) + spec.f(y_prev))
-    elif kind is SchemeKind.WEAK2:
+        mult = sqrt1m * 0.5 * (nxt("f") + prev("f"))
+    else:  # WEAK2
         drift = (
-            spec.rho * (spec.F(y_next) - spec.F(y_prev))
-            + delta * 0.5 * (spec.h(y_prev) + spec.h(y_next))
+            spec.rho * (nxt("F") - prev("F"))
+            + delta * 0.5 * (prev("h") + nxt("h"))
         )
-        mult = sqrt1m * np.sqrt(0.5 * (spec.psi(y_prev) + spec.psi(y_next)))
-    else:
-        raise InvalidParameterError(f"scheme {kind.value} has no drift/multiplier form")
+        mult = sqrt1m * np.sqrt(0.5 * (prev("psi") + nxt("psi")))
     return drift, mult
 
 
 def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray):
-    """CMT recursion over a batch of paths; returns (x, y) node arrays."""
+    """CMT recursion over a batch of paths; returns (x, y) node arrays.
+
+    Raises NumericalError if a node of x or y is not finite.
+    """
     n_steps = dW.shape[0]
     x = np.empty((n_steps + 1,) + dW.shape[1:])
     y = np.empty_like(x)
@@ -422,6 +475,8 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray):
     y[0] = spec.y0
     for k in range(n_steps):
         x[k + 1], y[k + 1] = cmt_step(spec, x[k], y[k], delta, dW[k], dB[k])
+    _check_finite(x, "CMT log-asset path")
+    _check_finite(y, "CMT factor path")
     return x, y
 
 
@@ -436,8 +491,9 @@ def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray):
 
 def _weak2_accumulators(spec: VolModelSpec, draws: FactorDraws):
     """Cumulative trapezoidal integrals of h and f^2 along the factor path."""
-    h_vals = spec.h(draws.y)
-    psi_vals = spec.psi(draws.y)
+    coeffs = with_coeffs(spec, draws, (SchemeKind.WEAK2,)).coeffs
+    h_vals = coeffs.all("h")
+    psi_vals = coeffs.all("psi")
     m_inc = draws.delta * 0.5 * (h_vals[:-1] + h_vals[1:])
     v_inc = draws.delta * 0.5 * (psi_vals[:-1] + psi_vals[1:])
     shape = (m_inc.shape[0] + 1,) + m_inc.shape[1:]

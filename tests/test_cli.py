@@ -173,6 +173,14 @@ class TestNumericalGuards:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_cmt_path_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "price.json"
+        rc = main(["price", "--scheme", "cmt", "--steps", "8", "--paths", "20000",
+                   "--config", write_cfg(tmp_path, BLOWUP_CFG), "--out", str(out)])
+        assert rc == 3
+        assert "CMT log-asset path is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["price", "--scheme", "weaktraj1", "--steps", "8", "--paths", "1000"],
         ["strong-conv", "--steps", "4", "--paths", "1000"],

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from conftest import gbm_factor_spec
 
 from svschemes.errors import ConfigError, InvalidParameterError
 from svschemes.models import (
@@ -253,3 +256,53 @@ class TestConfig:
         cfg["kappa"] = -1.0
         with pytest.raises(ConfigError):
             spec_from_config(cfg)
+
+
+class TestNodeCoeffs:
+    """The node table returns each model function's values bit for bit."""
+
+    NAMES = ("F", "f", "f1", "f2", "h", "psi", "psi1", "psi2", "psi_hat", "sigma", "sigma1")
+    Y = np.linspace(0.05, 3.0, 7 * 5).reshape(7, 5)  # the gbm factor lives on y > 0
+
+    def specs(self):
+        return [("scott", scott_spec(), self.NAMES + ("h1", "h2")),
+                ("gbm", gbm_factor_spec(rho=-0.3), self.NAMES)]
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("both", [False, True], ids=["prev-only", "both-ends"])
+    def test_rows_match_functions(self, both):
+        y = self.Y
+        for label, spec, names in self.specs():
+            table = spec.node_table(spec, y, names if both else ())
+            for name in names:
+                fn = getattr(spec, name)
+                assert self.same_bits(table.prev(name), fn(y[:-1])), (label, name, "prev")
+                assert self.same_bits(table.next(name), fn(y[1:])), (label, name, "next")
+                assert self.same_bits(table.all(name), fn(y)), (label, name, "all")
+
+    def test_even_nodes_match_functions(self):
+        y = self.Y
+        for label, spec, names in self.specs():
+            coarse = spec.node_table(spec, y, ("F",)).even_nodes()
+            for name in names:
+                fn = getattr(spec, name)
+                assert self.same_bits(coarse.prev(name), fn(y[::2][:-1])), (label, name)
+                assert self.same_bits(coarse.next(name), fn(y[::2][1:])), (label, name)
+
+    def test_each_function_called_once(self):
+        spec = gbm_factor_spec()
+        calls = []
+
+        def counted(name):
+            fn = getattr(spec, name)
+            return lambda y: calls.append(name) or fn(y)
+
+        spec = dataclasses.replace(spec, F=counted("F"), psi=counted("psi"))
+        table = spec.node_table(spec, self.Y, ("F",))
+        for _ in range(2):
+            table.prev("F"), table.next("F"), table.all("F"), table.prev("psi")
+        assert sorted(calls) == ["F", "psi"]

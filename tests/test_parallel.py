@@ -8,15 +8,17 @@ import pytest
 
 from conftest import gbm_factor_spec, scott_spec
 
-from svschemes import _parallel
+from svschemes import _parallel, schemes
 from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_conv, run_traj_conv
 from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import romano_touzi_call
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind
+from svschemes.schemes import SchemeKind, path_tiles
 
 # Small enough that the small inputs below are split into several blocks.
 SMALL_BLOCK = 64
+# Small enough that each block of the convergence tests holds several tiles.
+SMALL_TILE = 40
 
 
 def across_workers(monkeypatch, compute, min_block=SMALL_BLOCK):
@@ -46,9 +48,28 @@ class TestMapBlocks:
 
     def test_inline_below_two_minimum_blocks(self, monkeypatch):
         monkeypatch.setattr(_parallel, "WORKERS", 2)
+        here = threading.current_thread().name
         n = 2 * _parallel.MIN_BLOCK - 1
-        assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n) == [
-            threading.current_thread().name]
+        assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n) == [here]
+        assert len(_parallel.map_blocks(lambda cols: cols, n + 1)) == 2
+
+    def test_two_dimensional_work_counts_values(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        here = threading.current_thread().name
+        rows = 8
+        n = 2 * _parallel.MIN_BLOCK // rows  # paths of two minimum blocks of values
+        assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n - 1,
+                                    rows=rows) == [here]
+        blocks = _parallel.map_blocks(lambda cols: (cols, threading.current_thread().name),
+                                      n, rows=rows)
+        assert [cols for cols, _ in blocks] == [slice(0, n // 2), slice(n // 2, n)]
+        assert all(name.startswith("svschemes") for _, name in blocks)
+
+    def test_blocks_hold_two_paths(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        blocks = _parallel.map_blocks(lambda cols: cols, 5, rows=_parallel.MIN_BLOCK)
+        assert blocks == [slice(0, 2), slice(2, 5)]
+
 
     def test_nested_call_runs_inline(self, monkeypatch):
         monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
@@ -91,6 +112,20 @@ class TestMapBlocks:
         assert sorted(finished) == [0, 66, 133]
 
 
+class TestPathTiles:
+    @pytest.mark.parametrize("n_steps", [1, 4, 100, 10_000])
+    def test_tiles_cover_evenly_with_two_paths(self, monkeypatch, n_steps):
+        monkeypatch.setattr(schemes, "TILE_VALUES", 1000)
+        cols = slice(7, 1007)
+        tiles = path_tiles(cols, n_steps)
+        assert tiles[0].start == 7 and tiles[-1].stop == 1007
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        widths = [t.stop - t.start for t in tiles]
+        assert min(widths) >= max(2, 1000 // n_steps) and max(widths) - min(widths) <= 1
+
+    def test_one_path_stays_one_tile(self):
+        assert path_tiles(slice(3, 4), 8) == [slice(3, 4)]
+
 class TestWorkerCountInvariance:
     def test_normal_array_path(self, monkeypatch):
         results = across_workers(monkeypatch, lambda: RngStream(11, "n").normal((5, 3, 301)))
@@ -119,16 +154,26 @@ class TestWorkerCountInvariance:
     def test_conv_experiments(self, monkeypatch, run):
         config = ExperimentConfig(n_ladder=(2, 4), npaths=500, chunk_paths=300)
         spec = scott_spec()
+        whole = run(spec, config, RngStream(15))
+        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
         results = across_workers(monkeypatch, lambda: run(spec, config, RngStream(15)))
-        assert results[1] == results[0] and results[2] == results[0]
-        assert any(r.scheme == "cmt" for r in results[0]) == (run is not run_traj_conv)
+        assert results == [whole] * 3
+        assert any(r.scheme == "cmt" for r in whole) == (run is not run_traj_conv)
 
     def test_conv_experiment_generic_spec(self, monkeypatch):
         config = ExperimentConfig(n_ladder=(2, 4), npaths=400, chunk_paths=400,
                                   kinds=(SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.EULER))
         spec = gbm_factor_spec(rho=-0.3)
+        whole = run_strong_conv(spec, config, RngStream(16))
+        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
         results = across_workers(monkeypatch, lambda: run_strong_conv(spec, config, RngStream(16)))
-        assert results[1] == results[0] and results[2] == results[0]
+        assert results == [whole] * 3
+
+    def test_small_tiles_split_every_block(self, monkeypatch):
+        # the convergence tests above: blocks of 100 to 400 paths, 4 or 8 fine steps
+        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
+        for n_steps in (4, 8):
+            assert len(path_tiles(slice(0, 100), n_steps)) >= 10
 
     @pytest.mark.parametrize("level", [0, 2])
     def test_mlmc_call_sampler(self, monkeypatch, level):
