@@ -4,9 +4,12 @@ Once its randomness is drawn, each path of a batch is computed
 independently of the others, so work on arrays whose last axis runs
 over paths can be split into column blocks and run on a thread pool:
 numpy and scipy's special functions release the interpreter lock
-inside their loops. Callers draw all randomness before the split and
-join block results in block order before any reduction across paths,
-so every output is the same bytes for any number of workers.
+inside their loops. Random draws are split the same way over the flat
+output: each block jumps a copy of the counter-based stream to its
+first value (``rng.RngStream``), so every value keeps its index in the
+stream. Callers join block results in block order before any
+reduction across paths, so every output is the same bytes for any
+number of workers.
 """
 
 from __future__ import annotations

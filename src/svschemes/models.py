@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConfigError, InvalidParameterError
 
@@ -269,8 +270,12 @@ class QuadPrimitive:
     """Primitive of an integrand with value 0 at 0, by cached quadrature.
 
     Keeps a knot grid of cumulative Gauss-Kronrod integrals (abs tol
-    1e-10) with cubic interpolation between knots; the grid is extended
-    on demand when evaluated outside the cached range.
+    1e-10) and the integrand at each knot, with cubic Hermite
+    interpolation between knots; the grid is extended on demand, under
+    a lock, when evaluated outside the cached range. Each piece of the
+    interpolant depends only on its two knots, so extending the grid
+    never moves a value already returned: F is the same function
+    whatever was evaluated before, in any thread.
     """
 
     def __init__(self, integrand: Fn, step: float = 0.0625):
@@ -280,7 +285,9 @@ class QuadPrimitive:
         self._hi = 0
         self._knots = np.array([0.0])
         self._values = np.array([0.0])
+        self._slopes = np.array([float(integrand(0.0))])
         self._spline = None
+        self._lock = threading.Lock()
         self._extend(-1.0, 1.0)
 
     def _extend(self, lo: float, hi: float):
@@ -292,6 +299,7 @@ class QuadPrimitive:
             piece, _ = quad(self._integrand, a, self._lo * self._step, epsabs=1e-12)
             self._knots = np.concatenate(([a], self._knots))
             self._values = np.concatenate(([self._values[0] - piece], self._values))
+            self._slopes = np.concatenate(([float(self._integrand(a))], self._slopes))
             self._lo -= 1
             changed = True
         while self._hi < hi_idx:
@@ -299,15 +307,18 @@ class QuadPrimitive:
             piece, _ = quad(self._integrand, self._hi * self._step, b, epsabs=1e-12)
             self._knots = np.concatenate((self._knots, [b]))
             self._values = np.concatenate((self._values, [self._values[-1] + piece]))
+            self._slopes = np.concatenate((self._slopes, [float(self._integrand(b))]))
             self._hi += 1
             changed = True
         if changed or self._spline is None:
-            self._spline = CubicSpline(self._knots, self._values)
+            self._spline = CubicHermiteSpline(self._knots, self._values, self._slopes)
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=float)
-        self._extend(float(arr.min()), float(arr.max()))
-        out = self._spline(arr)
+        with self._lock:
+            self._extend(float(arr.min()), float(arr.max()))
+            spline = self._spline
+        out = spline(arr)
         return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 

@@ -41,6 +41,12 @@ class RngStream:
     The Philox key is a hash of the seed and the path of identifiers,
     so distinct paths give independent streams and ``child`` streams
     can be handed to workers in any order.
+
+    Array draws are filled over blocks of the flat C-order output on
+    the path-parallel pool: each block jumps a copy of the generator
+    to its first value (Philox is counter-based), so every value keeps
+    its index in the stream for any number of workers, and the stream
+    then continues past the last value drawn.
     """
 
     def __init__(self, seed: int, *path):
@@ -48,8 +54,8 @@ class RngStream:
         self.path = tuple(path)
         material = repr((self.seed,) + self.path).encode()
         digest = hashlib.blake2b(material, digest_size=16).digest()
-        key = int.from_bytes(digest, "little")
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._key = int.from_bytes(digest, "little")
+        self._gen = np.random.Generator(np.random.Philox(key=self._key))
 
     def child(self, *ids) -> "RngStream":
         """Derived independent stream with the given extra identifiers."""
@@ -57,31 +63,70 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""
-        return self._gen.random(size)
+        if size is None:
+            return self._gen.random()
+        return self._fill(size)
 
     def uniform_open(self, size=None):
         """Uniform draws on (0, 1], valid inputs for log and bridge draws."""
-        return 1.0 - self._gen.random(size)
+        if size is None:
+            return 1.0 - self._gen.random()
+        return self._fill(size, lambda block: np.subtract(1.0, block, out=block))
 
     def normal(self, size=None):
-        """Standard normals by inversion of the normal CDF.
+        """Standard normals by inversion of the normal CDF."""
+        if size is None:
+            return ndtri(np.maximum(self._gen.random(), _U_FLOOR))
 
-        The uniforms are drawn in one sequential call, so the stream is
-        consumed the same way for any number of workers; the inversion
-        then runs in place over blocks of the flat array.
-        """
-        u = self._gen.random(size)
-        if np.ndim(u) == 0:
-            return ndtri(np.maximum(u, _U_FLOOR))
-        flat = u.reshape(-1)
-
-        def invert(cols):
-            block = flat[cols]
+        def invert(block):
             np.maximum(block, _U_FLOOR, out=block)
             ndtri(block, out=block)
 
-        map_blocks(invert, flat.size)
-        return u
+        return self._fill(size, invert)
+
+    def _fill(self, size, transform=None) -> np.ndarray:
+        """Uniforms of shape ``size``, drawn and then ``transform``-ed in place by blocks.
+
+        A draw that runs as one block uses the stream's own generator;
+        otherwise each block draws from a copy jumped to its first value,
+        and the stream's generator skips every value drawn afterwards.
+        """
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        n = flat.size
+
+        def fill(cols):
+            block = flat[cols]
+            if cols.stop - cols.start == n:
+                self._gen.random(out=block)
+            else:
+                bits = np.random.Philox(key=self._key)
+                bits.state = self._gen.bit_generator.state
+                _skip(bits, cols.start)
+                np.random.Generator(bits).random(out=block)
+            if transform is not None:
+                transform(block)
+
+        if len(map_blocks(fill, n)) > 1:
+            _skip(self._gen.bit_generator, n)
+        return out
+
+
+def _skip(bits: np.random.Philox, count: int):
+    """Advance ``bits`` past ``count`` values, one 64-bit value per uniform.
+
+    Philox makes four values per counter step and buffers them; advance()
+    moves the counter and empties the buffer, so the values left in the
+    buffer are consumed first and the remainder below four discarded.
+    """
+    if count <= 0:
+        return
+    left = min(count, 4 - bits.state["buffer_pos"])
+    bits.random_raw(left)
+    count -= left
+    if count >= 4:
+        bits.advance(count // 4)
+    bits.random_raw(count % 4)
 
 
 def gaussian(rng: RngStream) -> float:

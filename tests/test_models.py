@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -178,6 +180,56 @@ class TestQuadPrimitive:
         prim = QuadPrimitive(lambda t: 2.0 * t)
         ys = np.array([-1.5, 0.0, 2.5])
         assert np.allclose(prim(ys), ys**2, atol=1e-9)
+
+    def test_error_between_knots(self):
+        prim = QuadPrimitive(np.cos)
+        step = 0.0625
+        mids = (np.arange(-14, 14) + 0.5) * step  # knot midpoints in [-0.9, 0.9]
+        # cubic Hermite bound h^4 / 384 times the largest fourth derivative
+        # of F = sin (at most 1), plus the quadrature tolerance
+        assert np.abs(prim(mids) - np.sin(mids)).max() <= step**4 / 384.0 + 1e-9
+
+    def test_far_extension_moves_no_value(self):
+        ys = np.linspace(-0.9, 0.9, 37)
+        prim = QuadPrimitive(np.cos)
+        before = prim(ys)
+        prim(6.0)
+        prim(np.array([-5.0, 0.1]))
+        assert prim(ys).tobytes() == before.tobytes()
+        extended_first = QuadPrimitive(np.cos)
+        extended_first(np.array([-5.0, 6.0]))
+        assert extended_first(ys).tobytes() == before.tobytes()
+
+    def test_concurrent_extension_same_bits(self):
+        # more threads than cores, each extending the grid its own way
+        ranges = [np.linspace(-0.5 - i, 0.5 + 0.7 * i, 41) for i in range(8)]
+        serial = QuadPrimitive(np.cos)
+        want = [serial(ys).tobytes() for ys in ranges]
+        shared = QuadPrimitive(np.cos)
+        got = [None] * len(ranges)
+        errors = []
+        start = threading.Barrier(len(ranges))
+
+        def run(i):
+            try:
+                start.wait(timeout=10)
+                got[i] = shared(ranges[i]).tobytes()
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(ranges))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == want
 
 
 class TestValidateSpec:

@@ -1,8 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
+
+from svschemes import _parallel
 
 from svschemes.errors import InvalidParameterError
 from svschemes.models import OUParams
@@ -76,6 +80,46 @@ class TestStream:
         u = RngStream(9).uniform(100_000)
         assert np.all(u >= 0.0)
         assert np.all(u < 1.0)
+
+
+def reference_generator(seed, *path):
+    """A plain sequential generator on the stream's documented key."""
+    digest = hashlib.blake2b(repr((seed,) + path).encode(), digest_size=16).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+
+
+# Each RngStream method as the sequential draws it must equal.
+REFERENCE_DRAWS = {
+    "normal": lambda gen, size: ndtri(np.maximum(gen.random(size), 2.0**-64)),
+    "uniform": lambda gen, size: gen.random(size),
+    "uniform_open": lambda gen, size: 1.0 - gen.random(size),
+}
+
+
+class TestStreamContinuity:
+    """Array draws split into blocks read the same values as one sequential draw."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("consumed", range(4))
+    def test_blocks_match_sequential_reference(self, monkeypatch, workers, consumed):
+        # 64-value blocks: 1001 values make three blocks at three workers,
+        # starting at every offset within Philox's four-value buffer
+        monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        stream = RngStream(21, "blocks", consumed)
+        ref = reference_generator(21, "blocks", consumed)
+        for _ in range(consumed):
+            assert stream.uniform() == ref.random()
+        for size in (1001, (7, 3, 51), 129, (2, 65), 3):
+            for method, reference in REFERENCE_DRAWS.items():
+                got = getattr(stream, method)(size)
+                want = reference(ref, size)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (method, size)
+        # the draws after a parallel one continue the sequence
+        assert stream.normal() == ndtri(max(ref.random(), 2.0**-64))
+        assert stream.uniform_open(5).tobytes() == (1.0 - ref.random(5)).tobytes()
+        assert stream.uniform() == ref.random()
 
 
 class TestJointIncrement:

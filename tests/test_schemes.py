@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from scipy import stats
 
 from conftest import const_vol_ou_spec, gbm_factor_spec, scott_spec
 
+from svschemes import _parallel
 from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import OUParams, make_spec
-from svschemes.rng import RngStream, ou_transition_moments
+from svschemes.rng import RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
     GAUSSIAN_TEMPLATE_KINDS,
     FactorDraws,
@@ -287,6 +289,60 @@ class TestFactorDraws:
         decay, mean_shift, g11, _, _ = ou_transition_moments(spec.ou, draws.delta)
         resid = draws.y[1:] - mean_shift - decay * draws.y[:-1]
         assert abs(resid.var() - g11) < 5 * g11 / math.sqrt(resid.size)
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_ou_draws_equal_whole_array_reference(self, monkeypatch, workers):
+        monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        spec = scott_spec(theta=0.3, y0=-0.2)  # a non-zero mean shift
+        n_steps, npaths = 6, 301
+        draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps, RngStream(41, "y"), npaths)
+        # the whole-array mix and recursion, in the same operation order
+        g = RngStream(41, "y").normal((n_steps, 3, npaths))
+        chol = ou_triple_chol(spec.ou, draws.delta)
+        decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, draws.delta)
+        dW = chol[0, 0] * g[:, 0]
+        iW = chol[1, 0] * g[:, 0] + chol[1, 1] * g[:, 1]
+        dy = chol[2, 0] * g[:, 0] + chol[2, 1] * g[:, 1] + chol[2, 2] * g[:, 2]
+        y = np.empty((n_steps + 1, npaths))
+        y[0] = spec.y0
+        for k in range(n_steps):
+            y[k + 1] = mean_shift + decay * y[k] + dy[k]
+        for got, want in ((draws.dW, dW), (draws.iW, iW), (draws.y, y)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_ou_draws_have_the_triple_covariance(self, monkeypatch):
+        # three workers, so the draws are built in several column blocks
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        spec = scott_spec()
+        n_steps, npaths = 4, 50_000
+        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, n_steps, RngStream(31), npaths)
+        decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, draws.delta)
+        dy = draws.y[1:] - mean_shift - decay * draws.y[:-1]
+        # steps are independent draws of one law: pool them
+        sample = np.stack([draws.dW, draws.iW, dy]).reshape(3, -1)
+        n = sample.shape[1]
+        emp = sample @ sample.T / n  # the law has mean zero
+        theory = ou_triple_cov(spec.ou, draws.delta)
+        for i in range(3):
+            for j in range(3):
+                # stderr of a zero-mean Gaussian sample covariance entry
+                se = math.sqrt((theory[i, i] * theory[j, j] + theory[i, j] ** 2) / n)
+                assert abs(emp[i, j] - theory[i, j]) <= 4.0 * se, (i, j, emp[i, j], theory[i, j])
+        assert np.all(np.abs(sample.mean(axis=1)) <= 4.0 * np.sqrt(theory.diagonal() / n))
+
+    def test_ou_draw_peak_memory(self):
+        # the normals, the kept arrays and one-row temporaries: about
+        # twice the kept bytes, where the whole-array Cholesky mix took 2.33x
+        spec = scott_spec()
+        tracemalloc.start()
+        try:
+            draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 256, RngStream(5), 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = draws.y.nbytes + draws.dW.nbytes + draws.iW.nbytes
+        assert peak <= 2.1 * kept, peak / kept
 
     def test_coarsen_identities(self):
         spec = scott_spec()
