@@ -22,7 +22,6 @@ serves both levels of every template scheme that shares the draws.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
 
@@ -36,7 +35,13 @@ from .coupling import (
     traj_coupling_from_draws,
 )
 from .errors import InvalidParameterError
-from .mlmc import MlmcConfig, call_level_sampler, lookback_level_sampler, mlmc_estimate
+from .mlmc import (
+    LevelStats,
+    MlmcConfig,
+    call_level_sampler,
+    lookback_level_sampler,
+    mlmc_estimate,
+)
 from .models import VolModelSpec
 from .pricing import call_values_from_draws, chunk_sizes, romano_touzi_call
 from .rng import RngStream
@@ -105,16 +110,6 @@ class ExperimentConfig:
             raise InvalidParameterError("chunk_paths must be positive")
 
 
-def mc_mean_ci(values: np.ndarray, z: float = 1.96):
-    """Sample mean with standard error and z-interval (mean, se, lo, hi)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise InvalidParameterError("need at least two samples")
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return mean, se, mean - z * se, mean + z * se
-
-
 def loglog_slope(ns, values) -> RegressionResult:
     """Least-squares slope of ln(value) against ln(n)."""
     ns = np.asarray(ns, dtype=float)
@@ -131,23 +126,6 @@ def loglog_slope(ns, values) -> RegressionResult:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RegressionResult(float(slope), float(intercept), r2)
-
-
-@dataclass
-class _Accumulator:
-    n: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    def add(self, values: np.ndarray):
-        self.n += values.size
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
-
-    def mean_stderr(self):
-        mean = self.total / self.n
-        var = max(self.total_sq - self.total**2 / self.n, 0.0) / (self.n - 1)
-        return mean, math.sqrt(var / self.n)
 
 
 def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
@@ -228,7 +206,7 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
     groups = [kinds] if spec.ou is not None else [[k] for k in kinds]
     rows: list[ExperimentRow] = []
     for n_coarse in config.n_ladder:
-        acc = {(k, m): _Accumulator() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
+        acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         for i, size in enumerate(chunk_sizes(config.npaths, config.chunk_paths)):
             cell = rng.child(experiment, n_coarse, "chunk", i)
             errors = _cell_errors(spec, groups, mode, cell, 2 * n_coarse, size, config.cutoff)
@@ -238,8 +216,9 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
                 acc[kind, "asset_sq_err"].add(asset_err)
         for kind in kinds:
             for metric in ("log_sq_err", "asset_sq_err"):
-                mean, se = acc[kind, metric].mean_stderr()
-                rows.append(ExperimentRow(experiment, kind.value, n_coarse, metric, mean, se))
+                stats = acc[kind, metric]
+                rows.append(ExperimentRow(experiment, kind.value, n_coarse, metric,
+                                          stats.mean, stats.stderr))
     return rows
 
 
@@ -305,7 +284,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
                 f"ladder entry {n} must properly divide fine_steps={fine_steps}")
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
-    acc = {n: _Accumulator() for n in n_ladder}
+    acc = {n: LevelStats() for n in n_ladder}
     for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
         draws = draw_factor_paths(spec, kind, fine_steps,
                                   rng.child("weak-refine", "chunk", i).child("y"), size)
@@ -320,11 +299,8 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
             level = coarsen_factor_draws(spec, kind, level)
         for n in n_ladder:
             acc[n].add(values[n] - values[fine_steps])
-    rows = []
-    for n in n_ladder:
-        mean, se = acc[n].mean_stderr()
-        rows.append(ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(mean), se))
-    return rows
+    return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(acc[n].mean),
+                          acc[n].stderr) for n in n_ladder]
 
 
 def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,

@@ -30,10 +30,11 @@ from .schemes import SchemeKind
 _SCHEME_CHOICES = [k.value for k in SchemeKind]
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, paths: bool = True):
     parser.add_argument("--config", help="JSON model config file (defaults to the built-in Scott benchmark)")
     parser.add_argument("--seed", type=int, default=0, help="root seed of the random streams")
-    parser.add_argument("--paths", type=int, default=10_000, help="Monte Carlo paths per cell")
+    if paths:  # mlmc sets its own sample counts
+        parser.add_argument("--paths", type=int, default=10_000, help="Monte Carlo paths per cell")
     parser.add_argument("--out", help="output file (CSV for experiments, JSON for price); stdout if omitted")
     parser.add_argument("--cutoff", choices=["floor", "band"], default="floor",
                         help="variance cutoff of the weak-trajectorial radicand")
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strike", type=float, default=100.0)
 
     p = sub.add_parser("mlmc", help="multilevel estimate and cost for one scheme")
-    _add_common(p)
+    _add_common(p, paths=False)
     p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="weaktraj1")
     p.add_argument("--payoff", choices=["call", "lookback"], default="call")
     p.add_argument("--epsilon", type=float, default=0.04, help="target RMS accuracy")

@@ -243,12 +243,24 @@ def bridge_min(left, right, vol2, delta: float, u, anchor=None):
     return 0.5 * (left + right - np.sqrt(rad))
 
 
-def _euler_spot_step(spec: VolModelSpec, x_node, f_node, delta: float, dw, db):
-    """Exponential-Euler spot endpoint used by the bridge construction;
-    ``f_node`` is f at the left factor node."""
+def _bridged_lookback(spec: VolModelSpec, draws: FactorDraws, nodes, x: np.ndarray,
+                      db: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Discounted lookback payoffs of the log-asset nodes x on the grid of ``draws``.
+
+    Each step contributes a Brownian-bridge minimum between its left spot
+    and an exponential-Euler spot endpoint, drawn from the step's uniform;
+    ``nodes`` is the node table of ``draws``.
+    """
     sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
-    spot = np.exp(x_node)
-    return spot * (1.0 + spec.r * delta + f_node * (spec.rho * dw + sqrt1m * db))
+    f_vals, psi_vals = nodes.prev("f"), nodes.prev("psi")
+    running_min = np.full(x.shape[1:], np.inf)
+    for j in range(db.shape[0]):
+        left = np.exp(x[j])
+        right = left * (1.0 + spec.r * draws.delta
+                        + f_vals[j] * (spec.rho * draws.dW[j] + sqrt1m * db[j]))
+        running_min = np.minimum(running_min,
+                                 bridge_min(left, right, psi_vals[j], draws.delta, uniforms[j]))
+    return np.exp(-spec.r * spec.T) * (np.exp(x[-1]) - running_min)
 
 
 def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
@@ -264,7 +276,6 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     anchor stays frozen at the left coarse node.
     """
     n_fine = db_fine.shape[0]
-    delta_f = fine.delta
     drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
     x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine)
     db1, db2 = db_fine[0::2], db_fine[1::2]
@@ -276,13 +287,7 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_tilde)
 
     nodes = spec.node_table(spec, fine.y, ())
-    f_f, psi_f = nodes.prev("f"), nodes.prev("psi")
-    min_f = np.full(x_f.shape[1:], np.inf)
-    for j in range(n_fine):
-        left = np.exp(x_f[j])
-        right = _euler_spot_step(spec, x_f[j], f_f[j], delta_f, fine.dW[j], db_fine[j])
-        min_f = np.minimum(min_f, bridge_min(left, right, psi_f[j], delta_f, uniforms[j]))
-    payoff_f = np.exp(-spec.r * spec.T) * (np.exp(x_f[-1]) - min_f)
+    payoff_f = _bridged_lookback(spec, fine, nodes, x_f, db_fine, uniforms)
 
     delta_c = coarse.delta
     sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
@@ -297,8 +302,8 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
         base = left * (1.0 + spec.r * delta_c + f_val * spec.rho * coarse.dW[k])
         s_mid = base + left * f_val * sqrt1m * db_mid[k]
         s_end = base + left * f_val * sqrt1m * db_tilde[k]
-        m1 = bridge_min(left, s_mid, vol2, delta_f, uniforms[2 * k], anchor=left)
-        m2 = bridge_min(s_mid, s_end, vol2, delta_f, uniforms[2 * k + 1], anchor=left)
+        m1 = bridge_min(left, s_mid, vol2, fine.delta, uniforms[2 * k], anchor=left)
+        m2 = bridge_min(s_mid, s_end, vol2, fine.delta, uniforms[2 * k + 1], anchor=left)
         min_c = np.minimum(min_c, np.minimum(m1, m2))
     payoff_c = np.exp(-spec.r * spec.T) * (np.exp(x_c[-1]) - min_c)
 
@@ -326,14 +331,5 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     fine = draw_factor_paths(spec, kind, n_steps, rng.child("y"), npaths)
     db = draw_brownian_increments(rng.child("b"), n_steps, npaths, fine.delta)
     uniforms = rng.child("u").uniform_open((n_steps, npaths))
-    drift, mult = drift_and_mult(spec, kind, fine, cutoff)
-    x = _assemble_x(spec.x0, drift, mult, db)
-    nodes = spec.node_table(spec, fine.y, ())
-    f_vals, psi_vals = nodes.prev("f"), nodes.prev("psi")
-    running_min = np.full(x.shape[1:], np.inf)
-    for j in range(n_steps):
-        left = np.exp(x[j])
-        right = _euler_spot_step(spec, x[j], f_vals[j], fine.delta, fine.dW[j], db[j])
-        running_min = np.minimum(running_min,
-                                 bridge_min(left, right, psi_vals[j], fine.delta, uniforms[j]))
-    return np.exp(-spec.r * spec.T) * (np.exp(x[-1]) - running_min)
+    x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, fine, cutoff), db)
+    return _bridged_lookback(spec, fine, spec.node_table(spec, fine.y, ()), x, db, uniforms)

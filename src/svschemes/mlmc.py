@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import coupled_lookback_levels, lookback_single_level
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .pricing import call_values_from_draws, conditional_call_values
 from .rng import RngStream
@@ -61,9 +61,9 @@ class MlmcConfig:
 
 @dataclass
 class LevelStats:
-    """Running moments of the level-l correction samples."""
+    """Running moments of a sample stream, here the level-l corrections."""
 
-    level: int
+    level: int = 0
     n: int = 0
     total: float = 0.0
     total_sq: float = 0.0
@@ -84,6 +84,10 @@ class LevelStats:
             raise InvalidParameterError("need at least two samples for a variance")
         centered = self.total_sq - self.total**2 / self.n
         return max(centered / (self.n - 1), 0.0)
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.variance / self.n)
 
 
 @dataclass
@@ -121,6 +125,22 @@ def _regress_alpha(levels: list[LevelStats]) -> float:
     return max(-float(slope), 0.5)
 
 
+def _sample_target(config: MlmcConfig, stats: LevelStats, total_work: float) -> int:
+    """N_l of the variance/cost allocation, at least the initial samples.
+
+    Raises NumericalError when the target is not finite, as when
+    epsilon^2 underflows.
+    """
+    eps2 = config.epsilon**2
+    needed = math.inf if eps2 == 0.0 else 2.0 / eps2 * math.sqrt(
+        stats.variance / config.cost_per_sample(stats.level)
+    ) * total_work
+    if not math.isfinite(needed):
+        raise NumericalError(f"sample target {needed} at level {stats.level} is not finite "
+                             f"(epsilon {config.epsilon:.3g})")
+    return max(config.initial_samples, math.ceil(needed))
+
+
 def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> MlmcResult:
     """Run the adaptive multilevel loop until the bias test passes.
 
@@ -136,11 +156,8 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
             math.sqrt(s.variance * config.cost_per_sample(s.level)) for s in stats
         )
         for s in stats:
-            needed = 2.0 / config.epsilon**2 * math.sqrt(
-                s.variance / config.cost_per_sample(s.level)
-            ) * total_work
-            target = max(config.initial_samples, math.ceil(needed))
-            _draw_into(s, sampler, rng, target, config.batch_paths)
+            _draw_into(s, sampler, rng, _sample_target(config, s, total_work),
+                       config.batch_paths)
 
         alpha = _regress_alpha(stats)
         remaining_bias = abs(stats[-1].mean) / (2.0**alpha - 1.0)

@@ -156,10 +156,10 @@ class _EvenNodes:
         return _EvenNodes(self)
 
 
-# Scott coefficients from one exp(y) and one expm1(y) per node. Each
-# expression keeps the operation order of the closures in scott_model
-# (and of psi, psi1, psi2, psi_hat in make_spec), so values are the same
-# bytes as calling those closures.
+# Scott coefficients from one exp(y) and one expm1(y) per node; the
+# spec's f, F, h, h1 and h2 evaluate these formulas too (scott_model).
+# psi, psi1, psi2 and psi_hat keep the operation order of the closures
+# in make_spec, so values are the same bytes as calling the spec.
 _SCOTT_FORMULAS = {
     "exp": lambda p, get: np.exp(get("y")),
     "F": lambda p, get: p.sigma0 * np.expm1(get("y")) / p.nu,
@@ -232,10 +232,8 @@ class VolModelSpec:
     f1: Fn
     f2: Fn
     b: Fn
-    b1: Fn
     sigma: Fn
     sigma1: Fn
-    sigma2: Fn
     F: Fn
     h: Fn
     psi: Fn
@@ -344,10 +342,8 @@ def make_spec(
     f1: Fn,
     f2: Fn,
     b: Fn,
-    b1: Fn,
     sigma: Fn,
     sigma1: Fn,
-    sigma2: Fn,
     F: Fn | None = None,
     h: Fn | None = None,
     h1: Fn | None = None,
@@ -399,8 +395,7 @@ def make_spec(
 
     return VolModelSpec(
         r=r, s0=s0, y0=y0, T=T, rho=rho,
-        f=f, f1=f1, f2=f2, b=b, b1=b1,
-        sigma=sigma, sigma1=sigma1, sigma2=sigma2,
+        f=f, f1=f1, f2=f2, b=b, sigma=sigma, sigma1=sigma1,
         F=F, h=h,
         psi=psi, psi1=psi1, psi2=psi2,
         psi_lower=0.0 if psi_lower is None else psi_lower,
@@ -424,38 +419,23 @@ def vol_flow_from_zeta(zeta: Fn, zeta_inv: Fn):
 
 
 def scott_model(params: ScottParams) -> VolModelSpec:
-    """Scott model spec with every derived function in closed form."""
-    s0_, r_, rho_ = params.s0, params.r, params.rho
-    sig0, kap, th, nu = params.sigma0, params.kappa, params.theta, params.nu
+    """Scott model spec with every derived function in closed form.
 
-    def f(y):
-        return sig0 * np.exp(y)
+    f, F, h, h' and h'' are the node-table formulas, evaluated on y.
+    """
+    kap, th, nu = params.kappa, params.theta, params.nu
 
-    def F(y):
-        return sig0 * np.expm1(y) / nu
+    def formula(name: str) -> Fn:
+        return lambda y: _ScottCoeffs(params, None, y).all(name)
 
-    def h(y):
-        e = np.exp(y)
-        return r_ - 0.5 * sig0**2 * e**2 - rho_ * sig0 * e * (kap * (th - y) / nu + nu / 2)
-
-    def h1(y):
-        e = np.exp(y)
-        return -(sig0**2) * e**2 - rho_ * sig0 * e * (kap * (th - y) / nu + nu / 2 - kap / nu)
-
-    def h2(y):
-        e = np.exp(y)
-        return -2.0 * sig0**2 * e**2 - rho_ * sig0 * e * (
-            kap * (th - y) / nu + nu / 2 - 2.0 * kap / nu
-        )
-
+    f = formula("f")
     return make_spec(
-        r=r_, s0=s0_, y0=params.y0, T=params.T, rho=rho_,
+        r=params.r, s0=params.s0, y0=params.y0, T=params.T, rho=params.rho,
         f=f, f1=f, f2=f,
-        b=lambda y: kap * (th - y), b1=lambda y: -kap + 0.0 * np.asarray(y, dtype=float),
+        b=lambda y: kap * (th - y),
         sigma=lambda y: nu + 0.0 * np.asarray(y, dtype=float),
         sigma1=lambda y: 0.0 * np.asarray(y, dtype=float),
-        sigma2=lambda y: 0.0 * np.asarray(y, dtype=float),
-        F=F, h=h, h1=h1, h2=h2,
+        F=formula("F"), h=formula("h"), h1=formula("h1"), h2=formula("h2"),
         psi_lower=0.0, psi_upper=None,
         ou=params.ou, node_table=functools.partial(_ScottCoeffs, params),
         flow_drift=lambda y, t: th + (y - th) * np.exp(-kap * t),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -129,27 +128,6 @@ def _skip(bits: np.random.Philox, count: int):
     bits.random_raw(count % 4)
 
 
-def gaussian(rng: RngStream) -> float:
-    """Single standard normal variate from the stream."""
-    return float(rng.normal())
-
-
-@dataclass(frozen=True)
-class JointIncrement:
-    """One correlated draw of the Brownian increment and its time integral."""
-
-    dW: float
-    iW: float
-
-
-@dataclass(frozen=True)
-class OUJointDraw:
-    """Exact OU transition value drawn jointly with the W time integral."""
-
-    y_next: float
-    iW: float
-
-
 def joint_chol(delta: float) -> np.ndarray:
     """Lower Cholesky factor of Cov(dW, iW)."""
     if not delta > 0:
@@ -168,13 +146,8 @@ def joint_from_normals(delta: float, g1, g2):
 
 
 def joint_w_integral(delta: float, rng: RngStream, size=None):
-    """Draw (dW, iW); scalar sizes yield a JointIncrement."""
-    g1 = rng.normal(size)
-    g2 = rng.normal(size)
-    dw, iw = joint_from_normals(delta, g1, g2)
-    if size is None:
-        return JointIncrement(float(dw), float(iw))
-    return dw, iw
+    """Draw (dW, iW), two normals per pair."""
+    return joint_from_normals(delta, rng.normal(size), rng.normal(size))
 
 
 def ou_transition_moments(ou: OUParams, delta: float):
@@ -225,13 +198,8 @@ def ou_joint_from_normals(ou: OUParams, y, delta: float, g1, g2):
 
 
 def ou_exact_joint(ou: OUParams, y: float, delta: float, rng: RngStream, size=None):
-    """Draw the exact OU transition jointly with the W time integral."""
-    g1 = rng.normal(size)
-    g2 = rng.normal(size)
-    y_next, iw = ou_joint_from_normals(ou, y, delta, g1, g2)
-    if size is None:
-        return OUJointDraw(float(y_next), float(iw))
-    return y_next, iw
+    """Draw (y_next, iW): the exact OU transition jointly with the W time integral."""
+    return ou_joint_from_normals(ou, y, delta, rng.normal(size), rng.normal(size))
 
 
 def ou_triple_cov(ou: OUParams, delta: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""One-step transition kernels and path builders for every scheme.
+"""Path builders for every scheme, with the factor and CMT step kernels.
 
 Every scheme except CMT fits the conditional-Gaussian template
 
@@ -34,13 +34,12 @@ import numpy as np
 from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
-from .rng import RngStream, joint_chol, ou_transition_moments, ou_triple_chol
+from .rng import RngStream, joint_from_normals, ou_transition_moments, ou_triple_chol
 
 
 class SchemeKind(str, Enum):
     EULER = "euler"
     WEAKTRAJ1 = "weaktraj1"
-    WEAKTRAJ1_OU_EXACT = "weaktraj1-ou-exact"
     OU_IMPROVED = "ou-improved"
     WEAK2 = "weak2"
     IJK = "ijk"
@@ -48,16 +47,7 @@ class SchemeKind(str, Enum):
 
 
 # Kinds that only make sense with exact OU factor simulation.
-_OU_ONLY = {SchemeKind.WEAKTRAJ1_OU_EXACT, SchemeKind.OU_IMPROVED, SchemeKind.IJK}
-
-# Kinds compatible with the conditional-Gaussian template above.
-GAUSSIAN_TEMPLATE_KINDS = (
-    SchemeKind.EULER,
-    SchemeKind.WEAKTRAJ1,
-    SchemeKind.OU_IMPROVED,
-    SchemeKind.WEAK2,
-    SchemeKind.IJK,
-)
+_OU_ONLY = {SchemeKind.OU_IMPROVED, SchemeKind.IJK}
 
 # Values (steps x paths) evaluated through one node table at a time: a
 # tile's table and scheme arrays stay this small.
@@ -68,7 +58,6 @@ TILE_VALUES = 2**16
 _BOTH_ENDS = {
     SchemeKind.EULER: frozenset(),
     SchemeKind.WEAKTRAJ1: frozenset({"F"}),
-    SchemeKind.WEAKTRAJ1_OU_EXACT: frozenset({"F"}),
     SchemeKind.OU_IMPROVED: frozenset({"F"}),
     SchemeKind.WEAK2: frozenset({"F", "h", "psi"}),
     SchemeKind.IJK: frozenset({"f", "psi"}),
@@ -189,85 +178,6 @@ def nv_step_y(spec: VolModelSpec, y, delta: float, dW):
     return spec.flow_drift(full, delta / 2.0)
 
 
-def weaktraj1_step(spec: VolModelSpec, x, y_prev, y_next, delta: float, iW, dB,
-                   cutoff: str = "floor"):
-    """First-order weak-trajectorial update of the log-asset."""
-    if not delta > 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    correction = spec.sigma(y_prev) * spec.psi1(y_prev) * np.asarray(iW) / delta
-    rad = cutoff_radicand(spec, y_prev, correction, cutoff)
-    return (
-        x
-        + spec.rho * (spec.F(y_next) - spec.F(y_prev))
-        + delta * spec.h(y_prev)
-        + _sqrt1m_rho2(spec) * np.sqrt(rad) * dB
-    )
-
-
-def ou_improved_step(spec: VolModelSpec, x, y_prev, y_next, delta: float, iW, dB):
-    """Order-3/2 refinement of the weak-trajectorial update (OU factor)."""
-    _require_ou(spec, SchemeKind.OU_IMPROVED)
-    if spec.h1 is None or spec.h2 is None:
-        raise InvalidParameterError("ou_improved_step needs closed-form h' and h''")
-    if not delta > 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    ou = spec.ou
-    pull = ou.kappa * (ou.theta - np.asarray(y_prev))
-    h_tilde = (
-        delta * spec.h(y_prev)
-        + ou.nu * spec.h1(y_prev) * np.asarray(iW)
-        + (pull * spec.h1(y_prev) + 0.5 * ou.nu**2 * spec.h2(y_prev)) * delta**2 / 2.0
-    )
-    psi_tilde = np.maximum(
-        spec.psi(y_prev)
-        + ou.nu * spec.psi1(y_prev) * np.asarray(iW) / delta
-        + (pull * spec.psi1(y_prev) + 0.5 * ou.nu**2 * spec.psi2(y_prev)) * delta / 2.0,
-        max(spec.psi_lower, 0.0),
-    )
-    _check_finite(psi_tilde, "variance radicand")
-    return (
-        x
-        + spec.rho * (spec.F(y_next) - spec.F(y_prev))
-        + h_tilde
-        + _sqrt1m_rho2(spec) * np.sqrt(psi_tilde) * dB
-    )
-
-
-def euler_step(spec: VolModelSpec, x, y, delta: float, dW, dB, y_next=None):
-    """Euler log-asset update; the factor moves exactly when y_next is given.
-
-    OU-backed callers draw y_next from the exact transition (jointly
-    with dW) and pass it in; otherwise the factor falls back to its own
-    Euler update driven by the same dW.
-    """
-    if not delta > 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    x_next = (
-        x
-        + (spec.r - 0.5 * spec.psi(y)) * delta
-        + spec.f(y) * (spec.rho * np.asarray(dW) + _sqrt1m_rho2(spec) * np.asarray(dB))
-    )
-    if y_next is None:
-        y_next = y + spec.b(y) * delta + spec.sigma(y) * np.asarray(dW)
-    return x_next, y_next
-
-
-def ijk_step(spec: VolModelSpec, x, y_prev, y_next, delta: float, dW, dB):
-    """Kahl-Jaeckel update with exact OU factor values at both nodes."""
-    _require_ou(spec, SchemeKind.IJK)
-    if not delta > 0:
-        raise InvalidParameterError(f"delta must be positive, got {delta}")
-    nu = spec.ou.nu
-    dW = np.asarray(dW)
-    return (
-        x
-        + (spec.r - (spec.psi(y_next) + spec.psi(y_prev)) / 4.0) * delta
-        + spec.rho * spec.f(y_prev) * dW
-        + _sqrt1m_rho2(spec) * 0.5 * (spec.f(y_next) + spec.f(y_prev)) * np.asarray(dB)
-        + 0.5 * spec.rho * nu * spec.f1(y_prev) * (dW**2 - delta)
-    )
-
-
 def cmt_step(spec: VolModelSpec, x, y, delta: float, dW, dB):
     """Cruzeiro-Malliavin-Thalmaier update, all coefficients at the left node."""
     if not delta > 0:
@@ -378,15 +288,15 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     """
     if n_steps < 1:
         raise InvalidParameterError(f"need at least one step, got {n_steps}")
+    if npaths < 1:
+        raise InvalidParameterError(f"need at least one path, got {npaths}")
     if kind in _OU_ONLY:
         _require_ou(spec, kind)
     delta = spec.T / n_steps
     if spec.ou is not None:
         return _ou_factor_draws(spec, delta, rng_y.normal((n_steps, 3, npaths)))
     g = rng_y.normal((n_steps, 2, npaths))
-    chol = joint_chol(delta)
-    dW = chol[0, 0] * g[:, 0]
-    iW = chol[1, 0] * g[:, 0] + chol[1, 1] * g[:, 1]
+    dW, iW = joint_from_normals(delta, g[:, 0], g[:, 1])
     y = _recursive_factor_path(spec, delta, dW, use_nv=kind is SchemeKind.WEAK2)
     return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
 
@@ -444,7 +354,7 @@ def _drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws, cu
     prev, nxt = draws.coeffs.prev, draws.coeffs.next
     delta = draws.delta
     sqrt1m = _sqrt1m_rho2(spec)
-    if kind in (SchemeKind.WEAKTRAJ1, SchemeKind.WEAKTRAJ1_OU_EXACT):
+    if kind is SchemeKind.WEAKTRAJ1:
         drift = spec.rho * (nxt("F") - prev("F")) + delta * prev("h")
         correction = prev("sigma") * prev("psi1") * draws.iW / delta
         rad = _cutoff(spec, prev("psi") + correction, lambda: prev("psi_hat"), cutoff)

@@ -36,9 +36,8 @@ def const_vol_ou_spec(rho=0.0, sigma0=0.25, kappa=1.0, theta=0.0, nu=0.5,
         f=lambda y: sigma0 + zeros(y),
         f1=zeros, f2=zeros,
         b=lambda y: kappa * (theta - np.asarray(y, dtype=float)),
-        b1=lambda y: -kappa + zeros(y),
         sigma=lambda y: nu + zeros(y),
-        sigma1=zeros, sigma2=zeros,
+        sigma1=zeros,
         F=lambda y: (sigma0 / nu) * np.asarray(y, dtype=float),
         h1=lambda y: slope + zeros(y),
         h2=zeros,
@@ -56,10 +55,8 @@ def gbm_factor_spec(rho=0.0):
         f1=lambda y: 0.0 * np.asarray(y, dtype=float),
         f2=lambda y: 0.0 * np.asarray(y, dtype=float),
         b=lambda y: 0.5 * np.asarray(y, dtype=float),
-        b1=lambda y: 0.5 + 0.0 * np.asarray(y, dtype=float),
         sigma=lambda y: np.asarray(y, dtype=float),
         sigma1=lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float),
-        sigma2=lambda y: 0.0 * np.asarray(y, dtype=float),
         F=lambda y: 0.25 * np.log(np.asarray(y, dtype=float)),
         flow_drift=lambda y, t: y,
         flow_vol=vol_flow_from_zeta(np.log, np.exp),

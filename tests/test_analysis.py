@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import scott_spec
@@ -10,7 +9,6 @@ from svschemes.analysis import (
     ExperimentConfig,
     ExperimentRow,
     loglog_slope,
-    mc_mean_ci,
     rows_slope,
     run_mlmc_cost,
     run_strong_conv,
@@ -23,23 +21,6 @@ from svschemes.analysis import (
 from svschemes.errors import InvalidParameterError
 from svschemes.rng import RngStream
 from svschemes.schemes import SchemeKind
-
-
-class TestMcMeanCi:
-    def test_constant_samples(self):
-        mean, se, lo, hi = mc_mean_ci(np.array([1.0, 1.0, 1.0]))
-        assert mean == 1.0 and se == 0.0 and lo == hi == 1.0
-
-    def test_two_point_example(self):
-        mean, se, lo, hi = mc_mean_ci(np.array([0.0, 2.0]))
-        assert mean == 1.0
-        assert se == pytest.approx(1.0)  # std(ddof=1)=sqrt(2), /sqrt(2)
-        assert lo == pytest.approx(1.0 - 1.96)
-        assert hi == pytest.approx(1.0 + 1.96)
-
-    def test_needs_two(self):
-        with pytest.raises(InvalidParameterError):
-            mc_mean_ci(np.array([1.0]))
 
 
 class TestLoglogSlope:
@@ -155,6 +136,11 @@ class TestWeakCall:
             weak_error_refinement(spec, SchemeKind.WEAK2, (8,), 8, 100.0, RngStream(0), 100)
         with pytest.raises(InvalidParameterError):
             weak_error_refinement(spec, SchemeKind.CMT, (2,), 8, 100.0, RngStream(0), 100)
+
+    def test_refinement_needs_two_paths(self):
+        with pytest.raises(InvalidParameterError):
+            weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2,), 4, 100.0,
+                                  RngStream(0), 1)
 
     def test_refinement_rows(self):
         spec = scott_spec()

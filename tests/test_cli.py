@@ -97,6 +97,21 @@ class TestMlmc:
         price = float(next(r["value"] for r in rows if r["metric"] == "price"))
         assert 12.0 < price < 13.5
 
+    def test_paths_flag_rejected(self, capsys):
+        # mlmc sets its own sample counts; --paths would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["mlmc", "--paths", "5"])
+        assert exc.value.code == 2
+        assert "--paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1e-160", "1e-200"])
+    def test_non_finite_sample_target_exits_3(self, tmp_path, capsys, epsilon):
+        # epsilon^2 overflows the sample target (1e-160) or underflows to 0 (1e-200)
+        rc = main(["mlmc", "--payoff", "call", "--epsilon", epsilon, "--max-level", "2",
+                   "--probe-samples", "100", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "sample target" in capsys.readouterr().err
+
     def test_budget_trip_exits_3(self, tmp_path):
         rc = main(["mlmc", "--scheme", "euler", "--payoff", "call",
                    "--epsilon", "0.005", "--max-level", "1",
@@ -147,6 +162,12 @@ class TestConfigErrors:
         cfg = dict(SCOTT_CFG)
         cfg["kappa"] = -1.0
         assert main(["price", "--config", write_cfg(tmp_path, cfg)]) == 2
+
+    def test_negative_paths_exits_2(self, tmp_path, capsys):
+        rc = main(["price", "--payoff", "lookback", "--steps", "4", "--paths", "-5",
+                   "--out", str(tmp_path / "price.json")])
+        assert rc == 2
+        assert "at least one path" in capsys.readouterr().err
 
     def test_bad_steps_flag(self, tmp_path):
         assert main(["strong-conv", "--steps", "3", "--paths", "100"]) == 2

@@ -36,10 +36,8 @@ def gbm_spec(rho=0.0):
         f1=lambda y: 0.0 * np.asarray(y, dtype=float),
         f2=lambda y: 0.0 * np.asarray(y, dtype=float),
         b=lambda y: 0.5 * np.asarray(y, dtype=float),
-        b1=lambda y: 0.5 + 0.0 * np.asarray(y, dtype=float),
         sigma=lambda y: np.asarray(y, dtype=float),
         sigma1=lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float),
-        sigma2=lambda y: 0.0 * np.asarray(y, dtype=float),
         # f/sigma = 0.25/y is singular at 0, so the primitive needs an
         # explicit anchor away from 0; schemes only ever use differences of F
         F=lambda y: 0.25 * np.log(np.asarray(y, dtype=float)),
@@ -125,8 +123,8 @@ class TestDerivedSpec:
         derived = make_spec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
-            b=base.b, b1=base.b1,
-            sigma=base.sigma, sigma1=base.sigma1, sigma2=base.sigma2,
+            b=base.b,
+            sigma=base.sigma, sigma1=base.sigma1,
             ou=p.ou,
         )
         for y in (-0.5, 0.0, 0.9):
@@ -138,8 +136,8 @@ class TestDerivedSpec:
         derived = make_spec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=spec.f, f1=spec.f1, f2=spec.f2,
-            b=spec.b, b1=spec.b1,
-            sigma=spec.sigma, sigma1=spec.sigma1, sigma2=spec.sigma2,
+            b=spec.b,
+            sigma=spec.sigma, sigma1=spec.sigma1,
         )
         for y in (-2.5, -0.3, 0.0, 0.4, 3.0):  # includes points beyond the initial cache
             assert derived.F(y) == pytest.approx(spec.F(y), abs=5e-7)
@@ -150,8 +148,8 @@ class TestDerivedSpec:
         capped = make_spec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
-            b=base.b, b1=base.b1,
-            sigma=base.sigma, sigma1=base.sigma1, sigma2=base.sigma2,
+            b=base.b,
+            sigma=base.sigma, sigma1=base.sigma1,
             psi_upper=2.0,
         )
         assert capped.psi_hat(-3.0) == 2.0
@@ -161,8 +159,8 @@ class TestDerivedSpec:
         base = scott_spec()
         kwargs = dict(
             y0=0.0, T=1.0, rho=0.0,
-            f=base.f, f1=base.f1, f2=base.f2, b=base.b, b1=base.b1,
-            sigma=base.sigma, sigma1=base.sigma1, sigma2=base.sigma2,
+            f=base.f, f1=base.f1, f2=base.f2, b=base.b,
+            sigma=base.sigma, sigma1=base.sigma1,
         )
         with pytest.raises(InvalidParameterError):
             make_spec(r=0.05, s0=-1.0, **kwargs)
@@ -244,8 +242,8 @@ class TestValidateSpec:
         broken = make_spec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
-            b=base.b, b1=base.b1,
-            sigma=base.sigma, sigma1=base.sigma1, sigma2=base.sigma2,
+            b=base.b,
+            sigma=base.sigma, sigma1=base.sigma1,
             F=lambda y: 2.0 * base.F(y),
         )
         report = validate_spec(broken, [0.0, 0.5])

@@ -8,6 +8,7 @@ from conftest import const_vol_ou_spec, scott_spec
 from svschemes.errors import InvalidParameterError
 from svschemes.pricing import (
     PriceEstimate,
+    _mc_estimate,
     bs_call,
     call_payoff,
     conditional_call_values,
@@ -85,6 +86,24 @@ class TestPriceEstimate:
         assert hi == pytest.approx(10.0 + 0.98)
         lo99, hi99 = est.ci(2.576)
         assert hi99 - lo99 > hi - lo
+
+
+class TestMcEstimate:
+    def test_constant_samples(self):
+        est = _mc_estimate(np.array([1.0, 1.0, 1.0]))
+        assert est.value == 1.0 and est.stderr == 0.0 and est.ci() == (1.0, 1.0)
+
+    def test_two_point_example(self):
+        est = _mc_estimate(np.array([0.0, 2.0]))
+        assert est.value == 1.0
+        assert est.stderr == pytest.approx(1.0)  # std(ddof=1)=sqrt(2), /sqrt(2)
+        lo, hi = est.ci()
+        assert lo == pytest.approx(1.0 - 1.96)
+        assert hi == pytest.approx(1.0 + 1.96)
+
+    def test_needs_two(self):
+        with pytest.raises(InvalidParameterError):
+            _mc_estimate(np.array([1.0]))
 
 
 class TestConditionalValues:

@@ -11,10 +11,7 @@ from svschemes import _parallel
 from svschemes.errors import InvalidParameterError
 from svschemes.models import OUParams
 from svschemes.rng import (
-    JointIncrement,
-    OUJointDraw,
     RngStream,
-    gaussian,
     joint_chol,
     joint_from_normals,
     joint_w_integral,
@@ -64,7 +61,7 @@ class TestStream:
         # frozen from the chosen generator (Philox keyed by blake2b, inversion)
         got = RngStream(0).normal(3)
         assert np.allclose(got, [-1.04083407, 0.06136644, 0.69892956], atol=1e-8)
-        assert gaussian(RngStream(0)) == pytest.approx(-1.0408340682200596, abs=1e-15)
+        assert RngStream(0).normal() == pytest.approx(-1.0408340682200596, abs=1e-15)
 
     def test_normal_moments(self):
         draws = RngStream(314).normal(1_000_000)
@@ -143,8 +140,11 @@ class TestJointIncrement:
         assert dw == 0.0 and iw == 0.0
 
     def test_scalar_draw_type(self):
+        # a plain (dW, iW) pair of the first two normals
         draw = joint_w_integral(0.25, RngStream(1))
-        assert isinstance(draw, JointIncrement)
+        assert type(draw) is tuple and len(draw) == 2
+        g1, g2 = RngStream(1).normal(2)
+        assert draw == joint_from_normals(0.25, g1, g2)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -173,9 +173,8 @@ class TestOUJoint:
 
     def test_small_nu_limit(self):
         ou = OUParams(kappa=1.0, theta=1.0, nu=1e-12, y0=0.0)
-        draw = ou_exact_joint(ou, 0.0, 1.0, RngStream(2))
-        assert isinstance(draw, OUJointDraw)
-        assert draw.y_next == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
+        y_next, _ = ou_exact_joint(ou, 0.0, 1.0, RngStream(2))
+        assert y_next == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
 
     def test_taylor_guard_continuity(self):
         # the g12 expansion must join the closed form smoothly at the switch

@@ -12,7 +12,6 @@ from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import OUParams, make_spec
 from svschemes.rng import RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
-    GAUSSIAN_TEMPLATE_KINDS,
     FactorDraws,
     SchemeKind,
     cmt_step,
@@ -21,16 +20,20 @@ from svschemes.schemes import (
     draw_brownian_increments,
     draw_factor_paths,
     drift_and_mult,
-    euler_step,
-    ijk_step,
     milstein_step_y,
     nv_step_y,
-    ou_improved_step,
     simulate_path,
     simulate_paths,
     weak2_terminal,
-    weaktraj1_step,
 )
+
+
+def one_step(spec, kind, x, y_prev, y_next, delta, dB, dW=0.0, iW=0.0, cutoff="floor"):
+    """x after one template step: drift_and_mult on a one-step, one-path FactorDraws."""
+    draws = FactorDraws(delta, np.array([[y_prev], [y_next]], dtype=float),
+                        np.array([[dW]], dtype=float), np.array([[iW]], dtype=float))
+    drift, mult = drift_and_mult(spec, kind, draws, cutoff)
+    return float(x + drift[0, 0] + mult[0, 0] * dB)
 
 
 class TestMilsteinStep:
@@ -55,10 +58,8 @@ class TestMilsteinStep:
             f1=lambda y: 0.0 * np.asarray(y, float),
             f2=lambda y: 0.0 * np.asarray(y, float),
             b=lambda y: 0.0 * np.asarray(y, float),
-            b1=lambda y: 0.0 * np.asarray(y, float),
             sigma=lambda y: np.asarray(y, float),
             sigma1=lambda y: 1.0 + 0.0 * np.asarray(y, float),
-            sigma2=lambda y: 0.0 * np.asarray(y, float),
             F=lambda y: 0.25 * np.log(np.asarray(y, float)),
         )
         assert milstein_step_y(zero_drift, 1.0, 0.01, 0.1) == pytest.approx(1.1)
@@ -93,8 +94,8 @@ class TestNvStep:
         spec = scott_spec()
         bare = make_spec(
             r=spec.r, s0=spec.s0, y0=spec.y0, T=spec.T, rho=spec.rho,
-            f=spec.f, f1=spec.f1, f2=spec.f2, b=spec.b, b1=spec.b1,
-            sigma=spec.sigma, sigma1=spec.sigma1, sigma2=spec.sigma2,
+            f=spec.f, f1=spec.f1, f2=spec.f2, b=spec.b,
+            sigma=spec.sigma, sigma1=spec.sigma1,
         )
         with pytest.raises(InvalidParameterError):
             nv_step_y(bare, 0.0, 0.25, 0.1)
@@ -128,13 +129,13 @@ class TestWeakTraj1Step:
     def test_bs_reduction(self):
         spec = const_vol_ou_spec(rho=0.0)
         x = math.log(100.0)
-        got = weaktraj1_step(spec, x, 0.0, 0.3, 0.25, 0.0, 0.7)
+        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.3, 0.25, 0.7)
         assert got == pytest.approx(x + 0.25 * (0.05 - 0.25**2 / 2) + 0.25 * 0.7, rel=1e-14)
 
     def test_scott_composition_golden(self):
         spec = scott_spec()
         x = math.log(100.0)
-        got = weaktraj1_step(spec, x, 0.0, 0.1, 0.25, 0.0, 0.1)
+        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.1, 0.25, 0.1)
         expect = (
             x
             + spec.rho * (spec.F(0.1) - spec.F(0.0))
@@ -147,14 +148,15 @@ class TestWeakTraj1Step:
     def test_floor_active_kills_noise_term(self):
         spec = scott_spec()  # psi_lower = 0
         x = 4.6
-        got = weaktraj1_step(spec, x, 0.0, 0.0, 0.25, -10.0, 5.0)
+        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 5.0, iW=-10.0)
         assert got == pytest.approx(x + 0.25 * spec.h(0.0))
 
     def test_band_cutoff_limits_variance(self):
         spec = scott_spec()
         x = 4.6
         base = x + 0.25 * spec.h(0.0)
-        got = weaktraj1_step(spec, x, 0.0, 0.0, 0.25, 10.0, 1.0, cutoff="band")
+        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 1.0, iW=10.0,
+                       cutoff="band")
         cap = math.sqrt(1 - spec.rho**2) * math.sqrt(spec.psi_hat(0.0))
         assert got == pytest.approx(base + cap)
 
@@ -165,8 +167,8 @@ class TestOuImprovedStep:
         spec = scott_spec()
         ou = spec.ou
         y, delta = 0.2, 0.25
-        a = ou_improved_step(spec, 0.0, y, 0.3, delta, 0.0, 0.0)
-        b = weaktraj1_step(spec, 0.0, y, 0.3, delta, 0.0, 0.0)
+        a = one_step(spec, SchemeKind.OU_IMPROVED, 0.0, y, 0.3, delta, 0.0)
+        b = one_step(spec, SchemeKind.WEAKTRAJ1, 0.0, y, 0.3, delta, 0.0)
         pull = ou.kappa * (ou.theta - y)
         expect = (pull * spec.h1(y) + 0.5 * ou.nu**2 * spec.h2(y)) * delta**2 / 2.0
         assert a - b == pytest.approx(expect, rel=1e-12)
@@ -192,40 +194,47 @@ class TestOuImprovedStep:
             + h_tilde
             + math.sqrt(1 - spec.rho**2) * math.sqrt(psi_tilde) * db
         )
-        assert ou_improved_step(spec, 0.0, y, 0.1, delta, iw, db) == pytest.approx(expect, rel=1e-14)
+        got = one_step(spec, SchemeKind.OU_IMPROVED, 0.0, y, 0.1, delta, db, iW=iw)
+        assert got == pytest.approx(expect, rel=1e-14)
 
     def test_requires_ou(self):
         with pytest.raises(InvalidParameterError):
-            ou_improved_step(gbm_factor_spec(), 0.0, 1.0, 1.1, 0.25, 0.0, 0.0)
+            one_step(gbm_factor_spec(), SchemeKind.OU_IMPROVED, 0.0, 1.0, 1.1, 0.25, 0.0)
 
     def test_non_finite_radicand_raises(self):
         with pytest.raises(NumericalError):
-            ou_improved_step(scott_spec(), 0.0, np.nan, 0.1, 0.25, 0.01, 0.05)
+            one_step(scott_spec(), SchemeKind.OU_IMPROVED, 0.0, np.nan, 0.1, 0.25, 0.05,
+                     iW=0.01)
 
 
 class TestEulerStep:
     def test_scott_arithmetic(self):
         spec = scott_spec()
         x = 1.0
-        x2, _ = euler_step(spec, x, 0.0, 0.25, 0.1, -0.1, y_next=0.0)
+        x2 = one_step(spec, SchemeKind.EULER, x, 0.0, 0.0, 0.25, -0.1, dW=0.1)
         expect = x + (0.05 - 0.03125) * 0.25 + 0.25 * (-0.2 * 0.1 + math.sqrt(0.96) * (-0.1))
         assert x2 == pytest.approx(expect, rel=1e-14)
 
     def test_pure_drift(self):
         spec = scott_spec()
-        x2, y2 = euler_step(spec, 2.0, 0.4, 0.5, 0.0, 0.0)
+        x2 = one_step(spec, SchemeKind.EULER, 2.0, 0.4, 0.4, 0.5, 0.0)
         assert x2 == pytest.approx(2.0 + (spec.r - 0.5 * spec.psi(0.4)) * 0.5)
-        assert y2 == pytest.approx(0.4 + spec.b(0.4) * 0.5)
+        # sigma' = 0: the factor's own (Milstein) step is Euler's
+        assert milstein_step_y(spec, 0.4, 0.5, 0.0) == pytest.approx(0.4 + spec.b(0.4) * 0.5)
 
     def test_explicit_y_next_passthrough(self):
-        _, y2 = euler_step(scott_spec(), 0.0, 0.0, 0.5, 0.3, 0.1, y_next=0.77)
-        assert y2 == 0.77
+        # the drawn right node is the factor's next value; the Euler
+        # log-asset step reads the factor at the left node only
+        spec = scott_spec()
+        a = one_step(spec, SchemeKind.EULER, 0.0, 0.0, 0.77, 0.5, 0.1, dW=0.3)
+        b = one_step(spec, SchemeKind.EULER, 0.0, 0.0, -2.0, 0.5, 0.1, dW=0.3)
+        assert a == b
 
 
 class TestIjkStep:
     def test_constant_f_reduces(self):
         spec = const_vol_ou_spec(rho=-0.3)
-        got = ijk_step(spec, 1.0, 0.0, 0.2, 0.25, 0.4, -0.6)
+        got = one_step(spec, SchemeKind.IJK, 1.0, 0.0, 0.2, 0.25, -0.6, dW=0.4)
         expect = (
             1.0
             + (0.05 - 0.25**2 / 2) * 0.25
@@ -236,20 +245,20 @@ class TestIjkStep:
 
     def test_zero_rho_drops_milstein_correction(self):
         spec = const_vol_ou_spec(rho=0.0, nu=0.4)
-        got = ijk_step(spec, 0.0, 0.1, 0.2, 0.25, 0.5, 0.3)
+        got = one_step(spec, SchemeKind.IJK, 0.0, 0.1, 0.2, 0.25, 0.3, dW=0.5)
         expect = (0.05 - 0.25**2 / 2) * 0.25 + 0.25 * 0.3
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_requires_ou(self):
         with pytest.raises(InvalidParameterError):
-            ijk_step(gbm_factor_spec(), 0.0, 1.0, 1.1, 0.25, 0.1, 0.1)
+            one_step(gbm_factor_spec(), SchemeKind.IJK, 0.0, 1.0, 1.1, 0.25, 0.1, dW=0.1)
 
 
 class TestCmtStep:
     def test_constant_coefficients_match_euler(self):
         spec = const_vol_ou_spec(rho=-0.2)
         x2, y2 = cmt_step(spec, 1.0, 0.1, 0.25, 0.3, -0.4)
-        ex, _ = euler_step(spec, 1.0, 0.1, 0.25, 0.3, -0.4, y_next=0.0)
+        ex = one_step(spec, SchemeKind.EULER, 1.0, 0.1, 0.0, 0.25, -0.4, dW=0.3)
         assert x2 == pytest.approx(ex, rel=1e-14)
         # sigma' = f' = 0: the factor update is plain Euler
         assert y2 == pytest.approx(0.1 + spec.b(0.1) * 0.25 + spec.sigma(0.1) * 0.3)
@@ -279,7 +288,7 @@ class TestFactorDraws:
 
     def test_ou_only_enforcement(self):
         spec = gbm_factor_spec()
-        for kind in (SchemeKind.OU_IMPROVED, SchemeKind.IJK, SchemeKind.WEAKTRAJ1_OU_EXACT):
+        for kind in (SchemeKind.OU_IMPROVED, SchemeKind.IJK):
             with pytest.raises(InvalidParameterError):
                 draw_factor_paths(spec, kind, 4, RngStream(0), 2)
 
@@ -344,6 +353,11 @@ class TestFactorDraws:
         kept = draws.y.nbytes + draws.dW.nbytes + draws.iW.nbytes
         assert peak <= 2.1 * kept, peak / kept
 
+    def test_needs_a_path(self):
+        for npaths in (0, -5):
+            with pytest.raises(InvalidParameterError):
+                draw_factor_paths(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(0), npaths)
+
     def test_coarsen_identities(self):
         spec = scott_spec()
         fine = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 7)
@@ -375,37 +389,28 @@ class TestFactorDraws:
             draw_brownian_increments(RngStream(4), 4, 10, 0.0)
 
 
+def assert_stepwise(spec, kind, draws):
+    """Each step k of ``draws`` gives the bytes of drift_and_mult on step k alone."""
+    drift, mult = drift_and_mult(spec, kind, draws)
+    for k in range(draws.dW.shape[0]):
+        step = FactorDraws(draws.delta, draws.y[k:k + 2], draws.dW[k:k + 1], draws.iW[k:k + 1])
+        drift_k, mult_k = drift_and_mult(spec, kind, step)
+        assert drift_k[0].tobytes() == drift[k].tobytes(), (kind, k)
+        assert np.asarray(mult_k[0]).tobytes() == np.asarray(mult[k]).tobytes(), (kind, k)
+
+
 class TestDriftAndMult:
     def test_matches_scalar_steps(self):
         spec = scott_spec()
-        n = 4
-        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, n, RngStream(11), 6)
-        db = draw_brownian_increments(RngStream(12), n, 6, draws.delta)
-        for kind, step in [
-            (SchemeKind.WEAKTRAJ1, lambda x, k: weaktraj1_step(
-                spec, x, draws.y[k], draws.y[k + 1], draws.delta, draws.iW[k], db[k])),
-            (SchemeKind.OU_IMPROVED, lambda x, k: ou_improved_step(
-                spec, x, draws.y[k], draws.y[k + 1], draws.delta, draws.iW[k], db[k])),
-            (SchemeKind.IJK, lambda x, k: ijk_step(
-                spec, x, draws.y[k], draws.y[k + 1], draws.delta, draws.dW[k], db[k])),
-        ]:
-            drift, mult = drift_and_mult(spec, kind, draws)
-            x_vec = spec.x0 + np.cumsum(drift + mult * db, axis=0)
-            x = np.full(6, spec.x0)
-            for k in range(n):
-                x = step(x, k)
-                assert np.allclose(x_vec[k], x), kind
+        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(11), 6)
+        for kind in (SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED, SchemeKind.IJK,
+                     SchemeKind.WEAK2):
+            assert_stepwise(spec, kind, draws)
 
     def test_euler_matches_scalar_step(self):
         spec = scott_spec()
         draws = draw_factor_paths(spec, SchemeKind.EULER, 3, RngStream(13), 4)
-        db = draw_brownian_increments(RngStream(14), 3, 4, draws.delta)
-        drift, mult = drift_and_mult(spec, SchemeKind.EULER, draws)
-        x = np.full(4, spec.x0)
-        for k in range(3):
-            x, _ = euler_step(spec, x, draws.y[k], draws.delta, draws.dW[k], db[k],
-                              y_next=draws.y[k + 1])
-            assert np.allclose(spec.x0 + np.cumsum(drift + mult * db, axis=0)[k], x)
+        assert_stepwise(spec, SchemeKind.EULER, draws)
 
     @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED])
     def test_non_finite_radicand_raises(self, kind):
@@ -451,9 +456,16 @@ class TestSimulatePath:
         rng = RngStream(21)
         path = simulate_path(SchemeKind.WEAKTRAJ1, spec, 1, rng)
         draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 1, RngStream(21).child("y"), 1)
-        db = draw_brownian_increments(RngStream(21).child("b"), 1, 1, 1.0)
-        expect = weaktraj1_step(spec, spec.x0, draws.y[0, 0], draws.y[1, 0], 1.0,
-                                draws.iW[0, 0], db[0, 0])
+        db = draw_brownian_increments(RngStream(21).child("b"), 1, 1, 1.0)[0, 0]
+        y0, y1, iw = draws.y[0, 0], draws.y[1, 0], draws.iW[0, 0]
+        # the weaktraj1 step over delta = 1, floor cutoff
+        rad = max(spec.psi(y0) + spec.sigma(y0) * spec.psi1(y0) * iw / 1.0, 0.0)
+        expect = (
+            spec.x0
+            + spec.rho * (spec.F(y1) - spec.F(y0))
+            + 1.0 * spec.h(y0)
+            + math.sqrt(1 - spec.rho**2) * math.sqrt(rad) * db
+        )
         assert path.x[1] == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("kind", [
