@@ -19,16 +19,13 @@ from .models import (
     validate_spec,
 )
 from .rng import RngStream
-from .schemes import GridPath, SchemeKind, simulate_path, simulate_paths, weak2_terminal
+from .schemes import GridPath, SchemeKind, simulate_paths, weak2_terminal
 from .coupling import (
     CoupledPaths,
     LevelSample,
     TerminalCoupling,
     bridge_min,
     coupled_lookback_levels,
-    coupled_plain_paths,
-    coupled_terminal,
-    coupled_traj_paths,
     lookback_single_level,
 )
 from .pricing import PriceEstimate, bs_call, plain_call, romano_touzi_call
@@ -61,10 +58,9 @@ __all__ = [
     "OUParams", "ScottParams", "VolModelSpec", "make_spec", "benchmark_scott_params",
     "scott_model", "spec_from_config", "validate_spec",
     "RngStream",
-    "GridPath", "SchemeKind", "simulate_path", "simulate_paths", "weak2_terminal",
+    "GridPath", "SchemeKind", "simulate_paths", "weak2_terminal",
     "CoupledPaths", "LevelSample", "TerminalCoupling", "bridge_min",
-    "coupled_lookback_levels", "coupled_plain_paths", "coupled_terminal",
-    "coupled_traj_paths", "lookback_single_level",
+    "coupled_lookback_levels", "lookback_single_level",
     "PriceEstimate", "bs_call", "plain_call", "romano_touzi_call",
     "MlmcConfig", "MlmcResult", "call_level_sampler", "lookback_level_sampler",
     "mlmc_estimate",

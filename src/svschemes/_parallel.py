@@ -25,6 +25,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # beat one at about 64k values, alike for the normal inversion, the
 # conditional call values and the coupled errors.
 MIN_BLOCK = 32768
+# Most values per block of work over several rows, so that its arrays and
+# temporaries stay cache-sized; it also sizes schemes.block_steps.
+BLOCK_VALUES = 2**17
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -46,20 +49,25 @@ def _executor() -> ThreadPoolExecutor:
 def map_blocks(fn, n: int, rows: int = 1) -> list:
     """Results of ``fn(cols)`` for contiguous slices ``cols`` covering range(n).
 
-    ``n`` counts paths (columns) and ``rows`` the values per path, so the
-    work holds ``rows * n`` values. The results come in block order. Runs
-    inline, on one block, with a single CPU, below two minimum blocks of
-    values, or when called from inside a block (so nested calls cannot
-    deadlock the pool). Every block runs to completion; the first
-    exception in block order is re-raised.
+    ``n`` counts paths (columns) and ``rows`` the values per path. Work of
+    several rows is cut into blocks of at most BLOCK_VALUES values (work of
+    one row, such as a draw filled in place, streams through memory), and
+    into one block per worker when each then holds MIN_BLOCK values or
+    more. The results come in block order. Blocks run on the pool, or in
+    turn with a single CPU or from inside a block (so nested calls cannot
+    deadlock the pool); on the pool every block runs to completion and
+    the first exception in block order is re-raised.
     """
-    # at least two paths a block: numpy sums a single column pairwise,
-    # but several columns row by row, as in one block
-    count = min(WORKERS, n // 2, rows * n // MIN_BLOCK)
-    if count < 2 or getattr(_in_worker, "flag", False):
-        return [fn(slice(0, n))]
+    parallel = WORKERS > 1 and not getattr(_in_worker, "flag", False)
+    count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
+    if parallel:
+        count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
+    count = max(1, min(n, count))
     edges = [n * i // count for i in range(count + 1)]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    if count < 2 or not parallel:
+        return [fn(cols) for cols in blocks]
     pool = _executor()
-    futures = [pool.submit(fn, slice(a, b)) for a, b in zip(edges, edges[1:])]
+    futures = [pool.submit(fn, cols) for cols in blocks]
     wait(futures)
     return [f.result() for f in futures]

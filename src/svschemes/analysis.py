@@ -14,9 +14,11 @@ Within one (experiment, N, chunk) cell all schemes consume the same
 child streams, which shares the factor draws and B-increments across
 schemes and removes cross-scheme Monte Carlo noise from slope
 comparisons. Paths are processed in fixed-size chunks so results do
-not depend on available memory. Within a chunk, the paths of each
-parallel block are coupled one tile at a time: one node table per tile
-serves both levels of every template scheme that shares the draws.
+not depend on available memory. A chunk is coupled one step block at a
+time, each block in parallel column blocks of its paths: one node table
+per column block serves both levels of every scheme that shares the
+draws, and each scheme carries its coupled pair and running errors from
+one block to the next.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import numpy as np
 
 from ._parallel import map_blocks
 from .coupling import (
+    TerminalCoupling,
     cmt_coupling_from_draws,
+    coupling_start,
     plain_coupling_from_draws,
     terminal_coupling_from_draws,
     traj_coupling_from_draws,
@@ -48,10 +52,8 @@ from .rng import RngStream
 from .schemes import (
     FactorDraws,
     SchemeKind,
-    coarsen_factor_draws,
     draw_brownian_increments,
-    draw_factor_paths,
-    path_tiles,
+    factor_blocks,
     with_coeffs,
 )
 
@@ -128,75 +130,59 @@ def loglog_slope(ns, values) -> RegressionResult:
     return RegressionResult(float(slope), float(intercept), r2)
 
 
-def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
-                 db: np.ndarray, g: np.ndarray | None, cutoff: str):
-    """Per-path squared log and asset errors of one coupled fine/coarse pair."""
-    if mode == "terminal":
-        if kind is SchemeKind.CMT:
-            pair = cmt_coupling_from_draws(spec, draws, db)
-            x_f, x_c = pair.x_fine[-1], pair.x_coarse[-1]
-        else:
-            pair = terminal_coupling_from_draws(spec, kind, draws, g, cutoff)
-            x_f, x_c = pair.x_fine, pair.x_coarse
-        return (x_f - x_c) ** 2, (np.exp(x_f) - np.exp(x_c)) ** 2
+def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
+                  db: np.ndarray, cutoff: str, carry: np.ndarray):
+    """Advance one kind's coupled pair (``coupling_start``) over one step block;
+    outside the terminal mode, rows 4 and 5 of the carry keep the running
+    sups of the log and asset errors over the shared coarse nodes."""
     if kind is SchemeKind.CMT:
-        pair = cmt_coupling_from_draws(spec, draws, db)
-    elif mode == "strong":
-        pair = plain_coupling_from_draws(spec, kind, draws, db, cutoff)
-    elif mode == "traj":
-        pair = traj_coupling_from_draws(spec, kind, draws, db, cutoff)
+        pair = cmt_coupling_from_draws(spec, draws, db, carry)
+    elif mode == "terminal":
+        return terminal_coupling_from_draws(spec, kind, draws, None, cutoff, carry)
     else:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    # sup over the shared coarse grid nodes, then squared
-    x_f, x_c = pair.x_fine[::2], pair.x_coarse
-    return (np.abs(x_f - x_c).max(axis=0) ** 2,
-            np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0) ** 2)
+        coupling = {"strong": plain_coupling_from_draws, "traj": traj_coupling_from_draws}[mode]
+        pair = coupling(spec, kind, draws, db, cutoff, carry)
+    if mode != "terminal":
+        x_f, x_c = pair.x_fine[::2], pair.x_coarse
+        np.maximum(carry[4], np.abs(x_f - x_c).max(axis=0), out=carry[4])
+        np.maximum(carry[5], np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0), out=carry[5])
 
 
-def _tile_errors(spec: VolModelSpec, kinds, mode: str, draws: FactorDraws, db: np.ndarray,
-                 g: np.ndarray | None, cutoff: str, tiles: list[slice]):
-    """Per-path errors of each kind, one tile of paths at a time.
-
-    Each tile gets one node table, which every kind reads at both
-    levels. Returns {kind: [(log_err, asset_err) per tile]}.
-    """
-    errors = {kind: [] for kind in kinds}
-    for tile in tiles:
-        tile_draws = with_coeffs(spec, draws.columns(tile), kinds)
-        for kind in kinds:
-            errors[kind].append(_pair_errors(spec, kind, mode, tile_draws, db[:, tile],
-                                             None if g is None else g[tile], cutoff))
-    return errors
+def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndarray,
+                 g: np.ndarray | None, n_fine: int):
+    """Per-path squared log and asset errors of a coupled pair advanced to T."""
+    if mode != "terminal":
+        return carry[4] ** 2, carry[5] ** 2
+    pair = TerminalCoupling(spec.x0, spec.T / n_fine, carry, g)
+    x_f, x_c = (carry[0], carry[2]) if kind is SchemeKind.CMT else (pair.x_fine, pair.x_coarse)
+    return (x_f - x_c) ** 2, (np.exp(x_f) - np.exp(x_c)) ** 2
 
 
 def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine: int,
                  size: int, cutoff: str) -> dict:
     """Per-path (log_err, asset_err) of every kind in one (N, chunk) cell.
 
-    Each group of kinds shares one factor draw. Its arrays are released
-    when the cell returns, before the next cell draws.
+    Each group of kinds shares one factor draw, and all the B-increments.
+    The cell runs a step block at a time, each in column blocks of paths.
     """
-    db = draw_brownian_increments(cell.child("b"), n_fine, size, spec.T / n_fine)
+    rng_b = cell.child("b")
     g = cell.child("g").normal(size) if mode == "terminal" else None
-    errors = {}
-    for group in groups:
-        draws = draw_factor_paths(spec, group[0], n_fine, cell.child("y"), size)
-        template = [k for k in group if k is not SchemeKind.CMT]
-        runs = [(template, lambda cols: path_tiles(cols, n_fine))] if template else []
-        if SchemeKind.CMT in group:
-            # whole blocks: the CMT per-step loop slows down on narrow tiles
-            runs.append(([SchemeKind.CMT], lambda cols: [cols]))
-        for run_kinds, tiles in runs:
-            # paths are independent once drawn: couple them in column
-            # blocks, and join the per-path errors in path order
-            blocks = map_blocks(
-                lambda cols: _tile_errors(spec, run_kinds, mode, draws, db, g, cutoff,
-                                          tiles(cols)),
-                size, rows=n_fine)
-            for kind in run_kinds:
-                parts = [part for block in blocks for part in block[kind]]
-                errors[kind] = tuple(np.concatenate(errs) for errs in zip(*parts))
-    return errors
+    blocks = [factor_blocks(spec, group[0], n_fine, cell.child("y"), size) for group in groups]
+    carries = {kind: coupling_start(spec, kind, size) for group in groups for kind in group}
+    for group_draws in zip(*blocks):
+        steps = group_draws[0].dW.shape[0]
+        db = draw_brownian_increments(rng_b, steps, size, spec.T / n_fine)
+        for group, draws in zip(groups, group_draws):
+            def block(cols):
+                part = with_coeffs(spec, draws.columns(cols), group)
+                for kind in group:
+                    _advance_pair(spec, kind, mode, part, db[:, cols], cutoff,
+                                  carries[kind][:, cols])
+
+            map_blocks(block, size, rows=steps)
+        del group_draws, draws, db  # released before the next block is drawn
+    return {kind: _pair_errors(spec, kind, mode, carry, g, n_fine)
+            for kind, carry in carries.items()}
 
 
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
@@ -284,19 +270,16 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
                 f"ladder entry {n} must properly divide fine_steps={fine_steps}")
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
+    grids = [fine_steps]  # the fine grid and each of its halvings down the ladder
+    while grids[-1] // 2 >= min(n_ladder):
+        grids.append(grids[-1] // 2)
+    levels = [j for j, n in enumerate(grids) if n in n_ladder or n == fine_steps]
     acc = {n: LevelStats() for n in n_ladder}
     for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
-        draws = draw_factor_paths(spec, kind, fine_steps,
-                                  rng.child("weak-refine", "chunk", i).child("y"), size)
-        values = {}
-        level = draws
-        while True:
-            n = level.dW.shape[0]
-            if n in n_ladder or n == fine_steps:
-                values[n] = call_values_from_draws(spec, kind, level, strike, cutoff)
-            if n // 2 < min(n_ladder):
-                break
-            level = coarsen_factor_draws(spec, kind, level)
+        rng_y = rng.child("weak-refine", "chunk", i).child("y")
+        blocks = factor_blocks(spec, kind, fine_steps, rng_y, size, 2 ** (len(grids) - 1))
+        values = dict(zip([grids[j] for j in levels],
+                          call_values_from_draws(spec, kind, blocks, strike, cutoff, levels)))
         for n in n_ladder:
             acc[n].add(values[n] - values[fine_steps])
     return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(acc[n].mean),

@@ -110,13 +110,6 @@ def _ladder(max_n: int) -> tuple[int, ...]:
     return tuple(ladder)
 
 
-def _emit_rows(rows, out):
-    if out:
-        write_rows_csv(rows, out)
-    else:
-        write_rows_csv(rows, "/dev/stdout")
-
-
 def _emit_json(payload, out):
     text = json.dumps(payload, indent=2)
     if out:
@@ -140,7 +133,7 @@ def _run(args) -> int:
             "traj-conv": run_traj_conv,
             "terminal-conv": run_terminal_conv,
         }[args.command]
-        _emit_rows(runner(spec, config, rng), args.out)
+        write_rows_csv(runner(spec, config, rng), args.out or "/dev/stdout")
         return 0
 
     if args.command == "weak-call":
@@ -149,7 +142,8 @@ def _run(args) -> int:
             chunk_paths=min(args.paths, 250_000),
         )
         reference = BENCHMARK_CALL_PRICE if (args.config is None and args.strike == 100.0) else None
-        _emit_rows(run_weak_call(spec, config, rng, args.strike, reference), args.out)
+        write_rows_csv(run_weak_call(spec, config, rng, args.strike, reference),
+                       args.out or "/dev/stdout")
         return 0
 
     if args.command == "mlmc":
@@ -161,7 +155,7 @@ def _run(args) -> int:
             max_level=args.max_level, strike=args.strike, cutoff=args.cutoff,
             initial_samples=args.probe_samples, reference=reference,
         )
-        _emit_rows(rows, args.out)
+        write_rows_csv(rows, args.out or "/dev/stdout")
         return 0
 
     if args.command == "price":

@@ -19,12 +19,12 @@ The lookback machinery follows the same trajectorial coupling for the
 log-asset nodes and adds Brownian-bridge minima over each fine substep,
 reusing one uniform per fine substep at both levels.
 
-Functions come in pairs: a ``*_from_draws`` core that consumes
-pre-drawn randomness (so experiment harnesses can share draws, and
-their node table, across schemes), and a thin wrapper that draws from
-an ``RngStream`` using the child streams "y" (factor), "b"
-(B-increments), "g" (terminal closing normal) and "u" (bridge
-uniforms).
+The ``*_from_draws`` kernels consume pre-drawn randomness (so
+experiment harnesses can share draws, and their node table, across
+schemes) one step block at a time, advancing a per-path carry
+(``coupling_start``) from the block's first node to its last. The
+lookback estimators draw from the child streams "y" (factor), "b"
+(B-increments) and "u" (bridge uniforms).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_blocks
 from .errors import InvalidParameterError
 from .models import VolModelSpec
 from .rng import RngStream
@@ -40,52 +41,71 @@ from .schemes import (
     FactorDraws,
     SchemeKind,
     _assemble_x,
+    _sqrt1m_rho2,
+    add_step_sums,
     cmt_paths,
     coarsen_factor_draws,
     draw_brownian_increments,
-    draw_factor_paths,
     drift_and_mult,
+    factor_blocks,
+    with_coeffs,
 )
 
 
 @dataclass
 class CoupledPaths:
-    """Node arrays of one fine path batch and its coupled coarse batch."""
+    """Node arrays of a step block of a fine path batch and its coupled coarse batch."""
 
-    times_fine: np.ndarray
     x_fine: np.ndarray
     y_fine: np.ndarray
-    times_coarse: np.ndarray
     x_coarse: np.ndarray
     y_coarse: np.ndarray
 
 
 @dataclass
 class TerminalCoupling:
-    """Shared-G terminal coupling: conditional N(x0+drift, var) per level."""
+    """Shared-G terminal coupling N(x0 + drift, var) per level, from its carry."""
 
     x0: float
-    drift_fine: np.ndarray
-    var_fine: np.ndarray
-    drift_coarse: np.ndarray
-    var_coarse: np.ndarray
+    delta: float
+    carry: np.ndarray
     g: np.ndarray
 
     @property
     def x_fine(self) -> np.ndarray:
-        return self.x0 + self.drift_fine + np.sqrt(self.var_fine) * self.g
+        return self.x0 + self.carry[0] + np.sqrt(self.delta * self.carry[4]) * self.g
 
     @property
     def x_coarse(self) -> np.ndarray:
-        return self.x0 + self.drift_coarse + np.sqrt(self.var_coarse) * self.g
+        return self.x0 + self.carry[2] + np.sqrt(2.0 * self.delta * self.carry[5]) * self.g
 
 
 @dataclass
 class LevelSample:
-    """Per-path payoff (or functional) values at the fine and coarse level."""
+    """Per-path discounted lookback payoffs at both levels, from their carry."""
 
-    fine: np.ndarray
-    coarse: np.ndarray
+    spec: VolModelSpec
+    carry: np.ndarray
+
+    @property
+    def fine(self) -> np.ndarray:
+        return _lookback_payoff(self.spec, self.carry[0], self.carry[4])
+
+    @property
+    def coarse(self) -> np.ndarray:
+        return _lookback_payoff(self.spec, self.carry[2], self.carry[5])
+
+
+def coupling_start(spec: VolModelSpec, kind: SchemeKind, npaths: int,
+                   extra: float = 0.0) -> np.ndarray:
+    """Carry of a coupled pair at the start of its paths, shape (6, npaths).
+
+    Rows 0 to 3: the fine log-asset (for template schemes, the running
+    sum of its increments) and factor, then the coarse ones. Rows 4 and 5
+    start at ``extra`` and hold what the consumer keeps per level.
+    """
+    x = spec.x0 if kind is SchemeKind.CMT else 0.0
+    return np.repeat([[x], [spec.y0], [x], [spec.y0], [extra], [extra]], npaths, axis=1)
 
 
 def plain_coarse_db(db_fine: np.ndarray) -> np.ndarray:
@@ -124,98 +144,64 @@ def lookback_db_mid(db1, db2, v1, v2):
     return np.where(degenerate, db1, mid)
 
 
-def _grids(spec: VolModelSpec, n_coarse: int):
-    times_fine = np.linspace(0.0, spec.T, 2 * n_coarse + 1)
-    return times_fine, times_fine[::2]
-
-
-def _check_coarse_steps(n_coarse: int):
-    if n_coarse < 1:
-        raise InvalidParameterError(f"need at least one coarse step, got {n_coarse}")
+def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
+                       db_fine: np.ndarray, cutoff: str, carry, traj: bool):
+    """Plain or trajectorial coupling; returns the paths, the coarse draws
+    with their node table, the coarse B-increments and the fine multipliers."""
+    if carry is None:
+        carry = coupling_start(spec, kind, fine.dW.shape[-1])
+    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
+    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0])
+    if traj:
+        db_c = coupled_db_tilde(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
+    else:
+        db_c = plain_coarse_db(db_fine)
+    coarse = with_coeffs(spec, coarsen_factor_draws(spec, kind, fine, carry[3]), (kind,))
+    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_c, carry[2])
+    carry[1], carry[3] = fine.y[-1], coarse.y[-1]
+    return CoupledPaths(x_f, fine.y, x_c, coarse.y), coarse, db_c, mult_f
 
 
 def plain_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                              db_fine: np.ndarray, cutoff: str = "floor") -> CoupledPaths:
+                              db_fine: np.ndarray, cutoff: str = "floor",
+                              carry=None) -> CoupledPaths:
     """Fine and coarse paths driven by the same Brownian motions."""
-    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
-    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine)
-    coarse = coarsen_factor_draws(spec, kind, fine)
-    drift_c, mult_c = drift_and_mult(spec, kind, coarse, cutoff)
-    x_c = _assemble_x(spec.x0, drift_c, mult_c, plain_coarse_db(db_fine))
-    t_f, t_c = _grids(spec, db_fine.shape[0] // 2)
-    return CoupledPaths(t_f, x_f, fine.y, t_c, x_c, coarse.y)
+    return _template_coupling(spec, kind, fine, db_fine, cutoff, carry, traj=False)[0]
 
 
 def traj_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                             db_fine: np.ndarray, cutoff: str = "floor") -> CoupledPaths:
+                             db_fine: np.ndarray, cutoff: str = "floor",
+                             carry=None) -> CoupledPaths:
     """Trajectorial coupling: coarse increments reweighted by fine multipliers."""
-    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
-    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine)
-    db_tilde = coupled_db_tilde(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
-    coarse = coarsen_factor_draws(spec, kind, fine)
-    drift_c, mult_c = drift_and_mult(spec, kind, coarse, cutoff)
-    x_c = _assemble_x(spec.x0, drift_c, mult_c, db_tilde)
-    t_f, t_c = _grids(spec, db_fine.shape[0] // 2)
-    return CoupledPaths(t_f, x_f, fine.y, t_c, x_c, coarse.y)
+    return _template_coupling(spec, kind, fine, db_fine, cutoff, carry, traj=True)[0]
 
 
-def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws,
-                            db_fine: np.ndarray) -> CoupledPaths:
+def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.ndarray,
+                            carry=None) -> CoupledPaths:
     """CMT levels coupled by summed (dW, dB) increments."""
-    x_f, y_f = cmt_paths(spec, fine.delta, fine.dW, db_fine)
+    if carry is None:
+        carry = coupling_start(spec, SchemeKind.CMT, fine.dW.shape[-1])
+    x_f, y_f = cmt_paths(spec, fine.delta, fine.dW, db_fine, carry[0:2])
     dw_c = fine.dW[0::2] + fine.dW[1::2]
-    x_c, y_c = cmt_paths(spec, 2.0 * fine.delta, dw_c, plain_coarse_db(db_fine))
-    t_f, t_c = _grids(spec, db_fine.shape[0] // 2)
-    return CoupledPaths(t_f, x_f, y_f, t_c, x_c, y_c)
+    x_c, y_c = cmt_paths(spec, 2.0 * fine.delta, dw_c, plain_coarse_db(db_fine), carry[2:4])
+    carry[:4] = x_f[-1], y_f[-1], x_c[-1], y_c[-1]
+    return CoupledPaths(x_f, y_f, x_c, y_c)
 
 
 def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                                 g: np.ndarray, cutoff: str = "floor") -> TerminalCoupling:
-    """Shared-G terminal coupling from fine factor draws."""
+                                 g: np.ndarray, cutoff: str = "floor",
+                                 carry=None) -> TerminalCoupling:
+    """Shared-G terminal coupling from fine factor draws; the carry's log-asset
+    rows sum the drifts, rows 4 and 5 the squared multipliers."""
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT has no conditional-Gaussian terminal form")
-    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
-    coarse = coarsen_factor_draws(spec, kind, fine)
-    drift_c, mult_c = drift_and_mult(spec, kind, coarse, cutoff)
-    return TerminalCoupling(
-        x0=spec.x0,
-        drift_fine=drift_f.sum(axis=0),
-        var_fine=fine.delta * (mult_f**2).sum(axis=0),
-        drift_coarse=drift_c.sum(axis=0),
-        var_coarse=coarse.delta * (mult_c**2).sum(axis=0),
-        g=g,
-    )
-
-
-def coupled_traj_paths(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
-                       rng: RngStream, npaths: int, cutoff: str = "floor") -> CoupledPaths:
-    """Draw and trajectorially couple a fine/coarse path batch."""
-    _check_coarse_steps(n_coarse)
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
-    db_fine = draw_brownian_increments(rng.child("b"), 2 * n_coarse, npaths, fine.delta)
-    if kind is SchemeKind.CMT:
-        return cmt_coupling_from_draws(spec, fine, db_fine)
-    return traj_coupling_from_draws(spec, kind, fine, db_fine, cutoff)
-
-
-def coupled_plain_paths(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
-                        rng: RngStream, npaths: int, cutoff: str = "floor") -> CoupledPaths:
-    """Draw and plainly couple a fine/coarse path batch (shared Brownians)."""
-    _check_coarse_steps(n_coarse)
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
-    db_fine = draw_brownian_increments(rng.child("b"), 2 * n_coarse, npaths, fine.delta)
-    if kind is SchemeKind.CMT:
-        return cmt_coupling_from_draws(spec, fine, db_fine)
-    return plain_coupling_from_draws(spec, kind, fine, db_fine, cutoff)
-
-
-def coupled_terminal(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
-                     rng: RngStream, npaths: int, cutoff: str = "floor") -> TerminalCoupling:
-    """Draw a shared-G terminal coupling."""
-    _check_coarse_steps(n_coarse)
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
-    g = rng.child("g").normal(npaths)
-    return terminal_coupling_from_draws(spec, kind, fine, g, cutoff)
+    if carry is None:
+        carry = coupling_start(spec, kind, fine.dW.shape[-1])
+    add_step_sums(*drift_and_mult(spec, kind, fine, cutoff), carry[0], carry[4])
+    coarse = coarsen_factor_draws(spec, kind, fine, carry[3])
+    add_step_sums(*drift_and_mult(spec, kind, coarse, cutoff), carry[2], carry[5])
+    carry[1], carry[3] = fine.y[-1], coarse.y[-1]
+    return TerminalCoupling(spec.x0, fine.delta, carry, g)
 
 
 # ---------------------------------------------------------------------------
@@ -243,29 +229,26 @@ def bridge_min(left, right, vol2, delta: float, u, anchor=None):
     return 0.5 * (left + right - np.sqrt(rad))
 
 
-def _bridged_lookback(spec: VolModelSpec, draws: FactorDraws, nodes, x: np.ndarray,
-                      db: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Discounted lookback payoffs of the log-asset nodes x on the grid of ``draws``.
+def _lookback_payoff(spec: VolModelSpec, total: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Discounted lookback payoff from the log-asset sum and spot minimum at T."""
+    return np.exp(-spec.r * spec.T) * (np.exp(total + spec.x0) - low)
 
-    Each step contributes a Brownian-bridge minimum between its left spot
-    and an exponential-Euler spot endpoint, drawn from the step's uniform;
-    ``nodes`` is the node table of ``draws``.
-    """
-    sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
-    f_vals, psi_vals = nodes.prev("f"), nodes.prev("psi")
-    running_min = np.full(x.shape[1:], np.inf)
-    for j in range(db.shape[0]):
-        left = np.exp(x[j])
-        right = left * (1.0 + spec.r * draws.delta
-                        + f_vals[j] * (spec.rho * draws.dW[j] + sqrt1m * db[j]))
-        running_min = np.minimum(running_min,
-                                 bridge_min(left, right, psi_vals[j], draws.delta, uniforms[j]))
-    return np.exp(-spec.r * spec.T) * (np.exp(x[-1]) - running_min)
+
+def _bridge_low(spec: VolModelSpec, draws: FactorDraws, x: np.ndarray, db: np.ndarray,
+                uniforms: np.ndarray, low: np.ndarray):
+    """Lower the spot minima ``low`` in place by each step's Brownian-bridge
+    minimum between its left spot and an exponential-Euler spot endpoint,
+    drawn from the step's uniform; ``draws`` carry their node table."""
+    f_vals, psi_vals = draws.coeffs.prev("f"), draws.coeffs.prev("psi")
+    left = np.exp(x[:-1])
+    right = left * (1.0 + spec.r * draws.delta
+                    + f_vals * (spec.rho * draws.dW + _sqrt1m_rho2(spec) * db))
+    np.minimum(low, bridge_min(left, right, psi_vals, draws.delta, uniforms).min(axis=0), out=low)
 
 
 def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
                                 db_fine: np.ndarray, uniforms: np.ndarray,
-                                cutoff: str = "floor") -> LevelSample:
+                                cutoff: str = "floor", carry=None) -> LevelSample:
     """Coupled discounted lookback payoffs at the fine and coarse level.
 
     Fine level: for each substep, an exponential-Euler spot endpoint and
@@ -273,63 +256,67 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     level: the trajectorially coupled path supplies the nodes, and each
     coarse step spends its two substep uniforms on two bridge minima via
     a mid endpoint built from the reweighted increments; the bridge
-    anchor stays frozen at the left coarse node.
+    anchor stays frozen at the left coarse node. The carry's rows 4 and 5
+    hold the fine and coarse spot minima (``extra`` inf).
     """
-    n_fine = db_fine.shape[0]
-    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
-    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine)
-    db1, db2 = db_fine[0::2], db_fine[1::2]
-    v1, v2 = mult_f[0::2], mult_f[1::2]
-    db_tilde = coupled_db_tilde(db1, db2, v1, v2)
-    db_mid = lookback_db_mid(db1, db2, v1, v2)
-    del drift_f, mult_f, v1, v2  # what follows reads only nodes and increments
-    coarse = coarsen_factor_draws(spec, kind, fine)
-    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_tilde)
+    if carry is None:
+        carry = coupling_start(spec, kind, fine.dW.shape[-1], np.inf)
+    fine = with_coeffs(spec, fine, (kind,))
+    pair, coarse, db_tilde, mult_f = _template_coupling(spec, kind, fine, db_fine, cutoff,
+                                                        carry, traj=True)
+    db_mid = lookback_db_mid(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
+    _bridge_low(spec, fine, pair.x_fine, db_fine, uniforms, carry[4])
 
-    nodes = spec.node_table(spec, fine.y, ())
-    payoff_f = _bridged_lookback(spec, fine, nodes, x_f, db_fine, uniforms)
+    sqrt1m = _sqrt1m_rho2(spec)
+    f_c, psi_c = coarse.coeffs.prev("f"), coarse.coeffs.prev("psi")
+    left = np.exp(pair.x_coarse[:-1])
+    base = left * (1.0 + spec.r * coarse.delta + f_c * spec.rho * coarse.dW)
+    s_mid = base + left * f_c * sqrt1m * db_mid
+    s_end = base + left * f_c * sqrt1m * db_tilde
+    m1 = bridge_min(left, s_mid, psi_c, fine.delta, uniforms[0::2], anchor=left)
+    m2 = bridge_min(s_mid, s_end, psi_c, fine.delta, uniforms[1::2], anchor=left)
+    np.minimum(carry[5], np.minimum(m1, m2).min(axis=0), out=carry[5])
+    return LevelSample(spec, carry)
 
-    delta_c = coarse.delta
-    sqrt1m = np.sqrt(max(0.0, 1.0 - spec.rho**2))
-    # OU coarse nodes are the even fine nodes; generic specs re-ran the factor
-    nodes = nodes.even_nodes() if spec.ou is not None else spec.node_table(spec, coarse.y, ())
-    f_c, psi_c = nodes.prev("f"), nodes.prev("psi")
-    min_c = np.full(x_c.shape[1:], np.inf)
-    for k in range(n_fine // 2):
-        left = np.exp(x_c[k])
-        f_val = f_c[k]
-        vol2 = psi_c[k]
-        base = left * (1.0 + spec.r * delta_c + f_val * spec.rho * coarse.dW[k])
-        s_mid = base + left * f_val * sqrt1m * db_mid[k]
-        s_end = base + left * f_val * sqrt1m * db_tilde[k]
-        m1 = bridge_min(left, s_mid, vol2, fine.delta, uniforms[2 * k], anchor=left)
-        m2 = bridge_min(s_mid, s_end, vol2, fine.delta, uniforms[2 * k + 1], anchor=left)
-        min_c = np.minimum(min_c, np.minimum(m1, m2))
-    payoff_c = np.exp(-spec.r * spec.T) * (np.exp(x_c[-1]) - min_c)
 
-    return LevelSample(fine=payoff_f, coarse=payoff_c)
+def _lookback_carry(spec: VolModelSpec, kind: SchemeKind, n_steps: int, rng: RngStream,
+                    npaths: int, carry, advance) -> np.ndarray:
+    """The carry ``carry(npaths)`` of a lookback draw from ``rng``, advanced by
+    ``advance(draws, db, uniforms, carry)`` on each step block."""
+    if kind is SchemeKind.CMT:
+        raise InvalidParameterError("CMT supports no lookback with bridge minima")
+    blocks = factor_blocks(spec, kind, n_steps, rng.child("y"), npaths)
+    rng_b, rng_u = rng.child("b"), rng.child("u")
+    carry = carry(npaths)
+    for draws in blocks:
+        db = draw_brownian_increments(rng_b, draws.dW.shape[0], npaths, draws.delta)
+        uniforms = rng_u.uniform_open(draws.dW.shape)
+        map_blocks(lambda cols: advance(draws.columns(cols), db[:, cols], uniforms[:, cols],
+                                        carry[:, cols]), npaths, rows=db.shape[0])
+        del draws, db, uniforms  # released before the next block is drawn
+    return carry
 
 
 def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
                             rng: RngStream, npaths: int,
                             cutoff: str = "floor") -> LevelSample:
     """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse."""
-    _check_coarse_steps(n_coarse)
-    n_fine = 2 * n_coarse
-    fine = draw_factor_paths(spec, kind, n_fine, rng.child("y"), npaths)
-    db_fine = draw_brownian_increments(rng.child("b"), n_fine, npaths, fine.delta)
-    uniforms = rng.child("u").uniform_open((n_fine, npaths))
-    return lookback_payoffs_from_draws(spec, kind, fine, db_fine, uniforms, cutoff)
+    return LevelSample(spec, _lookback_carry(
+        spec, kind, 2 * n_coarse, rng, npaths, lambda n: coupling_start(spec, kind, n, np.inf),
+        lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
+                                                               carry)))
 
 
 def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                           rng: RngStream, npaths: int,
                           cutoff: str = "floor") -> np.ndarray:
     """Discounted lookback payoffs on a single grid (MLMC base level)."""
-    if n_steps < 1:
-        raise InvalidParameterError(f"need at least one step, got {n_steps}")
-    fine = draw_factor_paths(spec, kind, n_steps, rng.child("y"), npaths)
-    db = draw_brownian_increments(rng.child("b"), n_steps, npaths, fine.delta)
-    uniforms = rng.child("u").uniform_open((n_steps, npaths))
-    x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, fine, cutoff), db)
-    return _bridged_lookback(spec, fine, spec.node_table(spec, fine.y, ()), x, db, uniforms)
+    def advance(draws, db, uniforms, carry):
+        draws = with_coeffs(spec, draws, (kind,))
+        x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0])
+        _bridge_low(spec, draws, x, db, uniforms, carry[1])
+
+    # rows: the running log-asset sum and spot minimum
+    carry = _lookback_carry(spec, kind, n_steps, rng, npaths,
+                            lambda n: np.repeat([[0.0], [np.inf]], n, axis=1), advance)
+    return _lookback_payoff(spec, carry[0], carry[1])

@@ -26,9 +26,9 @@ import numpy as np
 from .coupling import coupled_lookback_levels, lookback_single_level
 from .errors import BudgetExceededError, InvalidParameterError, NumericalError
 from .models import VolModelSpec
-from .pricing import call_values_from_draws, conditional_call_values
+from .pricing import call_values_from_draws
 from .rng import RngStream
-from .schemes import SchemeKind, coarsen_factor_draws, draw_factor_paths
+from .schemes import SchemeKind, factor_blocks
 
 LevelSampler = Callable[[int, RngStream, int], np.ndarray]
 
@@ -182,17 +182,6 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
     )
 
 
-def level_variance_probe(sampler: LevelSampler, config: MlmcConfig, rng: RngStream,
-                         levels: list[int]) -> list[LevelStats]:
-    """Probe mean and variance of the corrections at the given levels."""
-    out = []
-    for level in levels:
-        s = LevelStats(level=level)
-        _draw_into(s, sampler, rng, config.initial_samples, config.batch_paths)
-        out.append(s)
-    return out
-
-
 def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
                        base_steps: int = 2, cutoff: str = "floor") -> LevelSampler:
     """Level sampler for the call under terminal coupling with conditioning.
@@ -205,12 +194,10 @@ def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
-        if level == 0:
-            return conditional_call_values(spec, kind, base_steps, strike, rng, n, cutoff)
-        fine = draw_factor_paths(spec, kind, base_steps * 2**level, rng.child("y"), n)
-        coarse = coarsen_factor_draws(spec, kind, fine)
-        return (call_values_from_draws(spec, kind, fine, strike, cutoff)
-                - call_values_from_draws(spec, kind, coarse, strike, cutoff))
+        blocks = factor_blocks(spec, kind, base_steps * 2**level, rng.child("y"), n)
+        levels = (0, 1) if level else (0,)
+        values = call_values_from_draws(spec, kind, blocks, strike, cutoff, levels)
+        return values[0] - values[1] if level else values[0]
 
     return sampler
 

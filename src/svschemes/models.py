@@ -140,7 +140,6 @@ class _EvenNodes:
 
     def __init__(self, fine: NodeCoeffs):
         self.fine = fine
-        self.y = fine.y[::2]
 
     def all(self, name: str) -> np.ndarray:
         return self.fine.all(name)[::2]
@@ -151,9 +150,6 @@ class _EvenNodes:
 
     def next(self, name: str) -> np.ndarray:
         return self.all(name)[1:]
-
-    def even_nodes(self) -> _EvenNodes:
-        return _EvenNodes(self)
 
 
 # Scott coefficients from one exp(y) and one expm1(y) per node; the

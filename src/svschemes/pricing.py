@@ -24,7 +24,16 @@ from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream
-from .schemes import FactorDraws, SchemeKind, draw_factor_paths, drift_and_mult, simulate_paths
+from .schemes import (
+    SchemeKind,
+    add_step_sums,
+    cmt_paths,
+    coarsen_factor_draws,
+    draw_brownian_increments,
+    drift_and_mult,
+    factor_blocks,
+    simulate_paths,
+)
 
 
 @dataclass
@@ -34,10 +43,6 @@ class PriceEstimate:
     value: float
     stderr: float
     npaths: int
-
-    @property
-    def halfwidth95(self) -> float:
-        return 1.96 * self.stderr
 
     def ci(self, z: float = 1.96) -> tuple[float, float]:
         return self.value - z * self.stderr, self.value + z * self.stderr
@@ -81,25 +86,41 @@ def discounted_call_payoff(spec: VolModelSpec, x_terminal, strike: float):
     return math.exp(-spec.r * spec.T) * call_payoff(np.exp(x_terminal), strike)
 
 
-def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
-                           strike: float, cutoff: str = "floor") -> np.ndarray:
-    """Per-path conditional call prices of drawn factor paths.
+def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, blocks, strike: float,
+                           cutoff: str = "floor", levels=(0,)) -> list[np.ndarray]:
+    """Per-path conditional call prices of drawn factor paths, on several grids.
 
-    Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V) the
-    accumulated drift and conditional variance of the scheme, so the
-    spread across paths carries only the factor-side noise. Paths are
-    independent, so the work runs over column blocks of the draws.
+    ``blocks`` are the step blocks of one factor draw (``factor_blocks``);
+    ``levels`` lists the grids priced, j for the j-th halving of the
+    draws' grid. Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V)
+    the accumulated drift and conditional variance of the scheme, so the
+    spread across paths carries only the factor-side noise.
     """
-    def block(cols):
-        part = draws.columns(cols)
-        drift, mult = drift_and_mult(spec, kind, part, cutoff)
-        total_drift = drift.sum(axis=0)
-        total_var = part.delta * (mult**2).sum(axis=0)
-        spot_eff = spec.s0 * np.exp(total_drift + 0.5 * total_var - spec.r * spec.T)
+    depth = max(levels)
+    sums = None
+    for fine in blocks:
+        (steps, npaths), delta = fine.dW.shape, fine.delta
+        if sums is None:  # per grid: sums of drifts and squared multipliers, factor
+            sums = np.zeros((depth + 1, 3, npaths))
+            sums[:, 2] = spec.y0
+
+        def block(cols):
+            draws = fine.columns(cols)
+            for j, level in enumerate(sums[:, :, cols]):
+                if j:
+                    draws = coarsen_factor_draws(spec, kind, draws, level[2])
+                    level[2] = draws.y[-1]
+                if j in levels:
+                    add_step_sums(*drift_and_mult(spec, kind, draws, cutoff), level[0], level[1])
+
+        map_blocks(block, npaths, rows=steps)
+
+    def values(j, cols):
+        total_var = delta * 2**j * sums[j, 1, cols]
+        spot_eff = spec.s0 * np.exp(sums[j, 0, cols] + 0.5 * total_var - spec.r * spec.T)
         return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
 
-    n_steps, npaths = draws.dW.shape[0], draws.dW.shape[-1]
-    return np.concatenate(map_blocks(block, npaths, rows=n_steps))
+    return [np.concatenate(map_blocks(lambda cols: values(j, cols), npaths)) for j in levels]
 
 
 def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
@@ -108,8 +129,18 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     """Per-path conditional call prices given factor draws from ``rng``."""
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
-    draws = draw_factor_paths(spec, kind, n_steps, rng.child("y"), npaths)
-    return call_values_from_draws(spec, kind, draws, strike, cutoff)
+    blocks = factor_blocks(spec, kind, n_steps, rng.child("y"), npaths)
+    return call_values_from_draws(spec, kind, blocks, strike, cutoff)[0]
+
+
+def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int) -> np.ndarray:
+    """Terminal log-asset values of CMT paths drawn from ``rng``, a step block at a time."""
+    rng_b, start = rng.child("b"), None
+    for draws in factor_blocks(spec, SchemeKind.CMT, n_steps, rng.child("y"), npaths):
+        db = draw_brownian_increments(rng_b, draws.dW.shape[0], npaths, draws.delta)
+        x, y = cmt_paths(spec, draws.delta, draws.dW, db, start)
+        start = x[-1], y[-1]
+    return start[0]
 
 
 def _mc_estimate(values: np.ndarray) -> PriceEstimate:
@@ -145,8 +176,8 @@ def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike
     for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
         chunk_rng = rng.child("chunk", i)
         if kind is SchemeKind.CMT:
-            path = simulate_paths(kind, spec, n_steps, chunk_rng, size, cutoff)
-            pieces.append(discounted_call_payoff(spec, path.x[-1], strike))
+            pieces.append(discounted_call_payoff(spec, _cmt_terminal(spec, n_steps, chunk_rng,
+                                                                     size), strike))
         else:
             pieces.append(
                 conditional_call_values(spec, kind, n_steps, strike, chunk_rng, size, cutoff)

@@ -6,20 +6,23 @@ Every scheme except CMT fits the conditional-Gaussian template
 
 where drift_k and mult_k depend only on the factor-side randomness
 (Y values, W increments and the time integral iW). ``drift_and_mult``
-computes those two arrays for a whole path at once; the couplings, the
+computes those two arrays for every step of a draw; the couplings, the
 terminal-form simulation and the Romano-Touzi conditioning all reuse
 them. It reads the model coefficients from a node table
 (``models.NodeCoeffs``), which evaluates each coefficient once per
-factor draw, a tile of paths at a time; draws that carry a table
-(``FactorDraws.coeffs``) share it between schemes and with their
-coarsened draws. CMT does not fit the template (its update mixes dB
-into the factor recursion) and keeps a dedicated recursion.
+factor draw; draws that carry a table (``FactorDraws.coeffs``) share it
+between schemes and with their coarsened draws. CMT does not fit the
+template (its update mixes dB into the factor recursion) and keeps a
+dedicated recursion.
 
 Simulation is vectorized across paths: arrays are laid out with shape
 (steps, paths). Draw order per step and stream: the factor stream "y"
 supplies the joint (dW, iW, dY) normals step by step, the asset stream
 "b" supplies the B-increments, and the uniform stream "u" supplies
 bridge uniforms, each an independent child stream of the caller's.
+Streams are step-major, so estimators draw and consume a grid a step
+block at a time (``factor_blocks``), carrying per-path state from block
+to block: memory is O(paths), and the bytes are those of one draw.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _parallel
 from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
@@ -49,9 +53,9 @@ class SchemeKind(str, Enum):
 # Kinds that only make sense with exact OU factor simulation.
 _OU_ONLY = {SchemeKind.OU_IMPROVED, SchemeKind.IJK}
 
-# Values (steps x paths) evaluated through one node table at a time: a
-# tile's table and scheme arrays stay this small.
-TILE_VALUES = 2**16
+# Fewest steps of a step block: each block pays for its draw dispatch,
+# its arrays and the node table on its first node.
+MIN_STEPS = 8
 
 # Coefficients each template scheme reads at both ends of a step; it
 # reads every other coefficient at the left node only.
@@ -97,17 +101,11 @@ class FactorDraws:
         return FactorDraws(self.delta, self.y[..., cols], self.dW[..., cols], self.iW[..., cols])
 
 
-def path_tiles(cols: slice, n_steps: int) -> list[slice]:
-    """The paths ``cols`` split evenly into tiles of about TILE_VALUES values.
-
-    A tile holds at least two paths unless ``cols`` holds fewer: numpy
-    sums a single column pairwise but several columns row by row, so
-    per-path sums taken tile by tile are the same bytes as over ``cols``.
-    """
-    n = cols.stop - cols.start
-    count = max(1, n // max(2, TILE_VALUES // n_steps))
-    edges = [cols.start + n * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+def block_steps(npaths: int, multiple: int = 2) -> int:
+    """Steps per block for ``npaths`` paths: about BLOCK_VALUES / npaths,
+    at least MIN_STEPS, rounded down to a multiple of ``multiple`` (a
+    coarsening factor) and at least ``multiple``."""
+    return multiple * max(1, max(MIN_STEPS, _parallel.BLOCK_VALUES // npaths) // multiple)
 
 
 def with_coeffs(spec: VolModelSpec, draws: FactorDraws, kinds) -> FactorDraws:
@@ -126,6 +124,13 @@ def _require_ou(spec: VolModelSpec, kind: SchemeKind):
 
 def _sqrt1m_rho2(spec: VolModelSpec) -> float:
     return math.sqrt(max(0.0, 1.0 - spec.rho**2))
+
+
+def _check_batch(n_steps: int, npaths: int):
+    if n_steps < 1:
+        raise InvalidParameterError(f"need at least one step, got {n_steps}")
+    if npaths < 1:
+        raise InvalidParameterError(f"need at least one path, got {npaths}")
 
 
 def _check_finite(values, what: str):
@@ -214,11 +219,12 @@ def cmt_step(spec: VolModelSpec, x, y, delta: float, dW, dB):
 # vectorized path machinery
 
 
-def _recursive_factor_path(spec: VolModelSpec, delta: float, dW: np.ndarray, use_nv: bool):
-    """Milstein (or NV) factor path for generic specs."""
+def _recursive_factor_path(spec: VolModelSpec, delta: float, dW: np.ndarray, use_nv: bool,
+                           start):
+    """Milstein (or NV) factor path for generic specs, from the values ``start``."""
     n_steps = dW.shape[0]
     y = np.empty((n_steps + 1,) + dW.shape[1:])
-    y[0] = spec.y0
+    y[0] = start
     for k in range(n_steps):
         if use_nv:
             y[k + 1] = nv_step_y(spec, y[k], delta, dW[k])
@@ -235,8 +241,8 @@ def draw_brownian_increments(rng_b: RngStream, n_steps: int, npaths: int,
     return math.sqrt(delta) * rng_b.normal((n_steps, npaths))
 
 
-def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray) -> FactorDraws:
-    """Exact OU draws from the normals g, shape (N, 3, paths).
+def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray, start) -> FactorDraws:
+    """Exact OU draws from the normals g, shape (N, 3, paths), and the values ``start``.
 
     Runs over column blocks of paths, one step at a time within a block,
     so the Cholesky mix of (dW, iW, dY_stoch) and the exact recursion
@@ -248,7 +254,7 @@ def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray) -> FactorD
     dW = np.empty((n_steps, npaths))
     iW = np.empty((n_steps, npaths))
     y = np.empty((n_steps + 1, npaths))
-    y[0] = spec.y0
+    y[0] = start
     # two scratch rows allocated here: arrays allocated in worker threads
     # grow per-thread malloc arenas (+3 MB peak RSS over an MLMC run)
     scratch = np.empty((2, npaths))
@@ -279,30 +285,51 @@ def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray) -> FactorD
 
 
 def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
-                      rng_y: RngStream, npaths: int) -> FactorDraws:
-    """Draw all factor-side randomness for a batch of paths.
+                      rng_y: RngStream, npaths: int, start=None,
+                      steps: int | None = None) -> FactorDraws:
+    """Draw the factor-side randomness of a batch of paths on an n_steps grid.
 
     OU-backed specs consume three normals per step (the joint law of
     dW, iW and the exact factor increment); generic specs consume two
-    (dW, iW) and build y by Milstein (NV for the weak scheme).
+    (dW, iW) and build y by Milstein (NV for the weak scheme). It covers
+    the next ``steps`` steps (all by default) from the values ``start``.
     """
-    if n_steps < 1:
-        raise InvalidParameterError(f"need at least one step, got {n_steps}")
-    if npaths < 1:
-        raise InvalidParameterError(f"need at least one path, got {npaths}")
+    _check_batch(n_steps, npaths)
     if kind in _OU_ONLY:
         _require_ou(spec, kind)
     delta = spec.T / n_steps
+    steps = n_steps if steps is None else steps
+    start = spec.y0 if start is None else start
     if spec.ou is not None:
-        return _ou_factor_draws(spec, delta, rng_y.normal((n_steps, 3, npaths)))
-    g = rng_y.normal((n_steps, 2, npaths))
+        return _ou_factor_draws(spec, delta, rng_y.normal((steps, 3, npaths)), start)
+    g = rng_y.normal((steps, 2, npaths))
     dW, iW = joint_from_normals(delta, g[:, 0], g[:, 1])
-    y = _recursive_factor_path(spec, delta, dW, use_nv=kind is SchemeKind.WEAK2)
+    y = _recursive_factor_path(spec, delta, dW, kind is SchemeKind.WEAK2, start)
     return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
 
 
+def factor_blocks(spec: VolModelSpec, kind: SchemeKind, n_steps: int, rng_y: RngStream,
+                  npaths: int, multiple: int = 2):
+    """The factor draws of an n_steps grid in blocks of ``block_steps`` steps
+    (the last one what is left), each starting from the last node of the
+    one before: together the same bytes as one draw."""
+    _check_batch(n_steps, npaths)
+    size = block_steps(npaths, multiple)
+
+    def blocks():
+        start = None
+        for k0 in range(0, n_steps, size):
+            draws = draw_factor_paths(spec, kind, n_steps, rng_y, npaths, start,
+                                      min(size, n_steps - k0))
+            start = draws.y[-1].copy()
+            yield draws
+            del draws  # released before the next block is drawn
+
+    return blocks()
+
+
 def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
-                         fine: FactorDraws) -> FactorDraws:
+                         fine: FactorDraws, start=None) -> FactorDraws:
     """Halve the resolution of factor draws consistently with the fine grid.
 
     Coarse dW sums the two fine increments; the coarse time integral
@@ -310,7 +337,8 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     specs the coarse factor values are the fine even nodes (the exact
     solution restricted to the coarse grid), and the coarse node table
     reads the fine one; generic specs re-run their factor recursion on
-    the summed increments.
+    the summed increments, from the coarse values ``start`` (y0 by
+    default).
     """
     if fine.dW.shape[0] % 2 != 0:
         raise InvalidParameterError("fine draws must have an even number of steps")
@@ -320,7 +348,8 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     if spec.ou is not None:
         coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
         return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
-    y_c = _recursive_factor_path(spec, delta_c, dW_c, use_nv=kind is SchemeKind.WEAK2)
+    y_c = _recursive_factor_path(spec, delta_c, dW_c, kind is SchemeKind.WEAK2,
+                                 spec.y0 if start is None else start)
     return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
 
 
@@ -330,27 +359,12 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
 
     Conditionally on the factor draws, the log-asset path is
     x_{k+1} = x_k + drift[k] + mult[k]*dB[k]; both arrays have shape
-    (N, paths). The coefficients come from the node table of ``draws``;
-    draws without one are walked one path tile at a time, with a table
-    per tile.
+    (N, paths). The coefficients come from the node table of ``draws``,
+    built here if they carry none.
     """
     if kind not in _BOTH_ENDS:
         raise InvalidParameterError(f"scheme {kind.value} has no drift/multiplier form")
-    if draws.coeffs is not None:
-        return _drift_and_mult(spec, kind, draws, cutoff)
-    tiles = path_tiles(slice(0, draws.dW.shape[-1]), draws.dW.shape[0])
-    if len(tiles) == 1:
-        return _drift_and_mult(spec, kind, with_coeffs(spec, draws, (kind,)), cutoff)
-    drift = np.empty(draws.dW.shape)
-    mult = np.empty(draws.dW.shape)
-    for tile in tiles:
-        drift[:, tile], mult[:, tile] = _drift_and_mult(
-            spec, kind, with_coeffs(spec, draws.columns(tile), (kind,)), cutoff)
-    return drift, mult
-
-
-def _drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws, cutoff: str):
-    """``drift_and_mult`` on draws that carry their node table."""
+    draws = with_coeffs(spec, draws, (kind,))
     prev, nxt = draws.coeffs.prev, draws.coeffs.next
     delta = draws.delta
     sqrt1m = _sqrt1m_rho2(spec)
@@ -401,16 +415,16 @@ def _drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws, cu
     return drift, mult
 
 
-def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray):
-    """CMT recursion over a batch of paths; returns (x, y) node arrays.
+def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, start=None):
+    """CMT recursion over a batch of paths from the nodes ``start`` = (x, y)
+    (x0 and y0 by default); returns (x, y) node arrays.
 
     Raises NumericalError if a node of x or y is not finite.
     """
     n_steps = dW.shape[0]
     x = np.empty((n_steps + 1,) + dW.shape[1:])
     y = np.empty_like(x)
-    x[0] = spec.x0
-    y[0] = spec.y0
+    x[0], y[0] = (spec.x0, spec.y0) if start is None else start
     for k in range(n_steps):
         x[k + 1], y[k + 1] = cmt_step(spec, x[k], y[k], delta, dW[k], dB[k])
     _check_finite(x, "CMT log-asset path")
@@ -418,12 +432,28 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray):
     return x, y
 
 
-def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray):
+def add_step_sums(drift: np.ndarray, mult: np.ndarray, drift_sum: np.ndarray,
+                  sq_sum: np.ndarray):
+    """Add each step's drift and squared multiplier into ``drift_sum`` and
+    ``sq_sum`` in place, a step at a time: numpy's order for an axis-0 sum
+    over two or more paths, here for any number of paths."""
+    for d, m in zip(drift, mult):
+        drift_sum += d
+        sq_sum += m**2
+
+
+def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
+    """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
+    sum at the first node (zero by default), is advanced in place to the last."""
     increments = drift + mult * dB
     x = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
-    x[0] = x0
+    if total is None:
+        total = np.zeros(increments.shape[1:])
+    x[0] = total
+    increments[0] += total
     np.cumsum(increments, axis=0, out=x[1:])
-    x[1:] += x0
+    total[...] = x[-1]
+    x += x0
     return x
 
 
@@ -461,19 +491,6 @@ def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
     if kind is SchemeKind.WEAK2:
         m, v = _weak2_accumulators(spec, draws)
     return GridPath(times=times, x=x, y=draws.y, m=m, v=v)
-
-
-def simulate_path(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
-                  rng: RngStream, cutoff: str = "floor") -> GridPath:
-    """Single-path convenience wrapper around simulate_paths."""
-    batch = simulate_paths(kind, spec, n_steps, rng, 1, cutoff)
-    return GridPath(
-        times=batch.times,
-        x=batch.x[:, 0],
-        y=batch.y[:, 0] if batch.y.ndim == 2 else batch.y,
-        m=None if batch.m is None else batch.m[:, 0],
-        v=None if batch.v is None else batch.v[:, 0],
-    )
 
 
 def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int | None = None):

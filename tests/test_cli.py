@@ -5,6 +5,7 @@ import pytest
 
 from svschemes import _parallel
 from svschemes.cli import main
+from svschemes.rng import RngStream
 
 SCOTT_CFG = {
     "model": "scott", "sigma0": 0.25, "kappa": 1.0, "theta": 0.0,
@@ -139,6 +140,17 @@ class TestPrice:
         payload = json.loads(out.read_text())
         assert payload["payoff"] == "lookback"
         assert 10.0 < payload["value"] < 40.0
+
+    def test_cmt_lookback_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before CMT was rejected")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        monkeypatch.setattr(RngStream, "uniform_open", no_draw)
+        rc = main(["price", "--scheme", "cmt", "--payoff", "lookback", "--steps", "64",
+                   "--paths", "100000", "--out", str(tmp_path / "price.json")])
+        assert rc == 2
+        assert "CMT" in capsys.readouterr().err
 
 
 class TestConfigErrors:

@@ -3,23 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from conftest import const_vol_ou_spec, scott_spec
+from conftest import const_vol_ou_spec, gbm_factor_spec, scott_spec
 
 from svschemes.coupling import (
     bridge_min,
+    cmt_coupling_from_draws,
     coupled_db_tilde,
     coupled_lookback_levels,
-    coupled_plain_paths,
-    coupled_terminal,
-    coupled_traj_paths,
+    coupling_start,
     lookback_db_mid,
+    lookback_payoffs_from_draws,
     lookback_single_level,
     plain_coarse_db,
+    plain_coupling_from_draws,
     terminal_coupling_from_draws,
+    traj_coupling_from_draws,
 )
 from svschemes.errors import InvalidParameterError
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind, draw_factor_paths, simulate_paths
+from svschemes.schemes import (
+    FactorDraws,
+    SchemeKind,
+    draw_brownian_increments,
+    draw_factor_paths,
+    simulate_paths,
+)
+
+
+def fine_draws(spec, kind, n_coarse, rng, npaths):
+    """Factor draws and B-increments of 2*n_coarse fine steps from the streams "y" and "b"."""
+    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
+    return fine, draw_brownian_increments(rng.child("b"), 2 * n_coarse, npaths, fine.delta)
+
+
+def terminal_pair(spec, kind, n_coarse, rng, npaths):
+    """Shared-G terminal coupling of 2*n_coarse fine steps from the streams "y" and "g"."""
+    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
+    return terminal_coupling_from_draws(spec, kind, fine, rng.child("g").normal(npaths))
 
 
 class TestCoarseIncrements:
@@ -79,18 +99,19 @@ class TestCoarseIncrements:
 class TestTrajCoupling:
     def test_shapes_and_grids(self):
         spec = scott_spec()
-        pair = coupled_traj_paths(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(1), 10)
+        pair = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1,
+                                        *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(1), 10))
         assert pair.x_fine.shape == (9, 10)
         assert pair.x_coarse.shape == (5, 10)
-        assert np.allclose(pair.times_fine[::2], pair.times_coarse)
         assert np.array_equal(pair.y_fine[::2], pair.y_coarse)
 
     def test_constant_multiplier_equals_plain(self):
         # constant f and rho=0 make every multiplier equal, so the
         # reweighted increment collapses to the plain sum
         spec = const_vol_ou_spec(rho=0.0)
-        a = coupled_traj_paths(spec, SchemeKind.EULER, 4, RngStream(2), 8)
-        b = coupled_plain_paths(spec, SchemeKind.EULER, 4, RngStream(2), 8)
+        draws = fine_draws(spec, SchemeKind.EULER, 4, RngStream(2), 8)
+        a = traj_coupling_from_draws(spec, SchemeKind.EULER, *draws)
+        b = plain_coupling_from_draws(spec, SchemeKind.EULER, *draws)
         assert np.allclose(a.x_coarse, b.x_coarse)
         assert np.array_equal(a.x_fine, b.x_fine)
 
@@ -98,7 +119,8 @@ class TestTrajCoupling:
         # the coupled coarse path has the same law as a fresh coarse path
         spec = scott_spec()
         n = 50_000
-        coupled = coupled_traj_paths(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(10), n)
+        coupled = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1,
+                                           *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(10), n))
         direct = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(11), n)
         a, b = coupled.x_coarse[-1], direct.x[-1]
         se_mean = math.sqrt(a.var() / n + b.var() / n)
@@ -110,19 +132,20 @@ class TestTrajCoupling:
         spec = scott_spec()
         errs = []
         for n_coarse in (4, 16):
-            pair = coupled_traj_paths(spec, SchemeKind.WEAKTRAJ1, n_coarse, RngStream(12), 20_000)
+            pair = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1, *fine_draws(
+                spec, SchemeKind.WEAKTRAJ1, n_coarse, RngStream(12), 20_000))
             errs.append(np.mean((pair.x_fine[-1] - pair.x_coarse[-1]) ** 2))
         assert errs[1] < errs[0]
 
     def test_cmt_routes_to_pathwise_coupling(self):
         spec = scott_spec()
-        pair = coupled_traj_paths(spec, SchemeKind.CMT, 2, RngStream(5), 6)
+        pair = cmt_coupling_from_draws(spec, *fine_draws(spec, SchemeKind.CMT, 2, RngStream(5), 6))
         assert pair.x_fine.shape == (5, 6)
         assert pair.x_coarse.shape == (3, 6)
 
     def test_needs_positive_steps(self):
         with pytest.raises(InvalidParameterError):
-            coupled_traj_paths(scott_spec(), SchemeKind.EULER, 0, RngStream(0), 1)
+            coupled_lookback_levels(scott_spec(), SchemeKind.EULER, 0, RngStream(0), 1)
 
 
 class TestTerminalCoupling:
@@ -131,12 +154,12 @@ class TestTerminalCoupling:
         # variance f^2 T, so the coupled difference vanishes exactly
         spec = const_vol_ou_spec(rho=0.0)
         for kind in (SchemeKind.EULER, SchemeKind.WEAK2):
-            t = coupled_terminal(spec, kind, 4, RngStream(6), 50)
+            t = terminal_pair(spec, kind, 4, RngStream(6), 50)
             assert np.allclose(t.x_fine, t.x_coarse, atol=1e-12), kind
 
     def test_shared_g(self):
         spec = scott_spec()
-        t = coupled_terminal(spec, SchemeKind.WEAK2, 4, RngStream(7), 1000)
+        t = terminal_pair(spec, SchemeKind.WEAK2, 4, RngStream(7), 1000)
         # both levels move together with the closing normal
         corr = np.corrcoef(t.x_fine, t.x_coarse)[0, 1]
         assert corr > 0.99
@@ -145,7 +168,7 @@ class TestTerminalCoupling:
         spec = scott_spec()
         errs = []
         for n_coarse in (2, 8, 32):
-            t = coupled_terminal(spec, SchemeKind.WEAK2, n_coarse, RngStream(8), 20_000)
+            t = terminal_pair(spec, SchemeKind.WEAK2, n_coarse, RngStream(8), 20_000)
             errs.append(np.mean((t.x_fine - t.x_coarse) ** 2))
         assert errs[0] > errs[1] > errs[2]
 
@@ -158,11 +181,68 @@ class TestTerminalCoupling:
     def test_marginal_law_matches_path_simulation(self):
         spec = scott_spec()
         n = 50_000
-        t = coupled_terminal(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(9), n)
+        t = terminal_pair(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(9), n)
         direct = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 8, RngStream(13), n)
         a, b = t.x_fine, direct.x[-1]
         se = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se
+
+
+def step_blocks(fine, *per_step, size=4):
+    """The draws and per-step arrays of steps k..k+size, for each block start k."""
+    for k in range(0, fine.dW.shape[0], size):
+        block = FactorDraws(fine.delta, fine.y[k:k + size + 1], fine.dW[k:k + size],
+                            fine.iW[k:k + size])
+        yield (block,) + tuple(a[k:k + size] for a in per_step)
+
+
+def joined(nodes):
+    """Node arrays of consecutive blocks joined at their shared nodes."""
+    return np.concatenate([nodes[0]] + [x[1:] for x in nodes[1:]]).tobytes()
+
+
+class TestStepBlocks:
+    """A kernel advanced block by block with its carry gives the whole-path bytes."""
+
+    SPECS = [(scott_spec(), SchemeKind.WEAKTRAJ1), (gbm_factor_spec(rho=-0.3), SchemeKind.WEAK2)]
+
+    @pytest.mark.parametrize("spec, kind", SPECS)
+    @pytest.mark.parametrize("name", ["plain", "traj", "cmt"])
+    def test_path_couplings(self, spec, kind, name):
+        coupling = {
+            "plain": lambda *args, **kw: plain_coupling_from_draws(spec, kind, *args, **kw),
+            "traj": lambda *args, **kw: traj_coupling_from_draws(spec, kind, *args, **kw),
+            "cmt": lambda *args, **kw: cmt_coupling_from_draws(spec, *args, **kw),
+        }[name]
+        fine, db = fine_draws(spec, kind, 6, RngStream(3), 9)
+        whole = coupling(fine, db)
+        carry = coupling_start(spec, SchemeKind.CMT if name == "cmt" else kind, 9)
+        parts = [coupling(block, db_k, carry=carry) for block, db_k in step_blocks(fine, db)]
+        assert joined([p.x_fine for p in parts]) == whole.x_fine.tobytes()
+        assert joined([p.x_coarse for p in parts]) == whole.x_coarse.tobytes()
+        assert joined([p.y_coarse for p in parts]) == whole.y_coarse.tobytes()
+
+    @pytest.mark.parametrize("spec, kind", SPECS)
+    def test_terminal_coupling(self, spec, kind):
+        fine, _ = fine_draws(spec, kind, 6, RngStream(4), 9)
+        g = RngStream(4).child("g").normal(9)
+        whole = terminal_coupling_from_draws(spec, kind, fine, g)
+        carry = coupling_start(spec, kind, 9)
+        for block, in step_blocks(fine):
+            part = terminal_coupling_from_draws(spec, kind, block, g, carry=carry)
+        assert part.x_fine.tobytes() == whole.x_fine.tobytes()
+        assert part.x_coarse.tobytes() == whole.x_coarse.tobytes()
+
+    @pytest.mark.parametrize("spec, kind", SPECS)
+    def test_lookback_payoffs(self, spec, kind):
+        fine, db = fine_draws(spec, kind, 6, RngStream(5), 9)
+        u = RngStream(5).child("u").uniform_open((12, 9))
+        whole = lookback_payoffs_from_draws(spec, kind, fine, db, u)
+        carry = coupling_start(spec, kind, 9, np.inf)
+        for block, db_k, u_k in step_blocks(fine, db, u):
+            part = lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry=carry)
+        assert part.fine.tobytes() == whole.fine.tobytes()
+        assert part.coarse.tobytes() == whole.coarse.tobytes()
 
 
 class TestBridgeMin:

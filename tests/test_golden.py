@@ -1,9 +1,11 @@
 """Golden bytes: small fixed-seed runs whose outputs must not move by a bit.
 
 The digests were taken before the model coefficients were read through
-a node table, so they pin the table, the path tiles and the parallel
-blocks to the arithmetic of plain per-call coefficient evaluation. Each
-run is repeated with tiles and blocks forced small.
+a node table, so they pin the table, the step blocks and the parallel
+blocks to the arithmetic of plain per-call coefficient evaluation; the
+CMT call, MLMC call and weak-refinement digests were taken before paths
+were streamed in step blocks. Each run is repeated with 2-step blocks
+and small parallel blocks.
 """
 
 import dataclasses
@@ -15,8 +17,15 @@ import pytest
 from conftest import gbm_factor_spec, scott_spec
 
 from svschemes import _parallel, schemes
-from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_conv, run_traj_conv
+from svschemes.analysis import (
+    ExperimentConfig,
+    run_strong_conv,
+    run_terminal_conv,
+    run_traj_conv,
+    weak_error_refinement,
+)
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
+from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import romano_touzi_call
 from svschemes.rng import RngStream
 from svschemes.schemes import SchemeKind, simulate_paths, weak2_terminal
@@ -73,6 +82,16 @@ CASES = {
                    ("0x1.9c178dfdf8c5ap+3", "0x1.e512ba4b7703ap-6")),
     "call-ou-improved": (lambda: call_bits(SchemeKind.OU_IMPROVED),
                          ("0x1.9c234502f0d66p+3", "0x1.e5582e32843a6p-6")),
+    "call-cmt": (lambda: call_bits(SchemeKind.CMT),
+                 ("0x1.9fff23c230319p+3", "0x1.7e9cc66fc6b24p-2")),
+    "mlmc-call-level3": (
+        lambda: digest(call_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1, 100.0)(
+            3, RngStream(30), 500)),
+        "b2683d707effeeee"),
+    "weak-refine": (
+        lambda: rows_digest(weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2, 4), 16,
+                                                  100.0, RngStream(31), 600, chunk_paths=400)),
+        "a9dd2a01:30ba2fe4adea31fc"),
     "weak2-paths": (weak2_path_digest, "3357379efa9b9859"),
     "weak2-terminal": (lambda: digest(*weak2_terminal(scott_spec(), 8, RngStream(29), 300)),
                        "b18e5a1ba317ff43"),
@@ -93,7 +112,7 @@ for kind, single, levels in [
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_bytes(monkeypatch, name, small):
     if small:
-        monkeypatch.setattr(schemes, "TILE_VALUES", 40)
+        monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: multiple)
         monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
         monkeypatch.setattr(_parallel, "WORKERS", 3)
     run, expected = CASES[name]

@@ -10,13 +10,24 @@ from svschemes.mlmc import (
     LevelStats,
     MlmcConfig,
     call_level_sampler,
-    level_variance_probe,
     lookback_level_sampler,
     mlmc_estimate,
 )
-from svschemes.pricing import bs_call, romano_touzi_call
+from svschemes.pricing import bs_call, chunk_sizes, romano_touzi_call
 from svschemes.rng import RngStream
 from svschemes.schemes import SchemeKind
+
+
+def level_stats(sampler, config, rng, levels):
+    """Mean and variance of the corrections at each level, from the
+    streams of ``mlmc_estimate``'s batches of the initial samples."""
+    out = []
+    for level in levels:
+        stats = LevelStats(level=level)
+        for batch, size in enumerate(chunk_sizes(config.initial_samples, config.batch_paths)):
+            stats.add(sampler(level, rng.child("level", level, "batch", batch), size))
+        out.append(stats)
+    return out
 
 
 class TestConfig:
@@ -121,7 +132,7 @@ class TestCallSampler:
         spec = scott_spec()
         sampler = call_level_sampler(spec, SchemeKind.WEAKTRAJ1, 100.0)
         cfg = MlmcConfig(epsilon=0.1, max_level=6, initial_samples=40_000)
-        stats = level_variance_probe(sampler, cfg, RngStream(8), [0, 1, 2, 3])
+        stats = level_stats(sampler, cfg, RngStream(8), [0, 1, 2, 3])
         telescoped = sum(s.mean for s in stats)
         direct = romano_touzi_call(spec, SchemeKind.WEAKTRAJ1, 16, 100.0, RngStream(9), 200_000)
         se = math.sqrt(sum(s.variance / s.n for s in stats) + direct.stderr**2)
@@ -131,7 +142,7 @@ class TestCallSampler:
         spec = scott_spec()
         sampler = call_level_sampler(spec, SchemeKind.WEAKTRAJ1, 100.0)
         cfg = MlmcConfig(epsilon=0.1, max_level=8, initial_samples=20_000)
-        stats = level_variance_probe(sampler, cfg, RngStream(10), [1, 3, 5])
+        stats = level_stats(sampler, cfg, RngStream(10), [1, 3, 5])
         assert stats[0].variance > stats[1].variance > stats[2].variance
         # terminal coupling of the first-order weak scheme: V_l = O(2^-2l)
         slope = (math.log2(stats[2].variance) - math.log2(stats[0].variance)) / 4.0
@@ -161,7 +172,7 @@ class TestLookbackSampler:
         spec = scott_spec()
         sampler = lookback_level_sampler(spec, SchemeKind.WEAKTRAJ1)
         cfg = MlmcConfig(epsilon=0.1, max_level=8, initial_samples=20_000)
-        stats = level_variance_probe(sampler, cfg, RngStream(13), [1, 3, 5])
+        stats = level_stats(sampler, cfg, RngStream(13), [1, 3, 5])
         assert stats[0].variance > stats[1].variance > stats[2].variance
 
     def test_estimate_runs(self):

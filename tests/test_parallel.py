@@ -13,12 +13,16 @@ from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_c
 from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import romano_touzi_call
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind, path_tiles
+from svschemes.schemes import SchemeKind
 
 # Small enough that the small inputs below are split into several blocks.
 SMALL_BLOCK = 64
-# Small enough that each block of the convergence tests holds several tiles.
-SMALL_TILE = 40
+
+
+def two_step_blocks(monkeypatch):
+    """Step blocks of two steps (or the coarsening factor), cut into blocks of 200 values."""
+    monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: multiple)
+    monkeypatch.setattr(_parallel, "BLOCK_VALUES", 200)
 
 
 def across_workers(monkeypatch, compute, min_block=SMALL_BLOCK):
@@ -65,11 +69,21 @@ class TestMapBlocks:
         assert [cols for cols, _ in blocks] == [slice(0, n // 2), slice(n // 2, n)]
         assert all(name.startswith("svschemes") for _, name in blocks)
 
-    def test_blocks_hold_two_paths(self, monkeypatch):
+    def test_blocks_may_hold_one_path(self, monkeypatch):
+        # per-path sums add one step at a time, so a one-path block gives
+        # the bytes of the same path in a wider one
         monkeypatch.setattr(_parallel, "WORKERS", 3)
         blocks = _parallel.map_blocks(lambda cols: cols, 5, rows=_parallel.MIN_BLOCK)
-        assert blocks == [slice(0, 2), slice(2, 5)]
+        assert blocks == [slice(0, 1), slice(1, 3), slice(3, 5)]
 
+    def test_wide_work_cut_into_cache_sized_blocks(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 1)
+        here = threading.current_thread().name
+        rows = _parallel.BLOCK_VALUES // 4  # ten paths hold 2.5 blocks of values
+        blocks = _parallel.map_blocks(lambda cols: (cols, threading.current_thread().name),
+                                      10, rows=rows)
+        assert [cols for cols, _ in blocks] == [slice(0, 3), slice(3, 6), slice(6, 10)]
+        assert all(name == here for _, name in blocks)
 
     def test_nested_call_runs_inline(self, monkeypatch):
         monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
@@ -112,20 +126,6 @@ class TestMapBlocks:
         assert sorted(finished) == [0, 66, 133]
 
 
-class TestPathTiles:
-    @pytest.mark.parametrize("n_steps", [1, 4, 100, 10_000])
-    def test_tiles_cover_evenly_with_two_paths(self, monkeypatch, n_steps):
-        monkeypatch.setattr(schemes, "TILE_VALUES", 1000)
-        cols = slice(7, 1007)
-        tiles = path_tiles(cols, n_steps)
-        assert tiles[0].start == 7 and tiles[-1].stop == 1007
-        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-        widths = [t.stop - t.start for t in tiles]
-        assert min(widths) >= max(2, 1000 // n_steps) and max(widths) - min(widths) <= 1
-
-    def test_one_path_stays_one_tile(self):
-        assert path_tiles(slice(3, 4), 8) == [slice(3, 4)]
-
 class TestWorkerCountInvariance:
     def test_normal_array_path(self, monkeypatch):
         results = across_workers(monkeypatch, lambda: RngStream(11, "n").normal((5, 3, 301)))
@@ -155,7 +155,7 @@ class TestWorkerCountInvariance:
         config = ExperimentConfig(n_ladder=(2, 4), npaths=500, chunk_paths=300)
         spec = scott_spec()
         whole = run(spec, config, RngStream(15))
-        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
+        two_step_blocks(monkeypatch)
         results = across_workers(monkeypatch, lambda: run(spec, config, RngStream(15)))
         assert results == [whole] * 3
         assert any(r.scheme == "cmt" for r in whole) == (run is not run_traj_conv)
@@ -165,15 +165,17 @@ class TestWorkerCountInvariance:
                                   kinds=(SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.EULER))
         spec = gbm_factor_spec(rho=-0.3)
         whole = run_strong_conv(spec, config, RngStream(16))
-        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
+        two_step_blocks(monkeypatch)
         results = across_workers(monkeypatch, lambda: run_strong_conv(spec, config, RngStream(16)))
         assert results == [whole] * 3
 
-    def test_small_tiles_split_every_block(self, monkeypatch):
-        # the convergence tests above: blocks of 100 to 400 paths, 4 or 8 fine steps
-        monkeypatch.setattr(schemes, "TILE_VALUES", SMALL_TILE)
-        for n_steps in (4, 8):
-            assert len(path_tiles(slice(0, 100), n_steps)) >= 10
+    def test_small_blocks_split_every_cell(self, monkeypatch):
+        # the convergence tests above: cells of 200 to 400 paths, 4 or 8
+        # fine steps, so each cell runs in two or more step blocks, and
+        # each step block in two or more blocks of paths
+        two_step_blocks(monkeypatch)
+        assert schemes.block_steps(300) == 2
+        assert len(_parallel.map_blocks(lambda cols: cols, 200, rows=2)) == 2
 
     @pytest.mark.parametrize("level", [0, 2])
     def test_mlmc_call_sampler(self, monkeypatch, level):

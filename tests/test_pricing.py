@@ -11,13 +11,14 @@ from svschemes.pricing import (
     _mc_estimate,
     bs_call,
     call_payoff,
+    call_values_from_draws,
     conditional_call_values,
     discounted_call_payoff,
     plain_call,
     romano_touzi_call,
 )
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind
+from svschemes.schemes import SchemeKind, draw_factor_paths
 
 
 class TestBsCall:
@@ -80,7 +81,6 @@ class TestPayoffs:
 class TestPriceEstimate:
     def test_ci_and_halfwidth(self):
         est = PriceEstimate(value=10.0, stderr=0.5, npaths=100)
-        assert est.halfwidth95 == pytest.approx(0.98)
         lo, hi = est.ci()
         assert lo == pytest.approx(10.0 - 0.98)
         assert hi == pytest.approx(10.0 + 0.98)
@@ -124,6 +124,18 @@ class TestConditionalValues:
         vals = conditional_call_values(scott_spec(), SchemeKind.WEAKTRAJ1, 8, 100.0,
                                        RngStream(2), 5000)
         assert np.all(vals >= 0.0)
+
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAK2, SchemeKind.WEAKTRAJ1])
+    def test_path_alone_equals_path_in_batch(self, kind):
+        # a chunk or parallel block may hold a single path: its value must
+        # be the bytes it has among other paths (numpy sums one column of
+        # eight or more steps pairwise, but several columns row by row)
+        spec = scott_spec()
+        draws = draw_factor_paths(spec, kind, 8, RngStream(42, "y"), 64)
+        batch = call_values_from_draws(spec, kind, [draws], 100.0)[0]
+        for j in range(64):
+            alone = call_values_from_draws(spec, kind, [draws.columns(slice(j, j + 1))], 100.0)[0]
+            assert alone.tobytes() == batch[j:j + 1].tobytes(), j
 
 
 class TestRomanoTouzi:

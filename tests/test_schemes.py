@@ -7,22 +7,23 @@ from scipy import stats
 
 from conftest import const_vol_ou_spec, gbm_factor_spec, scott_spec
 
-from svschemes import _parallel
+from svschemes import _parallel, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import OUParams, make_spec
 from svschemes.rng import RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
     FactorDraws,
     SchemeKind,
+    block_steps,
     cmt_step,
     coarsen_factor_draws,
     cutoff_radicand,
     draw_brownian_increments,
     draw_factor_paths,
     drift_and_mult,
+    factor_blocks,
     milstein_step_y,
     nv_step_y,
-    simulate_path,
     simulate_paths,
     weak2_terminal,
 )
@@ -389,6 +390,37 @@ class TestFactorDraws:
             draw_brownian_increments(RngStream(4), 4, 10, 0.0)
 
 
+class TestStepBlocks:
+    def test_block_steps(self):
+        assert block_steps(2000) == 64
+        assert block_steps(10_000) == 12
+        assert block_steps(250_000) == schemes.MIN_STEPS
+        assert block_steps(250_000, 16) == 16
+        assert block_steps(10_000, 8) == 8
+
+    @pytest.mark.parametrize("spec, kind", [(scott_spec(), SchemeKind.WEAKTRAJ1),
+                                            (gbm_factor_spec(), SchemeKind.WEAK2),
+                                            (gbm_factor_spec(), SchemeKind.EULER)])
+    def test_blocks_are_one_draw(self, monkeypatch, spec, kind):
+        # 11 steps in blocks of 4: two full blocks and a block of 3
+        monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: 4)
+        whole = draw_factor_paths(spec, kind, 11, RngStream(5, "y"), 7)
+        blocks = list(factor_blocks(spec, kind, 11, RngStream(5, "y"), 7))
+        assert [b.dW.shape[0] for b in blocks] == [4, 4, 3]
+        assert all(b.delta == whole.delta for b in blocks)
+        for name in ("dW", "iW"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+        joined = np.concatenate([blocks[0].y] + [b.y[1:] for b in blocks[1:]])
+        assert joined.tobytes() == whole.y.tobytes()
+
+    def test_blocks_validate_before_drawing(self):
+        with pytest.raises(InvalidParameterError, match="at least one path"):
+            factor_blocks(scott_spec(), SchemeKind.EULER, 4, RngStream(0), 0)
+        with pytest.raises(InvalidParameterError, match="at least one step"):
+            factor_blocks(scott_spec(), SchemeKind.EULER, 0, RngStream(0), 5)
+
+
 def assert_stepwise(spec, kind, draws):
     """Each step k of ``draws`` gives the bytes of drift_and_mult on step k alone."""
     drift, mult = drift_and_mult(spec, kind, draws)
@@ -437,10 +469,11 @@ class TestSimulatePath:
 
     def test_single_path_squeeze(self):
         spec = scott_spec()
-        path = simulate_path(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(6))
-        assert path.x.shape == (5,)
-        assert path.y.shape == (5,)
-        assert path.x[0] == pytest.approx(spec.x0)
+        path = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(6), 1)
+        x, y = path.x[:, 0], path.y[:, 0]
+        assert x.shape == (5,)
+        assert y.shape == (5,)
+        assert x[0] == pytest.approx(spec.x0)
         assert np.allclose(path.times, np.linspace(0.0, 1.0, 5))
 
     def test_weak2_accumulators_populated(self):
@@ -454,7 +487,7 @@ class TestSimulatePath:
     def test_n1_equals_direct_step(self):
         spec = scott_spec()
         rng = RngStream(21)
-        path = simulate_path(SchemeKind.WEAKTRAJ1, spec, 1, rng)
+        path = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 1, rng, 1)
         draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 1, RngStream(21).child("y"), 1)
         db = draw_brownian_increments(RngStream(21).child("b"), 1, 1, 1.0)[0, 0]
         y0, y1, iw = draws.y[0, 0], draws.y[1, 0], draws.iW[0, 0]
@@ -466,7 +499,7 @@ class TestSimulatePath:
             + 1.0 * spec.h(y0)
             + math.sqrt(1 - spec.rho**2) * math.sqrt(rad) * db
         )
-        assert path.x[1] == pytest.approx(expect, rel=1e-14)
+        assert path.x[1, 0] == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("kind", [
         SchemeKind.EULER, SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED,
