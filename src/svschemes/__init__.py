@@ -12,7 +12,6 @@ from .models import (
     OUParams,
     ScottParams,
     VolModelSpec,
-    make_spec,
     benchmark_scott_params,
     scott_model,
     spec_from_config,
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "ConfigError", "FlowDomainError", "InvalidParameterError",
     "NumericalError", "SvSchemesError",
-    "OUParams", "ScottParams", "VolModelSpec", "make_spec", "benchmark_scott_params",
+    "OUParams", "ScottParams", "VolModelSpec", "benchmark_scott_params",
     "scott_model", "spec_from_config", "validate_spec",
     "RngStream",
     "GridPath", "SchemeKind", "simulate_paths", "weak2_terminal",

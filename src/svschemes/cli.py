@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import (
@@ -40,6 +41,13 @@ def _add_common(parser: argparse.ArgumentParser, paths: bool = True):
                         help="variance cutoff of the weak-trajectorial radicand")
 
 
+def _strike(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"strike must be finite and nonnegative, got {text}")
+    return value
+
+
 def _add_ladder(parser: argparse.ArgumentParser):
     parser.add_argument("--steps", type=int, default=256,
                         help="largest coarse step count of the ladder 2, 4, ..., steps")
@@ -64,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weak-call", help="conditioning-based call prices across step counts")
     _add_common(p)
     _add_ladder(p)
-    p.add_argument("--strike", type=float, default=100.0)
+    p.add_argument("--strike", type=_strike, default=100.0)
 
     p = sub.add_parser("mlmc", help="multilevel estimate and cost for one scheme")
     _add_common(p, paths=False)
     p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="weaktraj1")
     p.add_argument("--payoff", choices=["call", "lookback"], default="call")
     p.add_argument("--epsilon", type=float, default=0.04, help="target RMS accuracy")
-    p.add_argument("--strike", type=float, default=100.0)
+    p.add_argument("--strike", type=_strike, default=100.0)
     p.add_argument("--max-level", type=int, default=10)
     p.add_argument("--probe-samples", type=int, default=10_000,
                    help="initial samples per level before the allocation step")
@@ -81,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="weaktraj1")
     p.add_argument("--payoff", choices=["call", "lookback"], default="call")
     p.add_argument("--steps", type=int, default=64, help="number of time steps")
-    p.add_argument("--strike", type=float, default=100.0)
+    p.add_argument("--strike", type=_strike, default=100.0)
 
     return parser
 

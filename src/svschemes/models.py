@@ -5,20 +5,15 @@ A model is described by the asset dynamics
     dS = r S dt + f(Y) S (rho dW + sqrt(1-rho^2) dB)
     dY = b(Y) dt + sigma(Y) dW
 
-together with the derived functions used by the discretization schemes:
-the primitive F of f/sigma (anchored at 0), the transformed drift
+A ``VolModelSpec`` holds the model's own functions, every derivative
+supplied analytically (the schemes need them exactly, and every model
+of interest is closed-form); F, the primitive of f/sigma anchored at 0,
+defaults to cached adaptive quadrature. The schemes read coefficients at
+the nodes of a factor draw through a ``NodeCoeffs`` table, which
+evaluates each once per draw and is the one place that derives h,
+psi = f^2, psi', psi'' and the band cap psi_hat (``_DERIVED``), with
 
-    h(y) = r - f(y)^2/2 - rho*(b*f/sigma + (sigma*f' - f*sigma')/2)(y)
-
-and psi = f^2 with its lower bound and the capped bound psi_hat.
-
-All derivatives are supplied analytically by the model builder; the
-schemes need them exactly and every model of interest is closed-form.
-When F has no closed form it is evaluated by cached adaptive quadrature
-of f/sigma.
-
-The schemes read these functions at the nodes of a factor draw through
-a ``NodeCoeffs`` table, which evaluates each coefficient once per draw.
+    h(y) = r - f(y)^2/2 - rho*(b*f/sigma + (sigma*f' - f*sigma')/2)(y).
 """
 
 from __future__ import annotations
@@ -86,6 +81,26 @@ class ScottParams:
         return OUParams(self.kappa, self.theta, self.nu, self.y0)
 
 
+# Coefficients derived from the model's own functions, each written once.
+# An entry reads other entries on the same nodes through ``get``; each
+# keeps the operation order of evaluating the functions per call.
+_DERIVED = {
+    "psi": lambda spec, get: get("f") ** 2,
+    "psi1": lambda spec, get: 2.0 * get("f") * get("f1"),
+    "psi2": lambda spec, get: 2.0 * (get("f1") ** 2 + get("f") * get("f2")),
+    "psi_hat": lambda spec, get: (
+        1.5 * get("f") ** 2 if spec.psi_upper is None
+        else spec.psi_upper + 0.0 * np.asarray(get("y"), dtype=float)
+    ),
+    "h": lambda spec, get: (
+        spec.r - 0.5 * get("f") ** 2 - spec.rho * (
+            get("b") * get("f") / get("sigma")
+            + 0.5 * (get("sigma") * get("f1") - get("f") * get("sigma1"))
+        )
+    ),
+}
+
+
 class NodeCoeffs:
     """Model coefficients at the nodes y (shape (N+1, ...)) of one factor draw.
 
@@ -94,7 +109,8 @@ class NodeCoeffs:
     on all N+1 nodes, and ``prev``, ``next`` and ``all`` are slices of
     it; any other coefficient is evaluated on the left nodes y[:-1]
     only, which is all that ``prev`` needs. Values are elementwise, so
-    they are the same bytes as the spec's function applied to the slice.
+    they are the same bytes as evaluating on the slice. A coefficient
+    is a ``_DERIVED`` formula or, failing that, the spec's function.
     """
 
     def __init__(self, spec: VolModelSpec, y: np.ndarray, both_ends=frozenset()):
@@ -128,44 +144,46 @@ class NodeCoeffs:
 
     def even_nodes(self) -> _EvenNodes:
         """A table with the same reads over y[::2], taking its values from this one."""
-        return _EvenNodes(self)
+        return _EvenNodes(self, 2)
 
     def _eval(self, name: str, get) -> np.ndarray:
         """``name`` on the nodes ``get("y")``; ``get`` reads other entries there."""
-        return getattr(self.spec, name)(get("y"))
+        formula = _DERIVED.get(name)
+        if formula is None:
+            return getattr(self.spec, name)(get("y"))
+        return formula(self.spec, get)
 
 
 class _EvenNodes:
-    """Node table of the coarse grid y[::2], read from the fine grid's table."""
+    """Node table of the coarse grid y[::stride], read from the fine grid's table."""
 
-    def __init__(self, fine: NodeCoeffs):
+    def __init__(self, fine: NodeCoeffs, stride: int):
         self.fine = fine
+        self.stride = stride
 
     def all(self, name: str) -> np.ndarray:
-        return self.fine.all(name)[::2]
+        return self.fine.all(name)[::self.stride]
 
     def prev(self, name: str) -> np.ndarray:
-        # the coarse left nodes are the even fine left nodes
-        return self.fine.prev(name)[::2]
+        # the coarse left nodes are every stride-th fine left node
+        return self.fine.prev(name)[::self.stride]
 
     def next(self, name: str) -> np.ndarray:
         return self.all(name)[1:]
 
+    def even_nodes(self) -> _EvenNodes:
+        return _EvenNodes(self.fine, 2 * self.stride)
+
 
 # Scott coefficients from one exp(y) and one expm1(y) per node; the
-# spec's f, F, h, h1 and h2 evaluate these formulas too (scott_model).
-# psi, psi1, psi2 and psi_hat keep the operation order of the closures
-# in make_spec, so values are the same bytes as calling the spec.
+# spec's f, F, h1 and h2 evaluate these formulas too (scott_model), and
+# h is the closed form. Every other derived entry is the generic one.
 _SCOTT_FORMULAS = {
     "exp": lambda p, get: np.exp(get("y")),
     "F": lambda p, get: p.sigma0 * np.expm1(get("y")) / p.nu,
     "f": lambda p, get: p.sigma0 * get("exp"),
     "f1": lambda p, get: get("f"),  # f1 = f2 = f
     "f2": lambda p, get: get("f"),
-    "psi": lambda p, get: get("f") ** 2,
-    "psi1": lambda p, get: 2.0 * get("f") * get("f"),
-    "psi2": lambda p, get: 2.0 * (get("f") ** 2 + get("f") * get("f")),
-    "psi_hat": lambda p, get: 1.5 * get("f") ** 2,
     "h": lambda p, get: (
         p.r - 0.5 * p.sigma0**2 * get("exp") ** 2
         - p.rho * p.sigma0 * get("exp") * (p.kappa * (p.theta - get("y")) / p.nu + p.nu / 2)
@@ -184,15 +202,10 @@ _SCOTT_FORMULAS = {
 
 
 class _ScottCoeffs(NodeCoeffs):
-    """Scott-model node table; coefficients without a formula call the spec."""
+    """Scott-model node table; coefficients without a Scott formula are generic."""
 
     def __init__(self, params: ScottParams, spec: VolModelSpec, y: np.ndarray,
                  both_ends=frozenset()):
-        both_ends = frozenset(both_ends)
-        if both_ends - {"F"}:
-            # every coefficient but F is built on exp and f: evaluate those
-            # on all nodes too, rather than once on y[:-1] and again on y
-            both_ends |= {"exp", "f"}
         super().__init__(spec, y, both_ends)
         self.params = params
 
@@ -203,20 +216,22 @@ class _ScottCoeffs(NodeCoeffs):
         return formula(self.params, get)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VolModelSpec:
-    """Immutable model specification consumed by the schemes.
+    """Immutable model specification: the model's own functions.
 
-    All callables accept scalars or numpy arrays. ``ou`` is set when the
-    factor is an OU process, which unlocks exact factor simulation.
-    ``node_table(spec, y, both_ends)`` builds the ``NodeCoeffs`` table the
-    schemes read the coefficients from; a spec whose functions share work
-    (Scott) supplies its own, and one that replaces a function of such a
-    spec must replace the table as well.
-    ``flow_drift(y, t)`` and ``flow_vol(y, s)`` are the closed-form ODE
-    flows of V0 = b - sigma*sigma'/2 and V = sigma used by the
-    Ninomiya-Victoir step; they may be None for OU-backed specs (never
-    needed) or derived from a zeta-primitive via ``vol_flow_from_zeta``.
+    All callables accept scalars or numpy arrays. The coefficients derived
+    from them (h, psi, psi', psi'', psi_hat) are read through the table
+    ``node_table(spec, y, both_ends)``, a ``NodeCoeffs`` unless the model
+    supplies its own (Scott); a spec that replaces a function of such a
+    model must replace the table too. The keyword-only constructor checks
+    s0, T and rho and defaults F to the quadrature primitive of f/sigma.
+    ``psi_lower`` floors the variance radicand; a finite ``psi_upper``
+    replaces the band cap 1.5*f^2. h1 and h2 (h' and h'') serve the
+    ou-improved scheme. ``ou`` is set for an OU factor, which unlocks exact
+    factor simulation. ``flow_drift(y, t)`` and ``flow_vol(y, s)`` are the
+    ODE flows of V0 = b - sigma*sigma'/2 and V = sigma for the
+    Ninomiya-Victoir step of a generic factor (see ``vol_flow_from_zeta``).
     """
 
     r: float
@@ -230,19 +245,26 @@ class VolModelSpec:
     b: Fn
     sigma: Fn
     sigma1: Fn
-    F: Fn
-    h: Fn
-    psi: Fn
-    psi1: Fn
-    psi2: Fn
-    psi_lower: float
-    psi_hat: Fn
+    F: Fn | None = None
     h1: Fn | None = None
     h2: Fn | None = None
+    psi_lower: float = 0.0
+    psi_upper: float | None = None
     ou: OUParams | None = None
     node_table: Callable[..., NodeCoeffs] = NodeCoeffs
     flow_drift: Callable[[float | np.ndarray, float], float | np.ndarray] | None = None
     flow_vol: Callable[[float | np.ndarray, float | np.ndarray], float | np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not self.s0 > 0:
+            raise InvalidParameterError(f"s0 must be positive, got {self.s0}")
+        if not self.T > 0:
+            raise InvalidParameterError(f"T must be positive, got {self.T}")
+        if not -1.0 <= self.rho <= 1.0:
+            raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        if self.F is None:
+            f, sigma = self.f, self.sigma
+            object.__setattr__(self, "F", QuadPrimitive(lambda y: f(y) / sigma(y)))
 
     @property
     def x0(self) -> float:
@@ -316,91 +338,6 @@ class QuadPrimitive:
         return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
-def derive_h(spec: VolModelSpec, y):
-    """Transformed drift h built from the raw model coefficients."""
-    sig = spec.sigma(y)
-    return (
-        spec.r
-        - 0.5 * spec.f(y) ** 2
-        - spec.rho
-        * (spec.b(y) * spec.f(y) / sig + 0.5 * (sig * spec.f1(y) - spec.f(y) * spec.sigma1(y)))
-    )
-
-
-def make_spec(
-    *,
-    r: float,
-    s0: float,
-    y0: float,
-    T: float,
-    rho: float,
-    f: Fn,
-    f1: Fn,
-    f2: Fn,
-    b: Fn,
-    sigma: Fn,
-    sigma1: Fn,
-    F: Fn | None = None,
-    h: Fn | None = None,
-    h1: Fn | None = None,
-    h2: Fn | None = None,
-    psi_lower: float | None = None,
-    psi_upper: float | None = None,
-    ou: OUParams | None = None,
-    node_table: Callable[..., NodeCoeffs] = NodeCoeffs,
-    flow_drift=None,
-    flow_vol=None,
-) -> VolModelSpec:
-    """Assemble a VolModelSpec, deriving psi, h, F and psi_hat as needed.
-
-    ``psi_lower`` defaults to 0; ``psi_upper`` finite makes psi_hat that
-    constant, otherwise psi_hat(y) = 1.5*f(y)^2.
-    """
-    if not s0 > 0:
-        raise InvalidParameterError(f"s0 must be positive, got {s0}")
-    if not T > 0:
-        raise InvalidParameterError(f"T must be positive, got {T}")
-    if not -1.0 <= rho <= 1.0:
-        raise InvalidParameterError(f"rho must lie in [-1, 1], got {rho}")
-
-    def psi(y):
-        return f(y) ** 2
-
-    def psi1(y):
-        return 2.0 * f(y) * f1(y)
-
-    def psi2(y):
-        return 2.0 * (f1(y) ** 2 + f(y) * f2(y))
-
-    if F is None:
-        F = QuadPrimitive(lambda y: f(y) / sigma(y))
-
-    if h is None:
-        def h(y):
-            sig = sigma(y)
-            return r - 0.5 * f(y) ** 2 - rho * (
-                b(y) * f(y) / sig + 0.5 * (sig * f1(y) - f(y) * sigma1(y))
-            )
-
-    if psi_upper is None:
-        def psi_hat(y):
-            return 1.5 * f(y) ** 2
-    else:
-        def psi_hat(y):
-            return psi_upper + 0.0 * np.asarray(y, dtype=float)
-
-    return VolModelSpec(
-        r=r, s0=s0, y0=y0, T=T, rho=rho,
-        f=f, f1=f1, f2=f2, b=b, sigma=sigma, sigma1=sigma1,
-        F=F, h=h,
-        psi=psi, psi1=psi1, psi2=psi2,
-        psi_lower=0.0 if psi_lower is None else psi_lower,
-        psi_hat=psi_hat,
-        h1=h1, h2=h2, ou=ou, node_table=node_table,
-        flow_drift=flow_drift, flow_vol=flow_vol,
-    )
-
-
 def vol_flow_from_zeta(zeta: Fn, zeta_inv: Fn):
     """Flow of the ODE eta' = V(eta) from a primitive zeta of 1/V.
 
@@ -415,9 +352,9 @@ def vol_flow_from_zeta(zeta: Fn, zeta_inv: Fn):
 
 
 def scott_model(params: ScottParams) -> VolModelSpec:
-    """Scott model spec with every derived function in closed form.
+    """Scott model spec with every function in closed form.
 
-    f, F, h, h' and h'' are the node-table formulas, evaluated on y.
+    f, F, h' and h'' are the node-table formulas, evaluated on y.
     """
     kap, th, nu = params.kappa, params.theta, params.nu
 
@@ -425,45 +362,40 @@ def scott_model(params: ScottParams) -> VolModelSpec:
         return lambda y: _ScottCoeffs(params, None, y).all(name)
 
     f = formula("f")
-    return make_spec(
+    return VolModelSpec(
         r=params.r, s0=params.s0, y0=params.y0, T=params.T, rho=params.rho,
         f=f, f1=f, f2=f,
         b=lambda y: kap * (th - y),
         sigma=lambda y: nu + 0.0 * np.asarray(y, dtype=float),
         sigma1=lambda y: 0.0 * np.asarray(y, dtype=float),
-        F=formula("F"), h=formula("h"), h1=formula("h1"), h2=formula("h2"),
-        psi_lower=0.0, psi_upper=None,
+        F=formula("F"), h1=formula("h1"), h2=formula("h2"),
         ou=params.ou, node_table=functools.partial(_ScottCoeffs, params),
-        flow_drift=lambda y, t: th + (y - th) * np.exp(-kap * t),
-        flow_vol=lambda y, s: y + nu * s,
     )
 
 
 def validate_spec(spec: VolModelSpec, probe_points: Sequence[float]) -> ValidationReport:
-    """Spot-check the derived-function identities at the probe points."""
+    """Spot-check the spec's node table against its functions at the probe points."""
     if len(probe_points) == 0:
         raise InvalidParameterError("probe_points must be nonempty")
     report = ValidationReport()
-    if not -1.0 <= spec.rho <= 1.0:
-        report.failures.append(f"rho out of range: {spec.rho}")
     eps = 1e-5
     for y in probe_points:
-        sig = float(spec.sigma(y))
+        table = spec.node_table(spec, y)
+        sig = float(table.all("sigma"))
         if not sig > 0:
             report.failures.append(f"sigma not positive at y={y}: {sig}")
             continue
-        target = float(spec.f(y)) / sig
+        target = float(table.all("f")) / sig
         fd = (float(spec.F(y + eps)) - float(spec.F(y - eps))) / (2 * eps)
         if abs(fd - target) > 1e-5 * (1.0 + abs(target)):
             report.failures.append(f"F inconsistent with f/sigma at y={y}: {fd} vs {target}")
-        if abs(float(spec.h(y)) - float(derive_h(spec, y))) > 1e-8 * (1.0 + abs(float(spec.h(y)))):
+        h = float(table.all("h"))
+        if abs(h - float(NodeCoeffs(spec, y).all("h"))) > 1e-8 * (1.0 + abs(h)):
             report.failures.append(f"h inconsistent with components at y={y}")
-        psi_val = float(spec.psi(y))
-        if abs(psi_val - float(spec.f(y)) ** 2) > 1e-10 * (1.0 + psi_val):
-            report.failures.append(f"psi differs from f^2 at y={y}")
+        psi_val = float(table.all("psi"))
         if spec.psi_lower > psi_val + 1e-12:
             report.failures.append(f"psi_lower exceeds psi at y={y}")
-        if float(spec.psi_hat(y)) < psi_val - 1e-12:
+        if float(table.all("psi_hat")) < psi_val - 1e-12:
             report.failures.append(f"psi_hat below psi at y={y}")
     return report
 

@@ -33,6 +33,7 @@ from .schemes import (
     drift_and_mult,
     factor_blocks,
     simulate_paths,
+    with_coeffs,
 )
 
 
@@ -92,7 +93,8 @@ def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, blocks, strike:
 
     ``blocks`` are the step blocks of one factor draw (``factor_blocks``);
     ``levels`` lists the grids priced, j for the j-th halving of the
-    draws' grid. Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V)
+    draws' grid; the halvings of an OU-backed spec read the node table of
+    the draws' grid. Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V)
     the accumulated drift and conditional variance of the scheme, so the
     spread across paths carries only the factor-side noise.
     """
@@ -105,7 +107,7 @@ def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, blocks, strike:
             sums[:, 2] = spec.y0
 
         def block(cols):
-            draws = fine.columns(cols)
+            draws = with_coeffs(spec, fine.columns(cols), (kind,))
             for j, level in enumerate(sums[:, :, cols]):
                 if j:
                     draws = coarsen_factor_draws(spec, kind, draws, level[2])

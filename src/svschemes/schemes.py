@@ -146,11 +146,12 @@ def cutoff_radicand(spec: VolModelSpec, y, correction, cutoff: str = "floor"):
     first caps at psi_hat(y), then floors, matching the left-to-right
     reading of the band cutoff.
     """
-    return _cutoff(spec, spec.psi(y) + correction, lambda: spec.psi_hat(y), cutoff)
+    coeffs = spec.node_table(spec, y)
+    return _cutoff(spec, coeffs.all("psi") + correction, lambda: coeffs.all("psi_hat"), cutoff)
 
 
 def _cutoff(spec: VolModelSpec, rad, psi_hat, cutoff: str):
-    """``rad`` under the cutoff; ``psi_hat()`` gives the band cap."""
+    """``rad`` under the cutoff; ``psi_hat()`` gives the band cap (``band`` only)."""
     if cutoff == "band":
         rad = np.minimum(rad, psi_hat())
     elif cutoff != "floor":
@@ -187,18 +188,17 @@ def cmt_step(spec: VolModelSpec, x, y, delta: float, dW, dB):
     """Cruzeiro-Malliavin-Thalmaier update, all coefficients at the left node."""
     if not delta > 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    f_val = np.asarray(spec.f(y), dtype=float)
+    get = spec.node_table(spec, y).all
+    f_val = np.asarray(get("f"), dtype=float)
     if np.any(np.abs(f_val) < 1e-12):
         raise NumericalError("cmt_step: f(y) vanishes, sigma^2 f'/(2f) term is singular")
     dW = np.asarray(dW)
     dB = np.asarray(dB)
-    sig = spec.sigma(y)
-    sig1 = spec.sigma1(y)
-    fp = spec.f1(y)
+    sig, sig1, fp = get("sigma"), get("sigma1"), get("f1")
     sqrt1m = _sqrt1m_rho2(spec)
     x_next = (
         x
-        + (spec.r - 0.5 * spec.psi(y)) * delta
+        + (spec.r - 0.5 * get("psi")) * delta
         + spec.rho * f_val * dW
         + 0.5 * spec.rho * sig * fp * dW**2
         + sqrt1m * sig * fp * dW * dB
@@ -207,7 +207,7 @@ def cmt_step(spec: VolModelSpec, x, y, delta: float, dW, dB):
     )
     y_next = (
         y
-        + (spec.b(y) + 0.5 * (sig**2 * fp / f_val - sig * sig1)) * delta
+        + (get("b") + 0.5 * (sig**2 * fp / f_val - sig * sig1)) * delta
         + sig * dW
         + 0.5 * sig * sig1 * dW**2
         - sig**2 * fp / (2.0 * f_val) * dB**2
@@ -385,14 +385,12 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
             + ou.nu * prev("h1") * draws.iW
             + (pull * prev("h1") + 0.5 * ou.nu**2 * prev("h2")) * delta**2 / 2.0
         )
-        psi_tilde = np.maximum(
+        psi_tilde = (
             prev("psi")
             + ou.nu * prev("psi1") * draws.iW / delta
-            + (pull * prev("psi1") + 0.5 * ou.nu**2 * prev("psi2")) * delta / 2.0,
-            max(spec.psi_lower, 0.0),
+            + (pull * prev("psi1") + 0.5 * ou.nu**2 * prev("psi2")) * delta / 2.0
         )
-        _check_finite(psi_tilde, "variance radicand")
-        mult = sqrt1m * np.sqrt(psi_tilde)
+        mult = sqrt1m * np.sqrt(_cutoff(spec, psi_tilde, None, "floor"))
     elif kind is SchemeKind.EULER:
         drift = (spec.r - 0.5 * prev("psi")) * delta + spec.rho * prev("f") * draws.dW
         mult = sqrt1m * prev("f")

@@ -7,11 +7,16 @@ import numpy as np
 
 from svschemes.models import (
     OUParams,
+    VolModelSpec,
     benchmark_scott_params,
-    make_spec,
     scott_model,
     vol_flow_from_zeta,
 )
+
+
+def coeff(spec, name, y):
+    """The coefficient ``name`` of ``spec`` at y, read from the spec's node table."""
+    return spec.node_table(spec, y).all(name)
 
 
 def scott_spec(**overrides):
@@ -31,7 +36,7 @@ def const_vol_ou_spec(rho=0.0, sigma0=0.25, kappa=1.0, theta=0.0, nu=0.5,
 
     # h(y) = r - sigma0^2/2 - rho*kappa*(theta-y)*sigma0/nu (f'=sigma'=0)
     slope = rho * kappa * sigma0 / nu
-    return make_spec(
+    return VolModelSpec(
         r=r, s0=s0, y0=y0, T=T, rho=rho,
         f=lambda y: sigma0 + zeros(y),
         f1=zeros, f2=zeros,
@@ -49,7 +54,7 @@ def const_vol_ou_spec(rho=0.0, sigma0=0.25, kappa=1.0, theta=0.0, nu=0.5,
 
 def gbm_factor_spec(rho=0.0):
     """Generic (non-OU) spec whose factor is a GBM: exercises the NV flows."""
-    return make_spec(
+    return VolModelSpec(
         r=0.05, s0=100.0, y0=1.0, T=1.0, rho=rho,
         f=lambda y: 0.25 + 0.0 * np.asarray(y, dtype=float),
         f1=lambda y: 0.0 * np.asarray(y, dtype=float),

@@ -181,6 +181,20 @@ class TestConfigErrors:
         assert rc == 2
         assert "at least one path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["price"], ["weak-call", "--steps", "4"],
+                                         ["mlmc", "--payoff", "call"]],
+                             ids=["price", "weak-call", "mlmc"])
+    @pytest.mark.parametrize("strike", ["nan", "inf", "-inf", "-1", "abc"])
+    def test_bad_strike_exits_2_before_drawing(self, monkeypatch, capsys, command, strike):
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before the strike was rejected")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--strike", strike])
+        assert exc.value.code == 2
+        assert "--strike" in capsys.readouterr().err
+
     def test_bad_steps_flag(self, tmp_path):
         assert main(["strong-conv", "--steps", "3", "--paths", "100"]) == 2
         assert main(["strong-conv", "--steps", "2", "--paths", "100"]) == 2

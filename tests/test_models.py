@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import gbm_factor_spec
+from conftest import coeff, const_vol_ou_spec, gbm_factor_spec
 
+from svschemes import schemes
 from svschemes.errors import ConfigError, InvalidParameterError
 from svschemes.models import (
+    NodeCoeffs,
     OUParams,
     QuadPrimitive,
     ScottParams,
+    VolModelSpec,
     benchmark_scott_params,
-    derive_h,
-    make_spec,
     scott_model,
     spec_from_config,
     validate_spec,
     vol_flow_from_zeta,
 )
+from svschemes.rng import RngStream
 
 
 def scott_spec():
@@ -30,7 +32,7 @@ def scott_spec():
 
 def gbm_spec(rho=0.0):
     # b(y) = y/2, sigma(y) = y: V0 vanishes and the vol flow is y*e^s
-    return make_spec(
+    return VolModelSpec(
         r=0.05, s0=100.0, y0=1.0, T=1.0, rho=rho,
         f=lambda y: 0.25 + 0.0 * np.asarray(y, dtype=float),
         f1=lambda y: 0.0 * np.asarray(y, dtype=float),
@@ -72,7 +74,7 @@ class TestScottClosedForms:
     def test_h_at_zero(self):
         # r - sigma0^2/2 - rho*sigma0*(kappa*theta/nu + nu/2), all at y=0
         spec = scott_spec()
-        assert spec.h(0.0) == pytest.approx(0.031124368670764582, abs=1e-15)
+        assert coeff(spec, "h", 0.0) == pytest.approx(0.031124368670764582, abs=1e-15)
 
     def test_F_matches_quadrature(self):
         spec = scott_spec()
@@ -84,43 +86,40 @@ class TestScottClosedForms:
         spec = scott_spec()
         eps = 1e-6
         for y in (-0.8, 0.0, 0.6):
-            fd1 = (spec.h(y + eps) - spec.h(y - eps)) / (2 * eps)
-            fd2 = (spec.h(y + eps) - 2 * spec.h(y) + spec.h(y - eps)) / eps**2
+            h = coeff(spec, "h", np.array([y - eps, y, y + eps]))
+            fd1 = (h[2] - h[0]) / (2 * eps)
+            fd2 = (h[2] - 2 * h[1] + h[0]) / eps**2
             assert spec.h1(y) == pytest.approx(fd1, rel=1e-8, abs=1e-8)
             assert spec.h2(y) == pytest.approx(fd2, rel=1e-3, abs=1e-3)
 
     def test_psi_and_derivatives(self):
         spec = scott_spec()
         y = np.array([-0.5, 0.0, 1.2])
-        assert np.allclose(spec.psi(y), spec.f(y) ** 2)
-        assert np.allclose(spec.psi1(y), 2.0 * spec.psi(y))
-        assert np.allclose(spec.psi2(y), 4.0 * spec.psi(y))
+        assert np.allclose(coeff(spec, "psi", y), spec.f(y) ** 2)
+        assert np.allclose(coeff(spec, "psi1", y), 2.0 * coeff(spec, "psi", y))
+        assert np.allclose(coeff(spec, "psi2", y), 4.0 * coeff(spec, "psi", y))
 
     def test_psi_hat_unbounded_case(self):
         spec = scott_spec()
         assert spec.psi_lower == 0.0
-        assert spec.psi_hat(0.3) == pytest.approx(1.5 * spec.psi(0.3))
+        assert coeff(spec, "psi_hat", 0.3) == pytest.approx(1.5 * coeff(spec, "psi", 0.3))
 
     def test_x0(self):
         assert scott_spec().x0 == pytest.approx(math.log(100.0))
 
-    def test_flows(self):
-        spec = scott_spec()
-        ou = spec.ou
-        assert spec.flow_drift(1.0, 1.0) == pytest.approx(math.exp(-1.0))
-        assert spec.flow_vol(0.2, 0.5) == pytest.approx(0.2 + ou.nu * 0.5)
 
 
 class TestDerivedSpec:
-    def test_derive_h_matches_closed_form(self):
+    def test_generic_h_matches_closed_form(self):
         spec = scott_spec()
         for y in (-1.0, 0.0, 0.5):
-            assert derive_h(spec, y) == pytest.approx(spec.h(y), rel=1e-12)
+            generic = NodeCoeffs(spec, y).all("h")
+            assert generic == pytest.approx(coeff(spec, "h", y), rel=1e-12)
 
     def test_default_h_from_components(self):
         base = scott_spec()
         p = benchmark_scott_params()
-        derived = make_spec(
+        derived = VolModelSpec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
             b=base.b,
@@ -128,12 +127,12 @@ class TestDerivedSpec:
             ou=p.ou,
         )
         for y in (-0.5, 0.0, 0.9):
-            assert derived.h(y) == pytest.approx(base.h(y), rel=1e-12)
+            assert coeff(derived, "h", y) == pytest.approx(coeff(base, "h", y), rel=1e-12)
 
     def test_quad_primitive_F(self):
         spec = scott_spec()
         p = benchmark_scott_params()
-        derived = make_spec(
+        derived = VolModelSpec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=spec.f, f1=spec.f1, f2=spec.f2,
             b=spec.b,
@@ -145,27 +144,30 @@ class TestDerivedSpec:
     def test_psi_upper_constant_cap(self):
         p = benchmark_scott_params()
         base = scott_spec()
-        capped = make_spec(
+        capped = VolModelSpec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
             b=base.b,
             sigma=base.sigma, sigma1=base.sigma1,
             psi_upper=2.0,
         )
-        assert capped.psi_hat(-3.0) == 2.0
-        assert capped.psi_hat(5.0) == 2.0
+        assert coeff(capped, "psi_hat", -3.0) == 2.0
+        assert coeff(capped, "psi_hat", 5.0) == 2.0
 
-    def test_make_spec_rejects_bad_params(self):
+    def test_constructor_rejects_bad_params(self):
         base = scott_spec()
         kwargs = dict(
-            y0=0.0, T=1.0, rho=0.0,
+            r=0.05, s0=100.0, y0=0.0, T=1.0, rho=0.0,
             f=base.f, f1=base.f1, f2=base.f2, b=base.b,
             sigma=base.sigma, sigma1=base.sigma1,
         )
+        for bad in ({"s0": -1.0}, {"T": 0.0}, {"rho": -1.5}, {"rho": 1.5}):
+            with pytest.raises(InvalidParameterError):
+                VolModelSpec(**{**kwargs, **bad})
         with pytest.raises(InvalidParameterError):
-            make_spec(r=0.05, s0=-1.0, **kwargs)
-        with pytest.raises(InvalidParameterError):
-            make_spec(r=0.05, s0=100.0, **{**kwargs, "rho": -1.5})
+            dataclasses.replace(base, rho=1.5)
+        with pytest.raises(TypeError):  # keyword-only
+            VolModelSpec(*kwargs.values())
 
 
 class TestQuadPrimitive:
@@ -239,7 +241,7 @@ class TestValidateSpec:
     def test_detects_inconsistent_F(self):
         base = scott_spec()
         p = benchmark_scott_params()
-        broken = make_spec(
+        broken = VolModelSpec(
             r=p.r, s0=p.s0, y0=p.y0, T=p.T, rho=p.rho,
             f=base.f, f1=base.f1, f2=base.f2,
             b=base.b,
@@ -270,7 +272,7 @@ class TestConfig:
     def test_roundtrip(self):
         spec = spec_from_config(self.base_cfg())
         ref = scott_spec()
-        assert spec.h(0.3) == pytest.approx(ref.h(0.3))
+        assert coeff(spec, "h", 0.3) == pytest.approx(coeff(ref, "h", 0.3))
         assert spec.ou == ref.ou
 
     def test_unknown_key_rejected(self):
@@ -309,14 +311,39 @@ class TestConfig:
 
 
 class TestNodeCoeffs:
-    """The node table returns each model function's values bit for bit."""
+    """The node table returns the spec's functions, and the derived entries
+    written out in ``reference``, bit for bit."""
 
-    NAMES = ("F", "f", "f1", "f2", "h", "psi", "psi1", "psi2", "psi_hat", "sigma", "sigma1")
+    DERIVED = ("h", "psi", "psi1", "psi2", "psi_hat")
+    OWN = ("F", "f", "f1", "f2", "b", "sigma", "sigma1")
     Y = np.linspace(0.05, 3.0, 7 * 5).reshape(7, 5)  # the gbm factor lives on y > 0
 
     def specs(self):
-        return [("scott", scott_spec(), self.NAMES + ("h1", "h2")),
-                ("gbm", gbm_factor_spec(rho=-0.3), self.NAMES)]
+        gbm = gbm_factor_spec(rho=-0.3)
+        return [("scott", scott_spec(), self.OWN + ("h1", "h2")),
+                ("gbm", gbm, self.OWN),
+                ("gbm-capped", dataclasses.replace(gbm, psi_upper=2.0), self.OWN)]
+
+    @staticmethod
+    def reference(label, spec, name, y):
+        f, f1, f2, sig = spec.f(y), spec.f1(y), spec.f2(y), spec.sigma(y)
+        if name == "h" and label == "scott":
+            p = benchmark_scott_params()
+            e = np.exp(y)
+            return (p.r - 0.5 * p.sigma0**2 * e**2
+                    - p.rho * p.sigma0 * e * (p.kappa * (p.theta - y) / p.nu + p.nu / 2))
+        if name == "h":
+            return spec.r - 0.5 * f**2 - spec.rho * (
+                spec.b(y) * f / sig + 0.5 * (sig * f1 - f * spec.sigma1(y)))
+        if name == "psi_hat" and spec.psi_upper is not None:
+            return spec.psi_upper + 0.0 * y
+        return {"psi": f**2, "psi1": 2.0 * f * f1, "psi2": 2.0 * (f1**2 + f * f2),
+                "psi_hat": 1.5 * f**2}[name]
+
+    def expected(self, label, spec, name, y):
+        if name in self.DERIVED:
+            return self.reference(label, spec, name, y)
+        return getattr(spec, name)(y)
 
     @staticmethod
     def same_bits(a, b):
@@ -326,22 +353,26 @@ class TestNodeCoeffs:
     @pytest.mark.parametrize("both", [False, True], ids=["prev-only", "both-ends"])
     def test_rows_match_functions(self, both):
         y = self.Y
-        for label, spec, names in self.specs():
+        for label, spec, own in self.specs():
+            names = own + self.DERIVED
             table = spec.node_table(spec, y, names if both else ())
             for name in names:
-                fn = getattr(spec, name)
-                assert self.same_bits(table.prev(name), fn(y[:-1])), (label, name, "prev")
-                assert self.same_bits(table.next(name), fn(y[1:])), (label, name, "next")
-                assert self.same_bits(table.all(name), fn(y)), (label, name, "all")
+                want = self.expected(label, spec, name, y)
+                assert self.same_bits(table.prev(name), want[:-1]), (label, name, "prev")
+                assert self.same_bits(table.next(name), want[1:]), (label, name, "next")
+                assert self.same_bits(table.all(name), want), (label, name, "all")
 
     def test_even_nodes_match_functions(self):
-        y = self.Y
-        for label, spec, names in self.specs():
-            coarse = spec.node_table(spec, y, ("F",)).even_nodes()
-            for name in names:
-                fn = getattr(spec, name)
-                assert self.same_bits(coarse.prev(name), fn(y[::2][:-1])), (label, name)
-                assert self.same_bits(coarse.next(name), fn(y[::2][1:])), (label, name)
+        # one and two halvings: the even nodes' table nests down the ladder
+        y = np.linspace(0.05, 3.0, 9 * 5).reshape(9, 5)
+        for label, spec, own in self.specs():
+            coarse = spec.node_table(spec, y, ("F",))
+            for stride in (2, 4):
+                coarse = coarse.even_nodes()
+                for name in own + self.DERIVED:
+                    want = self.expected(label, spec, name, y[::stride])
+                    assert self.same_bits(coarse.prev(name), want[:-1]), (label, stride, name)
+                    assert self.same_bits(coarse.next(name), want[1:]), (label, stride, name)
 
     def test_each_function_called_once(self):
         spec = gbm_factor_spec()
@@ -351,8 +382,29 @@ class TestNodeCoeffs:
             fn = getattr(spec, name)
             return lambda y: calls.append(name) or fn(y)
 
-        spec = dataclasses.replace(spec, F=counted("F"), psi=counted("psi"))
+        spec = dataclasses.replace(spec, F=counted("F"), f=counted("f"))
         table = spec.node_table(spec, self.Y, ("F",))
         for _ in range(2):
             table.prev("F"), table.next("F"), table.all("F"), table.prev("psi")
-        assert sorted(calls) == ["F", "psi"]
+        assert sorted(calls) == ["F", "f"]
+
+    @pytest.mark.parametrize("kind", sorted(set(schemes.SchemeKind) - {schemes.SchemeKind.CMT}))
+    @pytest.mark.parametrize("cutoff", ["floor", "band"])
+    def test_generic_spec_calls_each_function_once_per_node(self, kind, cutoff):
+        # an OU-backed generic spec, so every template kind applies
+        base = const_vol_ou_spec(rho=-0.3)
+        calls = []
+
+        def counted(name, fn):
+            return lambda y: calls.append((name, np.size(y))) or fn(y)
+
+        fields = ("F", "f", "f1", "f2", "b", "sigma", "sigma1", "h1", "h2")
+        spec = VolModelSpec(r=base.r, s0=base.s0, y0=base.y0, T=base.T, rho=base.rho,
+                            ou=base.ou, **{n: counted(n, getattr(base, n)) for n in fields})
+        n_steps, npaths = 8, 50
+        draws = schemes.draw_factor_paths(spec, kind, n_steps, RngStream(1).child("y"), npaths)
+        calls.clear()  # the factor path of a generic spec calls b and sigma
+        schemes.drift_and_mult(spec, kind, draws, cutoff)
+        names = [name for name, _ in calls]
+        assert sorted(names) == sorted(set(names)), calls
+        assert all(size <= (n_steps + 1) * npaths for _, size in calls), calls

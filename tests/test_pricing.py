@@ -5,7 +5,9 @@ import pytest
 
 from conftest import const_vol_ou_spec, scott_spec
 
+from svschemes import models
 from svschemes.errors import InvalidParameterError
+from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import (
     PriceEstimate,
     _mc_estimate,
@@ -136,6 +138,24 @@ class TestConditionalValues:
         for j in range(64):
             alone = call_values_from_draws(spec, kind, [draws.columns(slice(j, j + 1))], 100.0)[0]
             assert alone.tobytes() == batch[j:j + 1].tobytes(), j
+
+
+    def test_halvings_read_the_fine_table(self, monkeypatch):
+        # level 3 of the call sampler: 16 fine steps, so 17 nodes a path;
+        # the coarse grid's coefficients are the fine even nodes' values
+        evals = {}
+        scott_eval = models._ScottCoeffs._eval
+
+        def counted(table, name, get):
+            out = scott_eval(table, name, get)
+            evals[name] = evals.get(name, 0) + np.size(out)
+            return out
+
+        monkeypatch.setattr(models._ScottCoeffs, "_eval", counted)
+        call_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1, 100.0)(3, RngStream(0), 1000)
+        assert evals["F"] == 17 * 1000
+        assert {"exp", "f", "h", "psi", "psi1"} <= set(evals)
+        assert all(n <= 17 * 1000 for n in evals.values()), evals
 
 
 class TestRomanoTouzi:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import const_vol_ou_spec, gbm_factor_spec, scott_spec
+from conftest import coeff, const_vol_ou_spec, gbm_factor_spec, scott_spec
 
-from svschemes import _parallel, schemes
+from svschemes import _parallel, models, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
-from svschemes.models import OUParams, make_spec
+from svschemes.models import OUParams, VolModelSpec
 from svschemes.rng import RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
     FactorDraws,
@@ -53,7 +53,7 @@ class TestMilsteinStep:
 
     def test_pure_gbm_goldens(self):
         # b == 0, sigma(y)=y: the two direct-arithmetic cases
-        zero_drift = make_spec(
+        zero_drift = VolModelSpec(
             r=0.05, s0=100.0, y0=1.0, T=1.0, rho=0.0,
             f=lambda y: 0.25 + 0.0 * np.asarray(y, float),
             f1=lambda y: 0.0 * np.asarray(y, float),
@@ -93,7 +93,7 @@ class TestNvStep:
 
     def test_missing_flows_rejected(self):
         spec = scott_spec()
-        bare = make_spec(
+        bare = VolModelSpec(
             r=spec.r, s0=spec.s0, y0=spec.y0, T=spec.T, rho=spec.rho,
             f=spec.f, f1=spec.f1, f2=spec.f2, b=spec.b,
             sigma=spec.sigma, sigma1=spec.sigma1,
@@ -106,11 +106,11 @@ class TestCutoffRadicand:
     def test_floor_only(self):
         spec = scott_spec()
         assert cutoff_radicand(spec, 0.0, -1.0) == pytest.approx(0.0)
-        assert cutoff_radicand(spec, 0.0, 0.1) == pytest.approx(spec.psi(0.0) + 0.1)
+        assert cutoff_radicand(spec, 0.0, 0.1) == pytest.approx(coeff(spec, "psi", 0.0) + 0.1)
 
     def test_band_caps_then_floors(self):
         spec = scott_spec()
-        hat = float(spec.psi_hat(0.0))
+        hat = float(coeff(spec, "psi_hat", 0.0))
         assert cutoff_radicand(spec, 0.0, 10.0, "band") == pytest.approx(hat)
         assert cutoff_radicand(spec, 0.0, -10.0, "band") == pytest.approx(0.0)
 
@@ -140,7 +140,7 @@ class TestWeakTraj1Step:
         expect = (
             x
             + spec.rho * (spec.F(0.1) - spec.F(0.0))
-            + 0.25 * spec.h(0.0)
+            + 0.25 * coeff(spec, "h", 0.0)
             + math.sqrt(1 - spec.rho**2) * 0.25 * 0.1
         )
         assert got == pytest.approx(expect, rel=1e-14)
@@ -150,15 +150,15 @@ class TestWeakTraj1Step:
         spec = scott_spec()  # psi_lower = 0
         x = 4.6
         got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 5.0, iW=-10.0)
-        assert got == pytest.approx(x + 0.25 * spec.h(0.0))
+        assert got == pytest.approx(x + 0.25 * coeff(spec, "h", 0.0))
 
     def test_band_cutoff_limits_variance(self):
         spec = scott_spec()
         x = 4.6
-        base = x + 0.25 * spec.h(0.0)
+        base = x + 0.25 * coeff(spec, "h", 0.0)
         got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 1.0, iW=10.0,
                        cutoff="band")
-        cap = math.sqrt(1 - spec.rho**2) * math.sqrt(spec.psi_hat(0.0))
+        cap = math.sqrt(1 - spec.rho**2) * math.sqrt(coeff(spec, "psi_hat", 0.0))
         assert got == pytest.approx(base + cap)
 
 
@@ -180,14 +180,15 @@ class TestOuImprovedStep:
         y, delta, iw, db = 0.0, 0.25, 0.01, 0.05
         pull = ou.kappa * (ou.theta - y)
         h_tilde = (
-            delta * spec.h(y)
+            delta * coeff(spec, "h", y)
             + ou.nu * spec.h1(y) * iw
             + (pull * spec.h1(y) + 0.5 * ou.nu**2 * spec.h2(y)) * delta**2 / 2.0
         )
         psi_tilde = max(
-            spec.psi(y)
-            + ou.nu * spec.psi1(y) * iw / delta
-            + (pull * spec.psi1(y) + 0.5 * ou.nu**2 * spec.psi2(y)) * delta / 2.0,
+            coeff(spec, "psi", y)
+            + ou.nu * coeff(spec, "psi1", y) * iw / delta
+            + (pull * coeff(spec, "psi1", y)
+               + 0.5 * ou.nu**2 * coeff(spec, "psi2", y)) * delta / 2.0,
             0.0,
         )
         expect = (
@@ -219,7 +220,7 @@ class TestEulerStep:
     def test_pure_drift(self):
         spec = scott_spec()
         x2 = one_step(spec, SchemeKind.EULER, 2.0, 0.4, 0.4, 0.5, 0.0)
-        assert x2 == pytest.approx(2.0 + (spec.r - 0.5 * spec.psi(0.4)) * 0.5)
+        assert x2 == pytest.approx(2.0 + (spec.r - 0.5 * coeff(spec, "psi", 0.4)) * 0.5)
         # sigma' = 0: the factor's own (Milstein) step is Euler's
         assert milstein_step_y(spec, 0.4, 0.5, 0.0) == pytest.approx(0.4 + spec.b(0.4) * 0.5)
 
@@ -268,10 +269,20 @@ class TestCmtStep:
         spec = scott_spec()
         y = 0.2
         x2, y2 = cmt_step(spec, 0.0, y, 0.5, 0.0, 0.0)
-        assert x2 == pytest.approx((spec.r - 0.5 * spec.psi(y)) * 0.5)
+        assert x2 == pytest.approx((spec.r - 0.5 * coeff(spec, "psi", y)) * 0.5)
         sig = spec.sigma(y)
         drift = spec.b(y) + 0.5 * (sig**2 * spec.f1(y) / spec.f(y) - sig * spec.sigma1(y))
         assert y2 == pytest.approx(y + drift * 0.5)
+
+    def test_scott_step_evaluates_exp_once(self, monkeypatch):
+        # f, f' and psi = f^2 all come from one exp(y) per node
+        calls = []
+        exp = models._SCOTT_FORMULAS["exp"]
+        monkeypatch.setitem(models._SCOTT_FORMULAS, "exp",
+                            lambda p, get: calls.append(1) or exp(p, get))
+        y = np.array([-0.3, 0.0, 0.4])
+        cmt_step(scott_spec(), np.zeros(3), y, 0.25, np.full(3, 0.1), np.full(3, -0.2))
+        assert len(calls) == 1
 
     def test_vanishing_f_guard(self):
         with pytest.raises(NumericalError):
@@ -492,11 +503,11 @@ class TestSimulatePath:
         db = draw_brownian_increments(RngStream(21).child("b"), 1, 1, 1.0)[0, 0]
         y0, y1, iw = draws.y[0, 0], draws.y[1, 0], draws.iW[0, 0]
         # the weaktraj1 step over delta = 1, floor cutoff
-        rad = max(spec.psi(y0) + spec.sigma(y0) * spec.psi1(y0) * iw / 1.0, 0.0)
+        rad = max(coeff(spec, "psi", y0) + spec.sigma(y0) * coeff(spec, "psi1", y0) * iw / 1.0, 0.0)
         expect = (
             spec.x0
             + spec.rho * (spec.F(y1) - spec.F(y0))
-            + 1.0 * spec.h(y0)
+            + 1.0 * coeff(spec, "h", y0)
             + math.sqrt(1 - spec.rho**2) * math.sqrt(rad) * db
         )
         assert path.x[1, 0] == pytest.approx(expect, rel=1e-14)
