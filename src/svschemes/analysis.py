@@ -15,10 +15,10 @@ child streams, which shares the factor draws and B-increments across
 schemes and removes cross-scheme Monte Carlo noise from slope
 comparisons. Paths are processed in fixed-size chunks so results do
 not depend on available memory. A chunk is coupled one step block at a
-time, each block in parallel column blocks of its paths: one node table
-per column block serves both levels of every scheme that shares the
-draws, and each scheme carries its coupled pair and running errors from
-one block to the next.
+time (``schemes.advance_blocks``), each block in parallel column blocks
+of its paths: one node table per column block serves both levels of
+every scheme that shares the draws, and each scheme carries its coupled
+pair and running errors from one block to the next.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_blocks
 from .coupling import (
     TerminalCoupling,
     cmt_coupling_from_draws,
@@ -47,15 +46,9 @@ from .mlmc import (
     mlmc_estimate,
 )
 from .models import VolModelSpec
-from .pricing import call_values_from_draws, chunk_sizes, romano_touzi_call
+from .pricing import chunk_sizes, conditional_call_values, romano_touzi_call
 from .rng import RngStream
-from .schemes import (
-    FactorDraws,
-    SchemeKind,
-    draw_brownian_increments,
-    factor_blocks,
-    with_coeffs,
-)
+from .schemes import FactorDraws, SchemeKind, advance_blocks
 
 # Converged at-the-money call price under the benchmark Scott parameters
 # (strike 100, maturity 1); used as the weak-error reference.
@@ -133,8 +126,9 @@ def loglog_slope(ns, values) -> RegressionResult:
 def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
                   db: np.ndarray, cutoff: str, carry: np.ndarray):
     """Advance one kind's coupled pair (``coupling_start``) over one step block;
-    outside the terminal mode, rows 4 and 5 of the carry keep the running
-    sups of the log and asset errors over the shared coarse nodes."""
+    outside the terminal mode, the values of the carry's fine and coarse
+    level keep the running sups of the log and asset errors over the
+    shared coarse nodes."""
     if kind is SchemeKind.CMT:
         pair = cmt_coupling_from_draws(spec, draws, db, carry)
     elif mode == "terminal":
@@ -144,17 +138,17 @@ def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: Factor
         pair = coupling(spec, kind, draws, db, cutoff, carry)
     if mode != "terminal":
         x_f, x_c = pair.x_fine[::2], pair.x_coarse
-        np.maximum(carry[4], np.abs(x_f - x_c).max(axis=0), out=carry[4])
-        np.maximum(carry[5], np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0), out=carry[5])
+        np.maximum(carry[0, 2], np.abs(x_f - x_c).max(axis=0), out=carry[0, 2])
+        np.maximum(carry[1, 2], np.abs(np.exp(x_f) - np.exp(x_c)).max(axis=0), out=carry[1, 2])
 
 
 def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndarray,
                  g: np.ndarray | None, n_fine: int):
     """Per-path squared log and asset errors of a coupled pair advanced to T."""
     if mode != "terminal":
-        return carry[4] ** 2, carry[5] ** 2
+        return carry[0, 2] ** 2, carry[1, 2] ** 2
     pair = TerminalCoupling(spec.x0, spec.T / n_fine, carry, g)
-    x_f, x_c = (carry[0], carry[2]) if kind is SchemeKind.CMT else (pair.x_fine, pair.x_coarse)
+    x_f, x_c = carry[:, 0] if kind is SchemeKind.CMT else (pair.x_fine, pair.x_coarse)
     return (x_f - x_c) ** 2, (np.exp(x_f) - np.exp(x_c)) ** 2
 
 
@@ -162,27 +156,23 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
                  size: int, cutoff: str) -> dict:
     """Per-path (log_err, asset_err) of every kind in one (N, chunk) cell.
 
-    Each group of kinds shares one factor draw, and all the B-increments.
-    The cell runs a step block at a time, each in column blocks of paths.
+    Each group of kinds shares one factor draw, and all the B-increments:
+    a group is one pass over the cell's step blocks, and every pass draws
+    the same "b" values from the cell's child stream.
     """
-    rng_b = cell.child("b")
     g = cell.child("g").normal(size) if mode == "terminal" else None
-    blocks = [factor_blocks(spec, group[0], n_fine, cell.child("y"), size) for group in groups]
-    carries = {kind: coupling_start(spec, kind, size) for group in groups for kind in group}
-    for group_draws in zip(*blocks):
-        steps = group_draws[0].dW.shape[0]
-        db = draw_brownian_increments(rng_b, steps, size, spec.T / n_fine)
-        for group, draws in zip(groups, group_draws):
-            def block(cols):
-                part = with_coeffs(spec, draws.columns(cols), group)
-                for kind in group:
-                    _advance_pair(spec, kind, mode, part, db[:, cols], cutoff,
-                                  carries[kind][:, cols])
+    errors = {}
+    for group in groups:
+        def advance(draws, db, carry):
+            for kind, pair in zip(group, carry):
+                _advance_pair(spec, kind, mode, draws, db, cutoff, pair)
 
-            map_blocks(block, size, rows=steps)
-        del group_draws, draws, db  # released before the next block is drawn
-    return {kind: _pair_errors(spec, kind, mode, carry, g, n_fine)
-            for kind, carry in carries.items()}
+        carry = advance_blocks(
+            spec, group, n_fine, cell, size,
+            lambda: np.stack([coupling_start(spec, kind, size) for kind in group]), advance)
+        errors.update((kind, _pair_errors(spec, kind, mode, pair, g, n_fine))
+                      for kind, pair in zip(group, carry))
+    return errors
 
 
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
@@ -268,20 +258,16 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
         if fine_steps % n or fine_steps < 2 * n:
             raise InvalidParameterError(
                 f"ladder entry {n} must properly divide fine_steps={fine_steps}")
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
     grids = [fine_steps]  # the fine grid and each of its halvings down the ladder
     while grids[-1] // 2 >= min(n_ladder):
         grids.append(grids[-1] // 2)
-    levels = [j for j, n in enumerate(grids) if n in n_ladder or n == fine_steps]
     acc = {n: LevelStats() for n in n_ladder}
     for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
-        rng_y = rng.child("weak-refine", "chunk", i).child("y")
-        blocks = factor_blocks(spec, kind, fine_steps, rng_y, size, 2 ** (len(grids) - 1))
-        values = dict(zip([grids[j] for j in levels],
-                          call_values_from_draws(spec, kind, blocks, strike, cutoff, levels)))
+        values = conditional_call_values(spec, kind, fine_steps, strike,
+                                         rng.child("weak-refine", "chunk", i), size, cutoff,
+                                         depth=len(grids) - 1)
         for n in n_ladder:
-            acc[n].add(values[n] - values[fine_steps])
+            acc[n].add(values[grids.index(n)] - values[0])
     return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(acc[n].mean),
                           acc[n].stderr) for n in n_ladder]
 

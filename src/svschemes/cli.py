@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .analysis import (
@@ -41,11 +42,20 @@ def _add_common(parser: argparse.ArgumentParser, paths: bool = True):
                         help="variance cutoff of the weak-trajectorial radicand")
 
 
-def _strike(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"strike must be finite and nonnegative, got {text}")
-    return value
+def _finite(low: float, inclusive: bool):
+    """argparse type: a finite number at least ``low`` (above it unless ``inclusive``)."""
+    bound = f"{'>=' if inclusive else '>'} {low:g}"
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        return value
+
+    return finite
+
+
+_strike = _finite(0.0, inclusive=True)
 
 
 def _add_ladder(parser: argparse.ArgumentParser):
@@ -78,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, paths=False)
     p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="weaktraj1")
     p.add_argument("--payoff", choices=["call", "lookback"], default="call")
-    p.add_argument("--epsilon", type=float, default=0.04, help="target RMS accuracy")
+    p.add_argument("--epsilon", type=_finite(0.0, inclusive=False), default=0.04,
+                   help="target RMS accuracy")
     p.add_argument("--strike", type=_strike, default=100.0)
     p.add_argument("--max-level", type=int, default=10)
     p.add_argument("--probe-samples", type=int, default=10_000,
@@ -118,6 +129,19 @@ def _ladder(max_n: int) -> tuple[int, ...]:
     return tuple(ladder)
 
 
+def _check_out(path):
+    """Fail with ConfigError unless ``path`` can be opened for writing, before
+    anything is drawn; a file the probe creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _emit_json(payload, out):
     text = json.dumps(payload, indent=2)
     if out:
@@ -129,6 +153,8 @@ def _emit_json(payload, out):
 
 def _run(args) -> int:
     spec = _load_spec(args)
+    if args.out:
+        _check_out(args.out)
     rng = RngStream(args.seed)
 
     if args.command in ("strong-conv", "traj-conv", "terminal-conv"):

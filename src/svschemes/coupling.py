@@ -24,7 +24,7 @@ experiment harnesses can share draws, and their node table, across
 schemes) one step block at a time, advancing a per-path carry
 (``coupling_start``) from the block's first node to its last. The
 lookback estimators draw from the child streams "y" (factor), "b"
-(B-increments) and "u" (bridge uniforms).
+(B-increments) and "u" (bridge uniforms) through ``schemes.advance_blocks``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_blocks
 from .errors import InvalidParameterError
 from .models import VolModelSpec
 from .rng import RngStream
@@ -42,12 +41,10 @@ from .schemes import (
     SchemeKind,
     _assemble_x,
     _sqrt1m_rho2,
-    add_step_sums,
+    advance_blocks,
     cmt_paths,
     coarsen_factor_draws,
-    draw_brownian_increments,
     drift_and_mult,
-    factor_blocks,
     with_coeffs,
 )
 
@@ -73,11 +70,11 @@ class TerminalCoupling:
 
     @property
     def x_fine(self) -> np.ndarray:
-        return self.x0 + self.carry[0] + np.sqrt(self.delta * self.carry[4]) * self.g
+        return self.x0 + self.carry[0, 0] + np.sqrt(self.delta * self.carry[0, 2]) * self.g
 
     @property
     def x_coarse(self) -> np.ndarray:
-        return self.x0 + self.carry[2] + np.sqrt(2.0 * self.delta * self.carry[5]) * self.g
+        return self.x0 + self.carry[1, 0] + np.sqrt(2.0 * self.delta * self.carry[1, 2]) * self.g
 
 
 @dataclass
@@ -89,23 +86,25 @@ class LevelSample:
 
     @property
     def fine(self) -> np.ndarray:
-        return _lookback_payoff(self.spec, self.carry[0], self.carry[4])
+        return _lookback_payoff(self.spec, self.carry[0, 0], self.carry[0, 2])
 
     @property
     def coarse(self) -> np.ndarray:
-        return _lookback_payoff(self.spec, self.carry[2], self.carry[5])
+        return _lookback_payoff(self.spec, self.carry[1, 0], self.carry[1, 2])
 
 
 def coupling_start(spec: VolModelSpec, kind: SchemeKind, npaths: int,
-                   extra: float = 0.0) -> np.ndarray:
-    """Carry of a coupled pair at the start of its paths, shape (6, npaths).
+                   extra: float = 0.0, levels: int = 2) -> np.ndarray:
+    """Per-path carry at the start of the paths, shape (levels, 3, npaths),
+    finest level first; the one carry layout of every estimator.
 
-    Rows 0 to 3: the fine log-asset (for template schemes, the running
-    sum of its increments) and factor, then the coarse ones. Rows 4 and 5
-    start at ``extra`` and hold what the consumer keeps per level.
+    Each level holds the log-asset (for template schemes, the running sum
+    of its increments), the factor, and, starting at ``extra``, the
+    consumer's value: the sum of squared multipliers, the spot minimum or
+    a running error sup.
     """
     x = spec.x0 if kind is SchemeKind.CMT else 0.0
-    return np.repeat([[x], [spec.y0], [x], [spec.y0], [extra], [extra]], npaths, axis=1)
+    return np.repeat([[[x], [spec.y0], [extra]]] * levels, npaths, axis=2)
 
 
 def plain_coarse_db(db_fine: np.ndarray) -> np.ndarray:
@@ -151,14 +150,14 @@ def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
     drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
-    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0])
+    x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0, 0])
     if traj:
         db_c = coupled_db_tilde(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
     else:
         db_c = plain_coarse_db(db_fine)
-    coarse = with_coeffs(spec, coarsen_factor_draws(spec, kind, fine, carry[3]), (kind,))
-    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_c, carry[2])
-    carry[1], carry[3] = fine.y[-1], coarse.y[-1]
+    coarse = with_coeffs(spec, coarsen_factor_draws(spec, kind, fine, carry[1, 1]), (kind,))
+    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_c, carry[1, 0])
+    carry[:, 1] = fine.y[-1], coarse.y[-1]
     return CoupledPaths(x_f, fine.y, x_c, coarse.y), coarse, db_c, mult_f
 
 
@@ -181,26 +180,40 @@ def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.n
     """CMT levels coupled by summed (dW, dB) increments."""
     if carry is None:
         carry = coupling_start(spec, SchemeKind.CMT, fine.dW.shape[-1])
-    x_f, y_f = cmt_paths(spec, fine.delta, fine.dW, db_fine, carry[0:2])
+    x_f, y_f = cmt_paths(spec, fine.delta, fine.dW, db_fine, carry[0, :2])
     dw_c = fine.dW[0::2] + fine.dW[1::2]
-    x_c, y_c = cmt_paths(spec, 2.0 * fine.delta, dw_c, plain_coarse_db(db_fine), carry[2:4])
-    carry[:4] = x_f[-1], y_f[-1], x_c[-1], y_c[-1]
+    x_c, y_c = cmt_paths(spec, 2.0 * fine.delta, dw_c, plain_coarse_db(db_fine), carry[1, :2])
+    carry[:, :2] = (x_f[-1], y_f[-1]), (x_c[-1], y_c[-1])
     return CoupledPaths(x_f, y_f, x_c, y_c)
+
+
+def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, cutoff: str,
+               carry: np.ndarray):
+    """Add each level's drifts and squared multipliers into its carry's
+    log-asset and value rows, a step at a time: numpy's order for an axis-0
+    sum over two or more paths, here for any number of paths. Level j of the
+    carry reads the j-th halving of the draws ``fine``; the halvings read the
+    node table of ``fine`` (OU-backed specs) or carry their own factor."""
+    draws = with_coeffs(spec, fine, (kind,))
+    for j, level in enumerate(carry):
+        if j:
+            draws = coarsen_factor_draws(spec, kind, draws, level[1])
+        for drift, mult in zip(*drift_and_mult(spec, kind, draws, cutoff)):
+            level[0] += drift
+            level[2] += mult**2
+        level[1] = draws.y[-1]
 
 
 def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
                                  g: np.ndarray, cutoff: str = "floor",
                                  carry=None) -> TerminalCoupling:
-    """Shared-G terminal coupling from fine factor draws; the carry's log-asset
-    rows sum the drifts, rows 4 and 5 the squared multipliers."""
+    """Shared-G terminal coupling from fine factor draws; each level of the
+    carry sums its drifts and squared multipliers (``level_sums``)."""
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT has no conditional-Gaussian terminal form")
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
-    add_step_sums(*drift_and_mult(spec, kind, fine, cutoff), carry[0], carry[4])
-    coarse = coarsen_factor_draws(spec, kind, fine, carry[3])
-    add_step_sums(*drift_and_mult(spec, kind, coarse, cutoff), carry[2], carry[5])
-    carry[1], carry[3] = fine.y[-1], coarse.y[-1]
+    level_sums(spec, kind, fine, cutoff, carry)
     return TerminalCoupling(spec.x0, fine.delta, carry, g)
 
 
@@ -256,8 +269,8 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     level: the trajectorially coupled path supplies the nodes, and each
     coarse step spends its two substep uniforms on two bridge minima via
     a mid endpoint built from the reweighted increments; the bridge
-    anchor stays frozen at the left coarse node. The carry's rows 4 and 5
-    hold the fine and coarse spot minima (``extra`` inf).
+    anchor stays frozen at the left coarse node. The carry's values hold
+    the fine and coarse spot minima (``extra`` inf).
     """
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1], np.inf)
@@ -265,7 +278,7 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     pair, coarse, db_tilde, mult_f = _template_coupling(spec, kind, fine, db_fine, cutoff,
                                                         carry, traj=True)
     db_mid = lookback_db_mid(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
-    _bridge_low(spec, fine, pair.x_fine, db_fine, uniforms, carry[4])
+    _bridge_low(spec, fine, pair.x_fine, db_fine, uniforms, carry[0, 2])
 
     sqrt1m = _sqrt1m_rho2(spec)
     f_c, psi_c = coarse.coeffs.prev("f"), coarse.coeffs.prev("psi")
@@ -275,48 +288,36 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     s_end = base + left * f_c * sqrt1m * db_tilde
     m1 = bridge_min(left, s_mid, psi_c, fine.delta, uniforms[0::2], anchor=left)
     m2 = bridge_min(s_mid, s_end, psi_c, fine.delta, uniforms[1::2], anchor=left)
-    np.minimum(carry[5], np.minimum(m1, m2).min(axis=0), out=carry[5])
+    np.minimum(carry[1, 2], np.minimum(m1, m2).min(axis=0), out=carry[1, 2])
     return LevelSample(spec, carry)
-
-
-def _lookback_carry(spec: VolModelSpec, kind: SchemeKind, n_steps: int, rng: RngStream,
-                    npaths: int, carry, advance) -> np.ndarray:
-    """The carry ``carry(npaths)`` of a lookback draw from ``rng``, advanced by
-    ``advance(draws, db, uniforms, carry)`` on each step block."""
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT supports no lookback with bridge minima")
-    blocks = factor_blocks(spec, kind, n_steps, rng.child("y"), npaths)
-    rng_b, rng_u = rng.child("b"), rng.child("u")
-    carry = carry(npaths)
-    for draws in blocks:
-        db = draw_brownian_increments(rng_b, draws.dW.shape[0], npaths, draws.delta)
-        uniforms = rng_u.uniform_open(draws.dW.shape)
-        map_blocks(lambda cols: advance(draws.columns(cols), db[:, cols], uniforms[:, cols],
-                                        carry[:, cols]), npaths, rows=db.shape[0])
-        del draws, db, uniforms  # released before the next block is drawn
-    return carry
 
 
 def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
                             rng: RngStream, npaths: int,
                             cutoff: str = "floor") -> LevelSample:
     """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse."""
-    return LevelSample(spec, _lookback_carry(
-        spec, kind, 2 * n_coarse, rng, npaths, lambda n: coupling_start(spec, kind, n, np.inf),
+    if kind is SchemeKind.CMT:
+        raise InvalidParameterError("CMT supports no lookback with bridge minima")
+    return LevelSample(spec, advance_blocks(
+        spec, (kind,), 2 * n_coarse, rng, npaths,
+        lambda: coupling_start(spec, kind, npaths, np.inf),
         lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
-                                                               carry)))
+                                                               carry),
+        ("b", "u")))
 
 
 def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                           rng: RngStream, npaths: int,
                           cutoff: str = "floor") -> np.ndarray:
     """Discounted lookback payoffs on a single grid (MLMC base level)."""
-    def advance(draws, db, uniforms, carry):
-        draws = with_coeffs(spec, draws, (kind,))
-        x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0])
-        _bridge_low(spec, draws, x, db, uniforms, carry[1])
+    if kind is SchemeKind.CMT:
+        raise InvalidParameterError("CMT supports no lookback with bridge minima")
 
-    # rows: the running log-asset sum and spot minimum
-    carry = _lookback_carry(spec, kind, n_steps, rng, npaths,
-                            lambda n: np.repeat([[0.0], [np.inf]], n, axis=1), advance)
-    return _lookback_payoff(spec, carry[0], carry[1])
+    def advance(draws, db, uniforms, carry):
+        x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0, 0])
+        _bridge_low(spec, draws, x, db, uniforms, carry[0, 2])
+
+    carry = advance_blocks(spec, (kind,), n_steps, rng, npaths,
+                           lambda: coupling_start(spec, kind, npaths, np.inf, levels=1),
+                           advance, ("b", "u"))
+    return _lookback_payoff(spec, carry[0, 0], carry[0, 2])

@@ -26,11 +26,15 @@ import numpy as np
 from .coupling import coupled_lookback_levels, lookback_single_level
 from .errors import BudgetExceededError, InvalidParameterError, NumericalError
 from .models import VolModelSpec
-from .pricing import call_values_from_draws
+from .pricing import conditional_call_values
 from .rng import RngStream
-from .schemes import SchemeKind, factor_blocks
+from .schemes import SchemeKind
 
 LevelSampler = Callable[[int, RngStream, int], np.ndarray]
+
+# Most samples a level draws in one sampler call, each call on its own
+# child stream.
+BATCH_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,10 @@ class MlmcConfig:
     max_level: int
     base_steps: int = 2
     initial_samples: int = 10_000
-    batch_paths: int = 100_000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidParameterError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_level < 1:
             raise InvalidParameterError(f"max_level must be >= 1, got {self.max_level}")
         if self.base_steps < 1:
@@ -103,10 +106,9 @@ class MlmcResult:
     bias_bound: float = 0.0
 
 
-def _draw_into(stats: LevelStats, sampler: LevelSampler, rng: RngStream,
-               target: int, batch_paths: int):
+def _draw_into(stats: LevelStats, sampler: LevelSampler, rng: RngStream, target: int):
     while stats.n < target:
-        size = min(batch_paths, target - stats.n)
+        size = min(BATCH_PATHS, target - stats.n)
         batch_rng = rng.child("level", stats.level, "batch", stats.batches)
         stats.add(np.asarray(sampler(stats.level, batch_rng, size), dtype=float))
         stats.batches += 1
@@ -149,15 +151,14 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
     """
     stats = [LevelStats(level=l) for l in range(2)]
     for s in stats:
-        _draw_into(s, sampler, rng, config.initial_samples, config.batch_paths)
+        _draw_into(s, sampler, rng, config.initial_samples)
 
     while True:
         total_work = sum(
             math.sqrt(s.variance * config.cost_per_sample(s.level)) for s in stats
         )
         for s in stats:
-            _draw_into(s, sampler, rng, _sample_target(config, s, total_work),
-                       config.batch_paths)
+            _draw_into(s, sampler, rng, _sample_target(config, s, total_work))
 
         alpha = _regress_alpha(stats)
         remaining_bias = abs(stats[-1].mean) / (2.0**alpha - 1.0)
@@ -170,7 +171,7 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
                 f"{config.epsilon / math.sqrt(2.0):.3g})"
             )
         nxt = LevelStats(level=stats[-1].level + 1)
-        _draw_into(nxt, sampler, rng, config.initial_samples, config.batch_paths)
+        _draw_into(nxt, sampler, rng, config.initial_samples)
         stats.append(nxt)
 
     value = sum(s.mean for s in stats)
@@ -194,10 +195,9 @@ def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
-        blocks = factor_blocks(spec, kind, base_steps * 2**level, rng.child("y"), n)
-        levels = (0, 1) if level else (0,)
-        values = call_values_from_draws(spec, kind, blocks, strike, cutoff, levels)
-        return values[0] - values[1] if level else values[0]
+        values = conditional_call_values(spec, kind, base_steps * 2**level, strike, rng, n,
+                                         cutoff, depth=min(level, 1))
+        return values[0] - values[1] if level else values
 
     return sampler
 

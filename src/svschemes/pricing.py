@@ -21,20 +21,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_blocks
+from .coupling import coupling_start, level_sums
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream
-from .schemes import (
-    SchemeKind,
-    add_step_sums,
-    cmt_paths,
-    coarsen_factor_draws,
-    draw_brownian_increments,
-    drift_and_mult,
-    factor_blocks,
-    simulate_paths,
-    with_coeffs,
-)
+from .schemes import SchemeKind, advance_blocks, cmt_paths, simulate_paths
 
 
 @dataclass
@@ -87,62 +78,45 @@ def discounted_call_payoff(spec: VolModelSpec, x_terminal, strike: float):
     return math.exp(-spec.r * spec.T) * call_payoff(np.exp(x_terminal), strike)
 
 
-def call_values_from_draws(spec: VolModelSpec, kind: SchemeKind, blocks, strike: float,
-                           cutoff: str = "floor", levels=(0,)) -> list[np.ndarray]:
-    """Per-path conditional call prices of drawn factor paths, on several grids.
-
-    ``blocks`` are the step blocks of one factor draw (``factor_blocks``);
-    ``levels`` lists the grids priced, j for the j-th halving of the
-    draws' grid; the halvings of an OU-backed spec read the node table of
-    the draws' grid. Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V)
-    the accumulated drift and conditional variance of the scheme, so the
-    spread across paths carries only the factor-side noise.
-    """
-    depth = max(levels)
-    sums = None
-    for fine in blocks:
-        (steps, npaths), delta = fine.dW.shape, fine.delta
-        if sums is None:  # per grid: sums of drifts and squared multipliers, factor
-            sums = np.zeros((depth + 1, 3, npaths))
-            sums[:, 2] = spec.y0
-
-        def block(cols):
-            draws = with_coeffs(spec, fine.columns(cols), (kind,))
-            for j, level in enumerate(sums[:, :, cols]):
-                if j:
-                    draws = coarsen_factor_draws(spec, kind, draws, level[2])
-                    level[2] = draws.y[-1]
-                if j in levels:
-                    add_step_sums(*drift_and_mult(spec, kind, draws, cutoff), level[0], level[1])
-
-        map_blocks(block, npaths, rows=steps)
-
-    def values(j, cols):
-        total_var = delta * 2**j * sums[j, 1, cols]
-        spot_eff = spec.s0 * np.exp(sums[j, 0, cols] + 0.5 * total_var - spec.r * spec.T)
-        return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
-
-    return [np.concatenate(map_blocks(lambda cols: values(j, cols), npaths)) for j in levels]
-
-
 def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                             strike: float, rng: RngStream, npaths: int,
-                            cutoff: str = "floor") -> np.ndarray:
-    """Per-path conditional call prices given factor draws from ``rng``."""
+                            cutoff: str = "floor", depth: int = 0) -> np.ndarray:
+    """Per-path conditional call prices given factor draws from ``rng``.
+
+    Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V) the
+    accumulated drift and conditional variance of the scheme
+    (``coupling.level_sums``), so the spread across paths carries only the
+    factor-side noise. With ``depth`` > 0 the draws are priced on the
+    n_steps grid and on each of its first ``depth`` halvings, one row per
+    grid, finest first; the halvings of an OU-backed spec read the node
+    table of the n_steps grid.
+    """
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
-    blocks = factor_blocks(spec, kind, n_steps, rng.child("y"), npaths)
-    return call_values_from_draws(spec, kind, blocks, strike, cutoff)[0]
+    sums = advance_blocks(spec, (kind,), n_steps, rng, npaths,
+                          lambda: coupling_start(spec, kind, npaths, levels=depth + 1),
+                          lambda draws, carry: level_sums(spec, kind, draws, cutoff, carry),
+                          streams=(), multiple=2 ** max(depth, 1))
+    scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
+
+    def values(cols):
+        total_var = scale * sums[:, 2, cols]
+        spot_eff = spec.s0 * np.exp(sums[:, 0, cols] + 0.5 * total_var - spec.r * spec.T)
+        return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
+
+    out = np.concatenate(map_blocks(values, npaths, rows=depth + 1), axis=1)
+    return out if depth else out[0]
 
 
 def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int) -> np.ndarray:
-    """Terminal log-asset values of CMT paths drawn from ``rng``, a step block at a time."""
-    rng_b, start = rng.child("b"), None
-    for draws in factor_blocks(spec, SchemeKind.CMT, n_steps, rng.child("y"), npaths):
-        db = draw_brownian_increments(rng_b, draws.dW.shape[0], npaths, draws.delta)
-        x, y = cmt_paths(spec, draws.delta, draws.dW, db, start)
-        start = x[-1], y[-1]
-    return start[0]
+    """Terminal log-asset values of CMT paths drawn from ``rng``."""
+    def advance(draws, db, carry):
+        x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry[0, :2])
+        carry[0, :2] = x[-1], y[-1]
+
+    return advance_blocks(spec, (SchemeKind.CMT,), n_steps, rng, npaths,
+                          lambda: coupling_start(spec, SchemeKind.CMT, npaths, levels=1),
+                          advance)[0, 0]
 
 
 def _mc_estimate(values: np.ndarray) -> PriceEstimate:

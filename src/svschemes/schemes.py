@@ -21,7 +21,7 @@ supplies the joint (dW, iW, dY) normals step by step, the asset stream
 "b" supplies the B-increments, and the uniform stream "u" supplies
 bridge uniforms, each an independent child stream of the caller's.
 Streams are step-major, so estimators draw and consume a grid a step
-block at a time (``factor_blocks``), carrying per-path state from block
+block at a time (``advance_blocks``), carrying per-path state from block
 to block: memory is O(paths), and the bytes are those of one draw.
 """
 
@@ -328,6 +328,33 @@ def factor_blocks(spec: VolModelSpec, kind: SchemeKind, n_steps: int, rng_y: Rng
     return blocks()
 
 
+def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, npaths: int,
+                   start, advance, streams=("b",), multiple: int = 2) -> np.ndarray:
+    """The carry ``start()``, made once the first block is drawn, advanced over
+    an n_steps grid drawn from ``rng`` a step block at a time.
+
+    Each block draws the next steps of the child "y" (the factor draws of
+    ``kinds[0]``) and of each child in ``streams``: "b" (B-increments) or
+    "u" (bridge uniforms). ``advance(draws, *arrays, carry)`` then runs on
+    column blocks of the paths, on views of the arrays and of the carry's
+    last axis; the draws carry one node table for ``kinds``.
+    """
+    blocks = factor_blocks(spec, kinds[0], n_steps, rng.child("y"), npaths, multiple)
+    children = [(name, rng.child(name)) for name in streams]
+    carry = None
+    for draws in blocks:
+        steps = draws.dW.shape[0]
+        arrays = [draw_brownian_increments(child, steps, npaths, draws.delta) if name == "b"
+                  else child.uniform_open((steps, npaths)) for name, child in children]
+        if carry is None:
+            carry = start()
+        map_blocks(lambda cols: advance(with_coeffs(spec, draws.columns(cols), kinds),
+                                        *(a[:, cols] for a in arrays), carry[..., cols]),
+                   npaths, rows=steps)
+        del draws, arrays  # released before the next block is drawn
+    return carry
+
+
 def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
                          fine: FactorDraws, start=None) -> FactorDraws:
     """Halve the resolution of factor draws consistently with the fine grid.
@@ -428,16 +455,6 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, 
     _check_finite(x, "CMT log-asset path")
     _check_finite(y, "CMT factor path")
     return x, y
-
-
-def add_step_sums(drift: np.ndarray, mult: np.ndarray, drift_sum: np.ndarray,
-                  sq_sum: np.ndarray):
-    """Add each step's drift and squared multiplier into ``drift_sum`` and
-    ``sq_sum`` in place, a step at a time: numpy's order for an axis-0 sum
-    over two or more paths, here for any number of paths."""
-    for d, m in zip(drift, mult):
-        drift_sum += d
-        sq_sum += m**2
 
 
 def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):

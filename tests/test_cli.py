@@ -113,6 +113,19 @@ class TestMlmc:
         assert rc == 3
         assert "sample target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payoff", ["call", "lookback"])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_exits_2_before_drawing(self, monkeypatch, capsys, payoff,
+                                                       epsilon):
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before epsilon was rejected")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        with pytest.raises(SystemExit) as exc:
+            main(["mlmc", "--payoff", payoff, "--epsilon", epsilon])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
+
     def test_budget_trip_exits_3(self, tmp_path):
         rc = main(["mlmc", "--scheme", "euler", "--payoff", "call",
                    "--epsilon", "0.005", "--max-level", "1",
@@ -194,6 +207,20 @@ class TestConfigErrors:
             main(command + ["--strike", strike])
         assert exc.value.code == 2
         assert "--strike" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["price", "--steps", "4", "--paths", "100"],
+                                         ["strong-conv", "--steps", "4", "--paths", "100"]],
+                             ids=["price", "strong-conv"])
+    def test_unwritable_out_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys,
+                                                   command):
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before the output was checked")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        out = tmp_path / "missing-dir" / "out"
+        assert main(command + ["--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_bad_steps_flag(self, tmp_path):
         assert main(["strong-conv", "--steps", "3", "--paths", "100"]) == 2

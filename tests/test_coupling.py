@@ -20,6 +20,7 @@ from svschemes.coupling import (
     traj_coupling_from_draws,
 )
 from svschemes.errors import InvalidParameterError
+from svschemes.pricing import conditional_call_values
 from svschemes.rng import RngStream
 from svschemes.schemes import (
     FactorDraws,
@@ -243,6 +244,34 @@ class TestStepBlocks:
             part = lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry=carry)
         assert part.fine.tobytes() == whole.fine.tobytes()
         assert part.coarse.tobytes() == whole.coarse.tobytes()
+
+
+class TestDriverStreams:
+    """The step-block driver draws only the child streams its estimator reads."""
+
+    @staticmethod
+    def drawn(monkeypatch, run) -> dict:
+        counts = {}
+        fill = RngStream._fill
+
+        def counted(stream, size, transform=None):
+            key = stream.path[-1]
+            counts[key] = counts.get(key, 0) + int(np.prod(size))
+            return fill(stream, size, transform)
+
+        monkeypatch.setattr(RngStream, "_fill", counted)
+        run()
+        return counts
+
+    def test_conditional_call_values_draw_only_the_factor(self, monkeypatch):
+        counts = self.drawn(monkeypatch, lambda: conditional_call_values(
+            scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(1), 50))
+        assert counts == {"y": 8 * 3 * 50}
+
+    def test_lookback_draws_factor_increments_and_uniforms(self, monkeypatch):
+        counts = self.drawn(monkeypatch, lambda: lookback_single_level(
+            scott_spec(), SchemeKind.WEAKTRAJ1, 8, RngStream(1), 50))
+        assert counts == {"y": 8 * 3 * 50, "b": 8 * 50, "u": 8 * 50}
 
 
 class TestBridgeMin:

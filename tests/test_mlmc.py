@@ -7,6 +7,7 @@ from conftest import const_vol_ou_spec, scott_spec
 
 from svschemes.errors import BudgetExceededError, InvalidParameterError
 from svschemes.mlmc import (
+    BATCH_PATHS,
     LevelStats,
     MlmcConfig,
     call_level_sampler,
@@ -24,7 +25,7 @@ def level_stats(sampler, config, rng, levels):
     out = []
     for level in levels:
         stats = LevelStats(level=level)
-        for batch, size in enumerate(chunk_sizes(config.initial_samples, config.batch_paths)):
+        for batch, size in enumerate(chunk_sizes(config.initial_samples, BATCH_PATHS)):
             stats.add(sampler(level, rng.child("level", level, "batch", batch), size))
         out.append(stats)
     return out
@@ -34,6 +35,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             MlmcConfig(epsilon=0.0, max_level=5)
+        for epsilon in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                MlmcConfig(epsilon=epsilon, max_level=5)
         with pytest.raises(InvalidParameterError):
             MlmcConfig(epsilon=0.1, max_level=0)
         with pytest.raises(InvalidParameterError):
@@ -89,7 +93,7 @@ class TestDriver:
     def test_reproducible(self):
         spec = scott_spec()
         sampler = call_level_sampler(spec, SchemeKind.WEAKTRAJ1, 100.0)
-        cfg = MlmcConfig(epsilon=0.1, max_level=6, initial_samples=500, batch_paths=2000)
+        cfg = MlmcConfig(epsilon=0.1, max_level=6, initial_samples=500)
         a = mlmc_estimate(sampler, cfg, RngStream(3))
         b = mlmc_estimate(sampler, cfg, RngStream(3))
         assert a.value == b.value

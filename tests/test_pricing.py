@@ -6,6 +6,7 @@ import pytest
 from conftest import const_vol_ou_spec, scott_spec
 
 from svschemes import models
+from svschemes.coupling import coupling_start, level_sums
 from svschemes.errors import InvalidParameterError
 from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import (
@@ -13,7 +14,6 @@ from svschemes.pricing import (
     _mc_estimate,
     bs_call,
     call_payoff,
-    call_values_from_draws,
     conditional_call_values,
     discounted_call_payoff,
     plain_call,
@@ -129,15 +129,18 @@ class TestConditionalValues:
 
     @pytest.mark.parametrize("kind", [SchemeKind.WEAK2, SchemeKind.WEAKTRAJ1])
     def test_path_alone_equals_path_in_batch(self, kind):
-        # a chunk or parallel block may hold a single path: its value must
-        # be the bytes it has among other paths (numpy sums one column of
-        # eight or more steps pairwise, but several columns row by row)
+        # a chunk or parallel block may hold a single path: its sums, on
+        # the grid and its halving, must be the bytes it has among other
+        # paths (numpy sums one column of eight or more steps pairwise,
+        # but several columns row by row)
         spec = scott_spec()
         draws = draw_factor_paths(spec, kind, 8, RngStream(42, "y"), 64)
-        batch = call_values_from_draws(spec, kind, [draws], 100.0)[0]
+        batch = coupling_start(spec, kind, 64)
+        level_sums(spec, kind, draws, "floor", batch)
         for j in range(64):
-            alone = call_values_from_draws(spec, kind, [draws.columns(slice(j, j + 1))], 100.0)[0]
-            assert alone.tobytes() == batch[j:j + 1].tobytes(), j
+            alone = coupling_start(spec, kind, 1)
+            level_sums(spec, kind, draws.columns(slice(j, j + 1)), "floor", alone)
+            assert alone.tobytes() == batch[..., j:j + 1].tobytes(), j
 
 
     def test_halvings_read_the_fine_table(self, monkeypatch):
