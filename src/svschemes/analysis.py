@@ -10,11 +10,12 @@ mean squared differences at maturity:
 
 so a scheme of strong order p shows a log-log slope near -2p.
 
-Within one (experiment, N, chunk) cell all schemes consume the same
-child streams, which shares the factor draws and B-increments across
-schemes and removes cross-scheme Monte Carlo noise from slope
-comparisons. Paths are processed in fixed-size chunks so results do
-not depend on available memory. A chunk is coupled one step block at a
+Within one (experiment, N) cell all schemes consume the same streams,
+which shares the factor normals and B-increments across schemes and
+removes cross-scheme Monte Carlo noise from slope comparisons. Paths are
+processed in chunks of whole path blocks (``rng.block_chunks``), so
+results depend neither on available memory nor on the chunk size. A
+chunk is coupled one step block at a
 time (``schemes.advance_blocks``), each block in parallel column blocks
 of its paths: one node table per column block serves both levels of
 every scheme that shares the draws, and each scheme carries its coupled
@@ -46,8 +47,8 @@ from .mlmc import (
     mlmc_estimate,
 )
 from .models import VolModelSpec
-from .pricing import chunk_sizes, conditional_call_values, romano_touzi_call
-from .rng import RngStream
+from .pricing import conditional_call_values, romano_touzi_call
+from .rng import BlockStreams, RngStream, block_chunks
 from .schemes import FactorDraws, SchemeKind, advance_blocks
 
 # Converged at-the-money call price under the benchmark Scott parameters
@@ -153,14 +154,18 @@ def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndar
 
 
 def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine: int,
-                 size: int, cutoff: str) -> dict:
-    """Per-path (log_err, asset_err) of every kind in one (N, chunk) cell.
+                 size: int, cutoff: str, first: int = 0) -> dict:
+    """Per-path (log_err, asset_err) of every kind for the ``size`` paths of
+    a cell (one ladder point) from path block ``first`` on.
 
     Each group of kinds shares one factor draw, and all the B-increments:
     a group is one pass over the cell's step blocks, and every pass draws
-    the same "b" values from the cell's child stream.
+    the same "b" values from the cell's block streams; the terminal
+    coupling's closing normal is the stream "g".
     """
-    g = cell.child("g").normal(size) if mode == "terminal" else None
+    g = None
+    if mode == "terminal":
+        g = BlockStreams(cell, size, first).draw(1, normals=("g",))["g"][0]
     errors = {}
     for group in groups:
         def advance(draws, db, carry):
@@ -169,7 +174,8 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
 
         carry = advance_blocks(
             spec, group, n_fine, cell, size,
-            lambda: np.stack([coupling_start(spec, kind, size) for kind in group]), advance)
+            lambda: np.stack([coupling_start(spec, kind, size) for kind in group]), advance,
+            first=first)
         errors.update((kind, _pair_errors(spec, kind, mode, pair, g, n_fine))
                       for kind, pair in zip(group, carry))
     return errors
@@ -183,9 +189,10 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
     rows: list[ExperimentRow] = []
     for n_coarse in config.n_ladder:
         acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
-        for i, size in enumerate(chunk_sizes(config.npaths, config.chunk_paths)):
-            cell = rng.child(experiment, n_coarse, "chunk", i)
-            errors = _cell_errors(spec, groups, mode, cell, 2 * n_coarse, size, config.cutoff)
+        cell = rng.child(experiment, n_coarse)
+        for first, size in block_chunks(config.npaths, config.chunk_paths):
+            errors = _cell_errors(spec, groups, mode, cell, 2 * n_coarse, size, config.cutoff,
+                                  first)
             for kind in kinds:
                 log_err, asset_err = errors[kind]
                 acc[kind, "log_sq_err"].add(log_err)
@@ -262,10 +269,10 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
     while grids[-1] // 2 >= min(n_ladder):
         grids.append(grids[-1] // 2)
     acc = {n: LevelStats() for n in n_ladder}
-    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
+    for first, size in block_chunks(npaths, chunk_paths):
         values = conditional_call_values(spec, kind, fine_steps, strike,
-                                         rng.child("weak-refine", "chunk", i), size, cutoff,
-                                         depth=len(grids) - 1)
+                                         rng.child("weak-refine"), size, cutoff,
+                                         depth=len(grids) - 1, first=first)
         for n in n_ladder:
             acc[n].add(values[grids.index(n)] - values[0])
     return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(acc[n].mean),

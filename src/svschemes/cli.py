@@ -25,7 +25,7 @@ from .analysis import (
 from .coupling import lookback_single_level
 from .errors import ConfigError, InvalidParameterError, NumericalError
 from .models import benchmark_scott_params, scott_model, spec_from_config
-from .pricing import _mc_estimate, romano_touzi_call
+from .pricing import chunked_estimate, romano_touzi_call
 from .rng import RngStream
 from .schemes import SchemeKind
 
@@ -198,8 +198,8 @@ def _run(args) -> int:
             est = romano_touzi_call(spec, kind, args.steps, args.strike, rng, args.paths,
                                     cutoff=args.cutoff)
         else:
-            est = _mc_estimate(lookback_single_level(spec, kind, args.steps, rng, args.paths,
-                                                     cutoff=args.cutoff))
+            est = chunked_estimate(lambda first, size: lookback_single_level(
+                spec, kind, args.steps, rng, size, args.cutoff, first), args.paths)
             _emit_json({"payoff": "lookback", "scheme": kind.value, "steps": args.steps,
                         "paths": args.paths, "value": est.value, "stderr": est.stderr}, args.out)
             return 0

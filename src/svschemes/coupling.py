@@ -23,8 +23,9 @@ The ``*_from_draws`` kernels consume pre-drawn randomness (so
 experiment harnesses can share draws, and their node table, across
 schemes) one step block at a time, advancing a per-path carry
 (``coupling_start``) from the block's first node to its last. The
-lookback estimators draw from the child streams "y" (factor), "b"
-(B-increments) and "u" (bridge uniforms) through ``schemes.advance_blocks``.
+lookback estimators draw the factor normals up to "dW" (the spot
+endpoints of the bridge read dW), the B-increments "b" and the bridge
+uniforms "u" through ``schemes.advance_blocks``.
 """
 
 from __future__ import annotations
@@ -303,13 +304,14 @@ def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
         lambda: coupling_start(spec, kind, npaths, np.inf),
         lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
                                                                carry),
-        ("b", "u")))
+        ("b", "u"), reads=("dW",)))
 
 
 def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
-                          rng: RngStream, npaths: int,
-                          cutoff: str = "floor") -> np.ndarray:
-    """Discounted lookback payoffs on a single grid (MLMC base level)."""
+                          rng: RngStream, npaths: int, cutoff: str = "floor",
+                          first: int = 0) -> np.ndarray:
+    """Discounted lookback payoffs on a single grid (MLMC base level), for
+    the ``npaths`` paths from path block ``first`` on."""
     if kind is SchemeKind.CMT:
         raise InvalidParameterError("CMT supports no lookback with bridge minima")
 
@@ -319,5 +321,5 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
 
     carry = advance_blocks(spec, (kind,), n_steps, rng, npaths,
                            lambda: coupling_start(spec, kind, npaths, np.inf, levels=1),
-                           advance, ("b", "u"))
+                           advance, ("b", "u"), reads=("dW",), first=first)
     return _lookback_payoff(spec, carry[0, 0], carry[0, 2])

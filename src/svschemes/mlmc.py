@@ -27,7 +27,7 @@ from .coupling import coupled_lookback_levels, lookback_single_level
 from .errors import BudgetExceededError, InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .pricing import conditional_call_values
-from .rng import RngStream
+from .rng import PATH_BLOCK, RngStream
 from .schemes import SchemeKind
 
 LevelSampler = Callable[[int, RngStream, int], np.ndarray]
@@ -64,29 +64,39 @@ class MlmcConfig:
 
 @dataclass
 class LevelStats:
-    """Running moments of a sample stream, here the level-l corrections."""
+    """Running moments of a sample stream, here the level-l corrections.
+
+    Samples are merged one path block (``rng.PATH_BLOCK`` samples) at a
+    time by the pairwise update of Chan, Golub and LeVeque: each block's
+    mean and sum of squared deviations (M2) are combined with the running
+    ones, so the variance takes no difference of large sums, and samples
+    added in whole path blocks give the same bytes however the calls split
+    them.
+    """
 
     level: int = 0
     n: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
+    mean: float = 0.0
+    m2: float = 0.0
     batches: int = 0
 
     def add(self, samples: np.ndarray):
-        self.n += samples.size
-        self.total += float(samples.sum())
-        self.total_sq += float(np.square(samples).sum())
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n
+        for start in range(0, samples.size, PATH_BLOCK):
+            block = samples[start:start + PATH_BLOCK]
+            count = block.size
+            block_mean = float(block.mean())
+            block_m2 = float(np.square(block - block_mean).sum())
+            total = self.n + count
+            delta = block_mean - self.mean
+            self.mean += delta * count / total
+            self.m2 += block_m2 + delta * delta * self.n * count / total
+            self.n = total
 
     @property
     def variance(self) -> float:
         if self.n < 2:
             raise InvalidParameterError("need at least two samples for a variance")
-        centered = self.total_sq - self.total**2 / self.n
-        return max(centered / (self.n - 1), 0.0)
+        return self.m2 / (self.n - 1)
 
     @property
     def stderr(self) -> float:

@@ -24,7 +24,7 @@ from ._parallel import map_blocks
 from .coupling import coupling_start, level_sums
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
-from .rng import RngStream
+from .rng import RngStream, block_chunks
 from .schemes import SchemeKind, advance_blocks, cmt_paths, simulate_paths
 
 
@@ -80,8 +80,10 @@ def discounted_call_payoff(spec: VolModelSpec, x_terminal, strike: float):
 
 def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                             strike: float, rng: RngStream, npaths: int,
-                            cutoff: str = "floor", depth: int = 0) -> np.ndarray:
-    """Per-path conditional call prices given factor draws from ``rng``.
+                            cutoff: str = "floor", depth: int = 0,
+                            first: int = 0) -> np.ndarray:
+    """Per-path conditional call prices given factor draws from ``rng``, for
+    the ``npaths`` paths from path block ``first`` on.
 
     Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V) the
     accumulated drift and conditional variance of the scheme
@@ -96,7 +98,7 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     sums = advance_blocks(spec, (kind,), n_steps, rng, npaths,
                           lambda: coupling_start(spec, kind, npaths, levels=depth + 1),
                           lambda draws, carry: level_sums(spec, kind, draws, cutoff, carry),
-                          streams=(), multiple=2 ** max(depth, 1))
+                          streams=(), multiple=2 ** max(depth, 1), first=first)
     scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
 
     def values(cols):
@@ -108,15 +110,16 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     return out if depth else out[0]
 
 
-def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int) -> np.ndarray:
-    """Terminal log-asset values of CMT paths drawn from ``rng``."""
+def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int,
+                  first: int = 0) -> np.ndarray:
+    """Terminal log-asset values of the CMT paths from path block ``first`` on."""
     def advance(draws, db, carry):
         x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry[0, :2])
         carry[0, :2] = x[-1], y[-1]
 
     return advance_blocks(spec, (SchemeKind.CMT,), n_steps, rng, npaths,
                           lambda: coupling_start(spec, SchemeKind.CMT, npaths, levels=1),
-                          advance)[0, 0]
+                          advance, first=first)[0, 0]
 
 
 def _mc_estimate(values: np.ndarray) -> PriceEstimate:
@@ -130,45 +133,37 @@ def _mc_estimate(values: np.ndarray) -> PriceEstimate:
     return PriceEstimate(value=value, stderr=stderr, npaths=n)
 
 
-def chunk_sizes(npaths: int, chunk_paths: int) -> list[int]:
-    """Sizes of the fixed-size path chunks, each simulated on its own stream."""
-    sizes = [chunk_paths] * (npaths // chunk_paths)
-    if npaths % chunk_paths:
-        sizes.append(npaths % chunk_paths)
-    return sizes
+def chunked_estimate(values, npaths: int, chunk_paths: int = 250_000) -> PriceEstimate:
+    """Monte Carlo estimate from the per-path ``values(first, size)`` of the
+    chunks of whole path blocks (``rng.block_chunks``); the chunk size
+    bounds memory and does not change the result."""
+    if npaths < 1:
+        raise InvalidParameterError(f"need at least one path, got {npaths}")
+    return _mc_estimate(np.concatenate([values(first, size)
+                                        for first, size in block_chunks(npaths, chunk_paths)]))
 
 
 def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
                       rng: RngStream, npaths: int, cutoff: str = "floor",
                       chunk_paths: int = 250_000) -> PriceEstimate:
-    """Conditioning-based call price (plain Monte Carlo for CMT).
-
-    Paths are simulated in fixed-size chunks, each on its own child
-    stream, so the result is independent of available memory.
-    """
-    if npaths < 2:
-        raise InvalidParameterError(f"need at least two paths, got {npaths}")
-    pieces = []
-    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
-        chunk_rng = rng.child("chunk", i)
+    """Conditioning-based call price (plain Monte Carlo for CMT), simulated
+    in chunks of about ``chunk_paths`` paths (``chunked_estimate``)."""
+    def values(first, size):
         if kind is SchemeKind.CMT:
-            pieces.append(discounted_call_payoff(spec, _cmt_terminal(spec, n_steps, chunk_rng,
-                                                                     size), strike))
-        else:
-            pieces.append(
-                conditional_call_values(spec, kind, n_steps, strike, chunk_rng, size, cutoff)
-            )
-    return _mc_estimate(np.concatenate(pieces))
+            return discounted_call_payoff(spec, _cmt_terminal(spec, n_steps, rng, size, first),
+                                          strike)
+        return conditional_call_values(spec, kind, n_steps, strike, rng, size, cutoff,
+                                       first=first)
+
+    return chunked_estimate(values, npaths, chunk_paths)
 
 
 def plain_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
                rng: RngStream, npaths: int, cutoff: str = "floor",
                chunk_paths: int = 250_000) -> PriceEstimate:
     """Unconditioned call price from simulated terminal values."""
-    if npaths < 2:
-        raise InvalidParameterError(f"need at least two paths, got {npaths}")
-    pieces = []
-    for i, size in enumerate(chunk_sizes(npaths, chunk_paths)):
-        path = simulate_paths(kind, spec, n_steps, rng.child("chunk", i), size, cutoff)
-        pieces.append(discounted_call_payoff(spec, path.x[-1], strike))
-    return _mc_estimate(np.concatenate(pieces))
+    def values(first, size):
+        path = simulate_paths(kind, spec, n_steps, rng, size, cutoff, first)
+        return discounted_call_payoff(spec, path.x[-1], strike)
+
+    return chunked_estimate(values, npaths, chunk_paths)

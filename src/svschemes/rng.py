@@ -6,13 +6,18 @@ of identifiers without coordination. Normals are produced by inversion
 of the standard normal CDF, so a fixed draw index always maps to the
 same variate.
 
+A batch of paths draws from one stream per path block and per named
+normal (``BlockStreams``): path p of a run reads block p // PATH_BLOCK,
+so a chunk of whole blocks draws what it would draw inside a larger
+batch, and a scheme pays only for the normals it reads.
+
 The joint laws implemented here:
 
 * (dW, iW) where iW = int_{t_k}^{t_{k+1}} (W_s - W_{t_k}) ds, with
   covariance [[delta, delta^2/2], [delta^2/2, delta^3/3]];
 * the exact OU transition (Y_{k+1} - e^{-kappa*delta} Y_k, iW) with the
   closed-form (M, Gamma) moments;
-* the full triple (dW, iW, dY_stoch) used to keep fine and coarse grids
+* the full triple (dY_stoch, dW, iW) used to keep fine and coarse grids
   of a coupling consistent, where dY_stoch is the stochastic part of the
   exact OU increment.
 """
@@ -21,11 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import queue
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-from ._parallel import map_blocks
+from ._parallel import map_tasks
 from .errors import InvalidParameterError, NumericalError
 from .models import OUParams
 
@@ -33,19 +40,36 @@ from .models import OUParams
 # [0, 1) so only the exact-zero draw needs the clip.
 _U_FLOOR = 2.0**-64
 
+# Paths per path block: every stream of a batch serves one block of
+# PATH_BLOCK consecutive paths of the run (the last block of a batch may
+# be narrower).
+PATH_BLOCK = 4096
+
+
+class _Key(ISeedSequence):
+    """A seed sequence that hands Philox its 128-bit key as is.
+
+    ``Philox(key=k)`` first seeds a SeedSequence from OS entropy that the
+    key then replaces (about 17 of the 24 us it costs); a Philox built
+    from this sequence reads the two little-endian 64-bit words of the
+    16 key bytes instead, and so starts in the same state as
+    ``Philox(key=int.from_bytes(key, "little"))`` in about 8 us.
+    """
+
+    def __init__(self, key: bytes):
+        self.words = np.frombuffer(key, dtype="<u8")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
 
 class RngStream:
     """Counter-based random stream identified by (seed, *path).
 
     The Philox key is a hash of the seed and the path of identifiers,
     so distinct paths give independent streams and ``child`` streams
-    can be handed to workers in any order.
-
-    Array draws are filled over blocks of the flat C-order output on
-    the path-parallel pool: each block jumps a copy of the generator
-    to its first value (Philox is counter-based), so every value keeps
-    its index in the stream for any number of workers, and the stream
-    then continues past the last value drawn.
+    can be handed to workers in any order. Draws are sequential: each
+    continues where the stream's previous draw ended.
     """
 
     def __init__(self, seed: int, *path):
@@ -53,8 +77,7 @@ class RngStream:
         self.path = tuple(path)
         material = repr((self.seed,) + self.path).encode()
         digest = hashlib.blake2b(material, digest_size=16).digest()
-        self._key = int.from_bytes(digest, "little")
-        self._gen = np.random.Generator(np.random.Philox(key=self._key))
+        self._gen = np.random.Generator(np.random.Philox(_Key(digest)))
 
     def child(self, *ids) -> "RngStream":
         """Derived independent stream with the given extra identifiers."""
@@ -62,70 +85,96 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""
-        if size is None:
-            return self._gen.random()
-        return self._fill(size)
+        return self._gen.random(size)
 
-    def uniform_open(self, size=None):
-        """Uniform draws on (0, 1], valid inputs for log and bridge draws."""
+    def uniform_open(self, size=None, out=None, scratch=None):
+        """Uniform draws on (0, 1], valid inputs for log and bridge draws;
+        written to ``out`` if given (see ``normal``)."""
         if size is None:
             return 1.0 - self._gen.random()
-        return self._fill(size, lambda block: np.subtract(1.0, block, out=block))
+        u = self._uniforms(size, out, scratch)
+        return np.subtract(1.0, u, out=u if out is None else out)
 
-    def normal(self, size=None):
-        """Standard normals by inversion of the normal CDF."""
+    def normal(self, size=None, out=None, scratch=None):
+        """Standard normals by inversion of the normal CDF; written to ``out``
+        (an array of shape ``size``) if given. The generator fills contiguous
+        arrays only: where ``out`` is not contiguous, the uniforms go to
+        ``scratch`` (contiguous, of shape ``size``), or to a temporary."""
         if size is None:
             return ndtri(np.maximum(self._gen.random(), _U_FLOOR))
+        u = self._uniforms(size, out, scratch)
+        np.maximum(u, _U_FLOOR, out=u)
+        return ndtri(u, out=u if out is None else out)
 
-        def invert(block):
-            np.maximum(block, _U_FLOOR, out=block)
-            ndtri(block, out=block)
+    def _uniforms(self, size, out, scratch) -> np.ndarray:
+        if out is not None and out.flags.c_contiguous:
+            return self._gen.random(out=out)
+        return self._gen.random(size, out=scratch)
 
-        return self._fill(size, invert)
 
-    def _fill(self, size, transform=None) -> np.ndarray:
-        """Uniforms of shape ``size``, drawn and then ``transform``-ed in place by blocks.
+class BlockStreams:
+    """The streams of a batch of ``npaths`` paths, one per path block and name.
 
-        A draw that runs as one block uses the stream's own generator;
-        otherwise each block draws from a copy jumped to its first value,
-        and the stream's generator skips every value drawn afterwards.
-        """
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        n = flat.size
+    The batch's paths are the run's paths from ``first * PATH_BLOCK`` on.
+    The values named ``name`` of the block b of the run come from the
+    stream ``rng.child(name, "block", b)``, step-major: each ``draw`` of
+    ``steps`` rows continues every block's stream where its previous draw
+    ended. So a batch of whole blocks draws the bytes it would draw as
+    part of a larger one, in any number of draws of any row counts.
+    """
 
-        def fill(cols):
-            block = flat[cols]
-            if cols.stop - cols.start == n:
-                self._gen.random(out=block)
-            else:
-                bits = np.random.Philox(key=self._key)
-                bits.state = self._gen.bit_generator.state
-                _skip(bits, cols.start)
-                np.random.Generator(bits).random(out=block)
-            if transform is not None:
-                transform(block)
+    def __init__(self, rng: RngStream, npaths: int, first: int = 0):
+        if npaths < 1:
+            raise InvalidParameterError(f"need at least one path, got {npaths}")
+        self.rng = rng
+        self.npaths = npaths
+        self._blocks = [(first + i, slice(p, min(p + PATH_BLOCK, npaths)))
+                        for i, p in enumerate(range(0, npaths, PATH_BLOCK))]
+        self._streams: dict[str, list[RngStream]] = {}
+        self._scratch = queue.SimpleQueue()
 
-        if len(map_blocks(fill, n)) > 1:
-            _skip(self._gen.bit_generator, n)
+    def draw(self, steps: int, normals=(), uniforms=()) -> dict[str, np.ndarray]:
+        """The next ``steps`` rows, shape (steps, npaths), of standard normals
+        for each name in ``normals`` and of uniforms on (0, 1] for each name
+        in ``uniforms``, a block of a name at a time on the path-parallel
+        pool (``map_tasks``)."""
+        out, tasks = {}, []
+        for names, method in ((normals, RngStream.normal), (uniforms, RngStream.uniform_open)):
+            for name in names:
+                if name not in self._streams:
+                    self._streams[name] = [self.rng.child(name, "block", b) for b, _ in self._blocks]
+                out[name] = np.empty((steps, self.npaths))
+                tasks += [(method, stream, out[name][:, cols])
+                          for stream, (_, cols) in zip(self._streams[name], self._blocks)]
+
+        def fill(task):
+            method, stream, view = task
+            if view.flags.c_contiguous:  # the batch is one block
+                method(stream, view.shape, out=view)
+                return
+            # the uniforms of a block's columns go to a scratch block, reused
+            # from draw to draw (a fresh one per block costs page faults)
+            try:
+                scratch = self._scratch.get_nowait()
+            except queue.Empty:
+                scratch = np.empty(0)
+            if scratch.size < view.size:
+                scratch = np.empty(steps * PATH_BLOCK)
+            method(stream, view.shape, out=view,
+                   scratch=scratch[:view.size].reshape(view.shape))
+            self._scratch.put(scratch)
+
+        map_tasks(fill, tasks, steps * self.npaths * len(out))
         return out
 
 
-def _skip(bits: np.random.Philox, count: int):
-    """Advance ``bits`` past ``count`` values, one 64-bit value per uniform.
-
-    Philox makes four values per counter step and buffers them; advance()
-    moves the counter and empties the buffer, so the values left in the
-    buffer are consumed first and the remainder below four discarded.
-    """
-    if count <= 0:
-        return
-    left = min(count, 4 - bits.state["buffer_pos"])
-    bits.random_raw(left)
-    count -= left
-    if count >= 4:
-        bits.advance(count // 4)
-    bits.random_raw(count % 4)
+def block_chunks(npaths: int, chunk_paths: int) -> list[tuple[int, int]]:
+    """(first path block, paths) of each chunk of a run of ``npaths`` paths:
+    chunks of ``chunk_paths`` rounded up to whole path blocks, the last one
+    what is left. The draws do not depend on the chunk size, which only
+    bounds memory."""
+    per = PATH_BLOCK * max(1, -(-chunk_paths // PATH_BLOCK))
+    return [(start // PATH_BLOCK, min(per, npaths - start)) for start in range(0, npaths, per)]
 
 
 def joint_chol(delta: float) -> np.ndarray:
@@ -203,11 +252,12 @@ def ou_exact_joint(ou: OUParams, y: float, delta: float, rng: RngStream, size=No
 
 
 def ou_triple_cov(ou: OUParams, delta: float) -> np.ndarray:
-    """Covariance of (dW, iW, dY_stoch) over one step.
+    """Covariance of (dY_stoch, dW, iW) over one step.
 
     dY_stoch = nu * int e^{-kappa*(delta-s)} dW_s is the stochastic part
     of the exact OU increment; all three are linear functionals of W on
-    the step, hence jointly Gaussian.
+    the step, hence jointly Gaussian. dY_stoch comes first, so that its
+    Cholesky row reads one normal.
     """
     _, _, g11, g12, g22 = ou_transition_moments(ou, delta)
     kd = ou.kappa * delta
@@ -217,14 +267,14 @@ def ou_triple_cov(ou: OUParams, delta: float) -> np.ndarray:
     else:
         c_w_dy = ou.nu * (-math.expm1(-kd)) / ou.kappa
     return np.array([
-        [delta, delta**2 / 2.0, c_w_dy],
-        [delta**2 / 2.0, g22, g12],
-        [c_w_dy, g12, g11],
+        [g11, c_w_dy, g12],
+        [c_w_dy, delta, delta**2 / 2.0],
+        [g12, delta**2 / 2.0, g22],
     ])
 
 
 def ou_triple_chol(ou: OUParams, delta: float) -> np.ndarray:
-    """Lower Cholesky factor of the (dW, iW, dY_stoch) covariance.
+    """Lower Cholesky factor of the (dY_stoch, dW, iW) covariance.
 
     The matrix is near-singular for tiny kappa*delta (dY_stoch tends to
     nu*dW); a diagonal jitter retry keeps the factorization stable.

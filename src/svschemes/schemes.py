@@ -16,13 +16,15 @@ template (its update mixes dB into the factor recursion) and keeps a
 dedicated recursion.
 
 Simulation is vectorized across paths: arrays are laid out with shape
-(steps, paths). Draw order per step and stream: the factor stream "y"
-supplies the joint (dW, iW, dY) normals step by step, the asset stream
-"b" supplies the B-increments, and the uniform stream "u" supplies
-bridge uniforms, each an independent child stream of the caller's.
-Streams are step-major, so estimators draw and consume a grid a step
-block at a time (``advance_blocks``), carrying per-path state from block
-to block: memory is O(paths), and the bytes are those of one draw.
+(steps, paths). Every normal has its own stream per path block
+(``rng.BlockStreams``): the factor normals "dY", "dW" and "iW" (the
+Cholesky order of the OU triple (dY, dW, iW); "dW" and "iW" on generic
+specs), the B-increments "b" and the bridge uniforms "u". A batch draws
+only the factor normals its schemes read (``factor_normals``): weak2
+reads the factor nodes alone, so on an OU-backed spec it draws one normal
+per step. Streams are step-major, so estimators draw and consume a grid a
+step block at a time (``advance_blocks``), carrying per-path state from
+block to block: memory is O(paths), and the bytes are those of one draw.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import _parallel
 from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
-from .rng import RngStream, joint_from_normals, ou_transition_moments, ou_triple_chol
+from .rng import BlockStreams, RngStream, joint_chol, ou_transition_moments, ou_triple_chol
 
 
 class SchemeKind(str, Enum):
@@ -68,6 +70,18 @@ _BOTH_ENDS = {
 }
 
 
+# The factor increments each scheme reads besides the factor nodes (CMT
+# reads dW and builds its own factor path).
+_READS = {
+    SchemeKind.WEAK2: (),
+    SchemeKind.EULER: ("dW",),
+    SchemeKind.IJK: ("dW",),
+    SchemeKind.CMT: ("dW",),
+    SchemeKind.WEAKTRAJ1: ("iW",),
+    SchemeKind.OU_IMPROVED: ("iW",),
+}
+
+
 @dataclass
 class GridPath:
     """Scheme state on the uniform grid; arrays are (N+1,) or (N+1, paths)."""
@@ -83,11 +97,14 @@ class GridPath:
 class FactorDraws:
     """Factor-side randomness for a batch of paths.
 
-    y has shape (N+1, paths); dW and iW have shape (N, paths). For
-    OU-backed specs y is the exact solution at the grid nodes and stays
-    consistent under coarsening (coarse nodes = fine even nodes), and
-    the coarse draws read the node table ``coeffs`` of the fine draws
-    when those carry one.
+    y has shape (N+1, paths); dW and iW have shape (N, paths). An
+    increment whose normal was not drawn is a NaN view of that shape with
+    zero strides (``undrawn``), so a scheme that reads it yields NaN, which
+    the finiteness checks (the radicand, the estimate) raise as a
+    NumericalError. For OU-backed specs y is the exact solution
+    at the grid nodes and stays consistent under coarsening (coarse nodes
+    = fine even nodes), and the coarse draws read the node table
+    ``coeffs`` of the fine draws when those carry one.
     """
 
     delta: float
@@ -99,6 +116,26 @@ class FactorDraws:
     def columns(self, cols: slice) -> "FactorDraws":
         """The draws of the paths selected by ``cols``, as views, without a table."""
         return FactorDraws(self.delta, self.y[..., cols], self.dW[..., cols], self.iW[..., cols])
+
+
+def undrawn(shape) -> np.ndarray:
+    """The stand-in for an increment whose normal was not drawn."""
+    return np.broadcast_to(np.nan, shape)
+
+
+def _is_undrawn(values: np.ndarray) -> bool:
+    return values.ndim > 0 and not any(values.strides)
+
+
+def factor_normals(spec: VolModelSpec, kinds, reads=()) -> tuple[str, ...]:
+    """The names of the normals drawn per step for the factor draws of the
+    schemes ``kinds``, whose consumer also reads the increments ``reads``:
+    the Cholesky order ("dY", "dW", "iW") of an OU-backed spec, or ("dW",
+    "iW") of a generic one, up to the last increment read; the factor
+    nodes read the first."""
+    order = ("dY", "dW", "iW") if spec.ou is not None else ("dW", "iW")
+    read = set(reads).union(*(_READS[kind] for kind in kinds))
+    return order[:max([1] + [order.index(name) + 1 for name in read])]
 
 
 def block_steps(npaths: int, multiple: int = 2) -> int:
@@ -233,26 +270,29 @@ def _recursive_factor_path(spec: VolModelSpec, delta: float, dW: np.ndarray, use
     return y
 
 
-def draw_brownian_increments(rng_b: RngStream, n_steps: int, npaths: int,
-                             delta: float) -> np.ndarray:
-    """Independent B-increments, shape (n_steps, npaths), variance delta."""
+def draw_brownian_increments(normals: np.ndarray, delta: float) -> np.ndarray:
+    """The B-increments, variance delta, of the drawn standard normals
+    ``normals`` (stream "b"), scaled in place."""
     if not delta > 0:
         raise InvalidParameterError(f"delta must be positive, got {delta}")
-    return math.sqrt(delta) * rng_b.normal((n_steps, npaths))
+    normals *= math.sqrt(delta)
+    return normals
 
 
-def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray, start) -> FactorDraws:
-    """Exact OU draws from the normals g, shape (N, 3, paths), and the values ``start``.
+def _ou_factor_draws(spec: VolModelSpec, delta: float, g: dict, start) -> FactorDraws:
+    """Exact OU draws from the normals g ("dY" and, if drawn, "dW" and "iW",
+    each of shape (N, paths)) and the values ``start``.
 
     Runs over column blocks of paths, one step at a time within a block,
-    so the Cholesky mix of (dW, iW, dY_stoch) and the exact recursion
-    y' = mean_shift + decay*y + dY_stoch keep only one-row temporaries.
+    so the Cholesky mix of (dY_stoch, dW, iW) and the exact recursion
+    y' = mean_shift + decay*y + dY_stoch keep only one-row temporaries;
+    dW and iW overwrite their own normals.
     """
-    n_steps, _, npaths = g.shape
+    g0 = g["dY"]
+    n_steps, npaths = g0.shape
     chol = ou_triple_chol(spec.ou, delta)
     decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, delta)
-    dW = np.empty((n_steps, npaths))
-    iW = np.empty((n_steps, npaths))
+    dW, iW = g.get("dW"), g.get("iW")
     y = np.empty((n_steps + 1, npaths))
     y[0] = start
     # two scratch rows allocated here: arrays allocated in worker threads
@@ -260,98 +300,100 @@ def _ou_factor_draws(spec: VolModelSpec, delta: float, g: np.ndarray, start) -> 
     scratch = np.empty((2, npaths))
 
     def build(cols):
-        term, dy = scratch[0, cols], scratch[1, cols]
+        term, mix = scratch[0, cols], scratch[1, cols]
         for k in range(n_steps):
-            g0, g1, g2 = g[k, 0, cols], g[k, 1, cols], g[k, 2, cols]
-            np.multiply(chol[0, 0], g0, out=dW[k, cols])
-            # iW = c10*g0 + c11*g1
-            iw = np.multiply(chol[1, 0], g0, out=iW[k, cols])
-            iw += np.multiply(chol[1, 1], g1, out=term)
-            # dY_stoch = c20*g0 + c21*g1 + c22*g2
-            np.multiply(chol[2, 0], g0, out=dy)
-            dy += np.multiply(chol[2, 1], g1, out=term)
-            dy += np.multiply(chol[2, 2], g2, out=term)
-            # y' = (mean_shift + decay*y) + dY_stoch
+            z = g0[k, cols]
+            if iW is not None:
+                # iW = (c20*g0 + c21*g1) + c22*g2, before g1 becomes dW
+                np.multiply(chol[2, 0], z, out=mix)
+                mix += np.multiply(chol[2, 1], dW[k, cols], out=term)
+                iw = iW[k, cols]
+                iw *= chol[2, 2]
+                iw += mix
+            if dW is not None:
+                # dW = c10*g0 + c11*g1
+                dw = dW[k, cols]
+                dw *= chol[1, 1]
+                dw += np.multiply(chol[1, 0], z, out=term)
+            # y' = (mean_shift + decay*y) + c00*g0
             y_next = np.multiply(decay, y[k, cols], out=y[k + 1, cols])
             y_next += mean_shift
-            y_next += dy
+            y_next += np.multiply(chol[0, 0], z, out=term)
 
     # each numpy call sees one row of a block, so a block needs MIN_BLOCK
     # paths: narrower rows run slower on two threads than on one, as the
     # calls contend for the interpreter lock (on a 2-core Xeon, 256 steps
     # x 10,000 paths took a third longer on two)
     map_blocks(build, npaths)
-    return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
+    shape = (n_steps, npaths)
+    return FactorDraws(delta=delta, y=y, dW=undrawn(shape) if dW is None else dW,
+                       iW=undrawn(shape) if iW is None else iW)
 
 
-def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
-                      rng_y: RngStream, npaths: int, start=None,
-                      steps: int | None = None) -> FactorDraws:
-    """Draw the factor-side randomness of a batch of paths on an n_steps grid.
+def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normals: dict,
+                      start=None) -> FactorDraws:
+    """The factor draws of a step block of an n_steps grid from its drawn
+    normals, each of shape (steps, paths), from the values ``start`` (y0 by
+    default).
 
-    OU-backed specs consume three normals per step (the joint law of
-    dW, iW and the exact factor increment); generic specs consume two
-    (dW, iW) and build y by Milstein (NV for the weak scheme). It covers
-    the next ``steps`` steps (all by default) from the values ``start``.
+    ``normals`` holds the factor normals of ``factor_normals`` by name (and
+    may hold other streams' draws). OU-backed specs mix them into (dY, dW,
+    iW), overwriting the dW and iW normals, and build y by the exact
+    transition; generic specs map them to (dW, iW) and build y by Milstein
+    (NV for the weak scheme). Increments whose normals are missing are
+    ``undrawn``.
     """
-    _check_batch(n_steps, npaths)
+    g0 = normals["dY" if spec.ou is not None else "dW"]
+    _check_batch(n_steps, g0.shape[1])
     if kind in _OU_ONLY:
         _require_ou(spec, kind)
     delta = spec.T / n_steps
-    steps = n_steps if steps is None else steps
     start = spec.y0 if start is None else start
     if spec.ou is not None:
-        return _ou_factor_draws(spec, delta, rng_y.normal((steps, 3, npaths)), start)
-    g = rng_y.normal((steps, 2, npaths))
-    dW, iW = joint_from_normals(delta, g[:, 0], g[:, 1])
+        return _ou_factor_draws(spec, delta, normals, start)
+    chol = joint_chol(delta)
+    dW = chol[0, 0] * g0
+    iW = (chol[1, 0] * g0 + chol[1, 1] * normals["iW"] if "iW" in normals
+          else undrawn(dW.shape))
     y = _recursive_factor_path(spec, delta, dW, kind is SchemeKind.WEAK2, start)
     return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
 
 
-def factor_blocks(spec: VolModelSpec, kind: SchemeKind, n_steps: int, rng_y: RngStream,
-                  npaths: int, multiple: int = 2):
-    """The factor draws of an n_steps grid in blocks of ``block_steps`` steps
-    (the last one what is left), each starting from the last node of the
-    one before: together the same bytes as one draw."""
-    _check_batch(n_steps, npaths)
-    size = block_steps(npaths, multiple)
-
-    def blocks():
-        start = None
-        for k0 in range(0, n_steps, size):
-            draws = draw_factor_paths(spec, kind, n_steps, rng_y, npaths, start,
-                                      min(size, n_steps - k0))
-            start = draws.y[-1].copy()
-            yield draws
-            del draws  # released before the next block is drawn
-
-    return blocks()
-
-
 def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, npaths: int,
-                   start, advance, streams=("b",), multiple: int = 2) -> np.ndarray:
+                   start, advance, streams=("b",), multiple: int = 2, reads=(),
+                   first: int = 0) -> np.ndarray:
     """The carry ``start()``, made once the first block is drawn, advanced over
     an n_steps grid drawn from ``rng`` a step block at a time.
 
-    Each block draws the next steps of the child "y" (the factor draws of
-    ``kinds[0]``) and of each child in ``streams``: "b" (B-increments) or
-    "u" (bridge uniforms). ``advance(draws, *arrays, carry)`` then runs on
-    column blocks of the paths, on views of the arrays and of the carry's
-    last axis; the draws carry one node table for ``kinds``.
+    The batch is the ``npaths`` paths from path block ``first`` on
+    (``rng.BlockStreams``). Step blocks hold ``block_steps`` steps (the
+    last one what is left). Each draws, in one pass over the path-parallel
+    pool, the next steps of the factor normals that ``kinds`` and the
+    consumer (``reads``) read, and of each stream in ``streams``: "b"
+    (B-increments) or "u" (bridge uniforms); the factor draws are those of
+    ``kinds[0]``, from the last node of the block before. ``advance(draws,
+    *arrays, carry)`` then runs on column blocks of the paths, on views of
+    the arrays and of the carry's last axis; the draws carry one node table
+    for ``kinds``.
     """
-    blocks = factor_blocks(spec, kinds[0], n_steps, rng.child("y"), npaths, multiple)
-    children = [(name, rng.child(name)) for name in streams]
-    carry = None
-    for draws in blocks:
-        steps = draws.dW.shape[0]
-        arrays = [draw_brownian_increments(child, steps, npaths, draws.delta) if name == "b"
-                  else child.uniform_open((steps, npaths)) for name, child in children]
+    _check_batch(n_steps, npaths)
+    batch = BlockStreams(rng, npaths, first)
+    normals = factor_normals(spec, kinds, reads) + tuple(n for n in streams if n == "b")
+    uniforms = tuple(n for n in streams if n != "b")
+    size = block_steps(npaths, multiple)
+    carry = y_last = None
+    for k0 in range(0, n_steps, size):
+        drawn = batch.draw(min(size, n_steps - k0), normals, uniforms)
+        draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, y_last)
+        y_last = draws.y[-1].copy()
+        arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
+                  else drawn[name] for name in streams]
         if carry is None:
             carry = start()
         map_blocks(lambda cols: advance(with_coeffs(spec, draws.columns(cols), kinds),
                                         *(a[:, cols] for a in arrays), carry[..., cols]),
-                   npaths, rows=steps)
-        del draws, arrays  # released before the next block is drawn
+                   npaths, rows=draws.dW.shape[0])
+        del drawn, draws, arrays  # released before the next block is drawn
     return carry
 
 
@@ -365,13 +407,15 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     solution restricted to the coarse grid), and the coarse node table
     reads the fine one; generic specs re-run their factor recursion on
     the summed increments, from the coarse values ``start`` (y0 by
-    default).
+    default). Undrawn increments stay undrawn.
     """
     if fine.dW.shape[0] % 2 != 0:
         raise InvalidParameterError("fine draws must have an even number of steps")
     delta_c = 2.0 * fine.delta
-    dW_c = fine.dW[0::2] + fine.dW[1::2]
-    iW_c = fine.iW[0::2] + fine.iW[1::2] + fine.delta * fine.dW[0::2]
+    # undrawn increments stay undrawn (where dW is undrawn, so is iW)
+    dW_c = fine.dW[0::2] if _is_undrawn(fine.dW) else fine.dW[0::2] + fine.dW[1::2]
+    iW_c = (fine.iW[0::2] if _is_undrawn(fine.iW)
+            else fine.iW[0::2] + fine.iW[1::2] + fine.delta * fine.dW[0::2])
     if spec.ou is not None:
         coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
         return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
@@ -488,14 +532,17 @@ def _weak2_accumulators(spec: VolModelSpec, draws: FactorDraws):
 
 
 def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
-                   rng: RngStream, npaths: int, cutoff: str = "floor") -> GridPath:
+                   rng: RngStream, npaths: int, cutoff: str = "floor",
+                   first: int = 0) -> GridPath:
     """Simulate a batch of paths on the uniform grid.
 
-    Consumes the child streams "y" (factor joint draws) and "b"
-    (B-increments) of ``rng`` in the documented order.
+    Draws the factor normals of ``kind`` and the B-increments "b" of the
+    ``npaths`` paths from path block ``first`` on (``rng.BlockStreams``).
     """
-    draws = draw_factor_paths(spec, kind, n_steps, rng.child("y"), npaths)
-    dB = draw_brownian_increments(rng.child("b"), n_steps, npaths, draws.delta)
+    drawn = BlockStreams(rng, npaths, first).draw(
+        n_steps, factor_normals(spec, (kind,)) + ("b",))
+    draws = draw_factor_paths(spec, kind, n_steps, drawn)
+    dB = draw_brownian_increments(drawn["b"], draws.delta)
     times = np.linspace(0.0, spec.T, n_steps + 1)
     if kind is SchemeKind.CMT:
         x, y = cmt_paths(spec, draws.delta, draws.dW, dB)
@@ -514,15 +561,16 @@ def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int
     Returns (xT, yT, m_bar, v_bar); scalars when npaths is None, arrays
     of length npaths otherwise. The factor path uses the exact OU
     transition when available, the NV scheme otherwise; one independent
-    normal G closes the conditional Gaussian.
+    normal G (stream "b") closes the conditional Gaussian.
     """
     if not -1.0 < spec.rho < 1.0:
         raise InvalidParameterError(f"weak2_terminal requires rho in (-1, 1), got {spec.rho}")
     squeeze = npaths is None
-    count = 1 if squeeze else npaths
-    draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps, rng.child("y"), count)
+    batch = BlockStreams(rng, 1 if squeeze else npaths)
+    draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps,
+                              batch.draw(n_steps, factor_normals(spec, (SchemeKind.WEAK2,))))
     m, v = _weak2_accumulators(spec, draws)
-    g = rng.child("b").normal(count)
+    g = batch.draw(1, normals=("b",))["b"][0]
     y_terminal = draws.y[-1]
     m_bar = m[-1]
     v_bar = v[-1]

@@ -12,6 +12,21 @@ from svschemes.models import (
     scott_model,
     vol_flow_from_zeta,
 )
+from svschemes.rng import BlockStreams
+from svschemes.schemes import draw_factor_paths, factor_normals
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "acceptance: the frozen-seed acceptance suite (minutes); "
+        "-m 'not acceptance' leaves it out of a quick run")
+
+
+def factor_draws(spec, kind, n_steps, rng, npaths, reads=()):
+    """Factor draws of ``kind`` on an n_steps grid for the paths of ``rng``,
+    with the factor normals that ``kind`` and ``reads`` read."""
+    normals = BlockStreams(rng, npaths).draw(n_steps, factor_normals(spec, (kind,), reads))
+    return draw_factor_paths(spec, kind, n_steps, normals)
 
 
 def coeff(spec, name, y):

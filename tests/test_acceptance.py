@@ -39,6 +39,8 @@ from svschemes.schemes import (
     weak2_terminal,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 42
 SLOPE_TOL = 0.2
 

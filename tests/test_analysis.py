@@ -103,6 +103,14 @@ class TestConvExperiments:
         b = run_strong_conv(spec, small_config(chunk_paths=500), RngStream(7))
         assert [(r.value, r.stderr) for r in a] == [(r.value, r.stderr) for r in b]
 
+    @pytest.mark.parametrize("run", [run_strong_conv, run_terminal_conv])
+    def test_chunk_size_invariance(self, run):
+        # 9,000 paths a cell: chunks of 4096 + 4096 + 808, 8192 + 808, or one
+        spec = scott_spec()
+        results = [run(spec, ExperimentConfig(n_ladder=(2, 4), npaths=9000, chunk_paths=chunk),
+                       RngStream(7)) for chunk in (4096, 8192, 10_000)]
+        assert results[1:] == results[:1] * 2
+
     def test_rows_slope_selector(self):
         rows = [
             ExperimentRow("e", "s", 2, "m", 4.0, 0.0),
@@ -141,6 +149,12 @@ class TestWeakCall:
         with pytest.raises(InvalidParameterError):
             weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2,), 4, 100.0,
                                   RngStream(0), 1)
+
+    def test_refinement_chunk_size_invariance(self):
+        spec = scott_spec()
+        rows = [weak_error_refinement(spec, SchemeKind.WEAK2, (2, 4), 8, 100.0, RngStream(3),
+                                      9000, chunk_paths=chunk) for chunk in (4096, 8192, 250_000)]
+        assert rows[1:] == rows[:1] * 2
 
     def test_refinement_rows(self):
         spec = scott_spec()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import const_vol_ou_spec, gbm_factor_spec, scott_spec
+from conftest import const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes.coupling import (
     bridge_min,
@@ -20,27 +20,32 @@ from svschemes.coupling import (
     traj_coupling_from_draws,
 )
 from svschemes.errors import InvalidParameterError
-from svschemes.pricing import conditional_call_values
-from svschemes.rng import RngStream
+from svschemes.analysis import ExperimentConfig, run_strong_conv
+from svschemes.pricing import conditional_call_values, romano_touzi_call
+from svschemes.rng import BlockStreams, RngStream
 from svschemes.schemes import (
     FactorDraws,
     SchemeKind,
     draw_brownian_increments,
     draw_factor_paths,
+    factor_normals,
     simulate_paths,
 )
 
 
 def fine_draws(spec, kind, n_coarse, rng, npaths):
-    """Factor draws and B-increments of 2*n_coarse fine steps from the streams "y" and "b"."""
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
-    return fine, draw_brownian_increments(rng.child("b"), 2 * n_coarse, npaths, fine.delta)
+    """Factor draws (every normal) and B-increments of 2*n_coarse fine steps."""
+    normals = BlockStreams(rng, npaths).draw(
+        2 * n_coarse, factor_normals(spec, (kind,), reads=("iW",)) + ("b",))
+    fine = draw_factor_paths(spec, kind, 2 * n_coarse, normals)
+    return fine, draw_brownian_increments(normals["b"], fine.delta)
 
 
 def terminal_pair(spec, kind, n_coarse, rng, npaths):
-    """Shared-G terminal coupling of 2*n_coarse fine steps from the streams "y" and "g"."""
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, rng.child("y"), npaths)
-    return terminal_coupling_from_draws(spec, kind, fine, rng.child("g").normal(npaths))
+    """Shared-G terminal coupling of 2*n_coarse fine steps, G from the stream "g"."""
+    fine = factor_draws(spec, kind, 2 * n_coarse, rng, npaths)
+    g = BlockStreams(rng, npaths).draw(1, normals=("g",))["g"][0]
+    return terminal_coupling_from_draws(spec, kind, fine, g)
 
 
 class TestCoarseIncrements:
@@ -175,7 +180,7 @@ class TestTerminalCoupling:
 
     def test_cmt_rejected(self):
         spec = scott_spec()
-        fine = draw_factor_paths(spec, SchemeKind.EULER, 4, RngStream(0), 2)
+        fine = factor_draws(spec, SchemeKind.EULER, 4, RngStream(0), 2)
         with pytest.raises(InvalidParameterError):
             terminal_coupling_from_draws(spec, SchemeKind.CMT, fine, np.zeros(2))
 
@@ -247,31 +252,72 @@ class TestStepBlocks:
 
 
 class TestDriverStreams:
-    """The step-block driver draws only the child streams its estimator reads."""
+    """The step-block driver draws only the streams its estimator reads."""
+
+    # the factor normals each scheme draws on an OU-backed spec (one stream
+    # each), and on a generic spec
+    OU_NORMALS = {
+        SchemeKind.WEAK2: {"dY"},
+        SchemeKind.EULER: {"dY", "dW"},
+        SchemeKind.IJK: {"dY", "dW"},
+        SchemeKind.CMT: {"dY", "dW"},
+        SchemeKind.WEAKTRAJ1: {"dY", "dW", "iW"},
+        SchemeKind.OU_IMPROVED: {"dY", "dW", "iW"},
+    }
+    GENERIC_NORMALS = {
+        SchemeKind.WEAK2: {"dW"},
+        SchemeKind.EULER: {"dW"},
+        SchemeKind.CMT: {"dW"},
+        SchemeKind.WEAKTRAJ1: {"dW", "iW"},
+    }
 
     @staticmethod
     def drawn(monkeypatch, run) -> dict:
+        """Values drawn per stream name, over the path-block streams of ``run``."""
         counts = {}
-        fill = RngStream._fill
+        for method in ("normal", "uniform_open"):
+            original = getattr(RngStream, method)
 
-        def counted(stream, size, transform=None):
-            key = stream.path[-1]
-            counts[key] = counts.get(key, 0) + int(np.prod(size))
-            return fill(stream, size, transform)
+            def counted(stream, size=None, original=original, **kwargs):
+                name, block, _ = stream.path[-3:]
+                assert block == "block"
+                counts[name] = counts.get(name, 0) + int(np.prod(size))
+                return original(stream, size, **kwargs)
 
-        monkeypatch.setattr(RngStream, "_fill", counted)
+            monkeypatch.setattr(RngStream, method, counted)
         run()
         return counts
+
+    @pytest.mark.parametrize("kind", list(OU_NORMALS))
+    def test_each_scheme_draws_its_normals(self, monkeypatch, kind):
+        # 5,000 paths: two path blocks, so two streams per name
+        counts = self.drawn(monkeypatch, lambda: romano_touzi_call(
+            scott_spec(), kind, 8, 100.0, RngStream(1), 5000))
+        extra = {"b"} if kind is SchemeKind.CMT else set()  # CMT is priced on paths
+        assert counts == {name: 8 * 5000 for name in self.OU_NORMALS[kind] | extra}
+
+    @pytest.mark.parametrize("kind", list(GENERIC_NORMALS))
+    def test_generic_spec_draws_dw_and_only_then_iw(self, monkeypatch, kind):
+        counts = self.drawn(monkeypatch, lambda: run_strong_conv(
+            gbm_factor_spec(), ExperimentConfig(n_ladder=(2, 4), npaths=50, kinds=(kind,)),
+            RngStream(1)))
+        assert counts == {name: (4 + 8) * 50 for name in self.GENERIC_NORMALS[kind] | {"b"}}
 
     def test_conditional_call_values_draw_only_the_factor(self, monkeypatch):
         counts = self.drawn(monkeypatch, lambda: conditional_call_values(
             scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(1), 50))
-        assert counts == {"y": 8 * 3 * 50}
+        assert counts == {"dY": 8 * 50}
 
     def test_lookback_draws_factor_increments_and_uniforms(self, monkeypatch):
         counts = self.drawn(monkeypatch, lambda: lookback_single_level(
             scott_spec(), SchemeKind.WEAKTRAJ1, 8, RngStream(1), 50))
-        assert counts == {"y": 8 * 3 * 50, "b": 8 * 50, "u": 8 * 50}
+        assert counts == {"dY": 8 * 50, "dW": 8 * 50, "iW": 8 * 50, "b": 8 * 50, "u": 8 * 50}
+
+    def test_weak2_lookback_draws_dw_for_the_bridge(self, monkeypatch):
+        # the bridge endpoints read dW, so weak2 draws it too
+        counts = self.drawn(monkeypatch, lambda: coupled_lookback_levels(
+            scott_spec(), SchemeKind.WEAK2, 4, RngStream(1), 50))
+        assert counts == {"dY": 8 * 50, "dW": 8 * 50, "b": 8 * 50, "u": 8 * 50}
 
 
 class TestBridgeMin:

@@ -14,7 +14,7 @@ from svschemes.mlmc import (
     lookback_level_sampler,
     mlmc_estimate,
 )
-from svschemes.pricing import bs_call, chunk_sizes, romano_touzi_call
+from svschemes.pricing import bs_call, romano_touzi_call
 from svschemes.rng import RngStream
 from svschemes.schemes import SchemeKind
 
@@ -25,7 +25,8 @@ def level_stats(sampler, config, rng, levels):
     out = []
     for level in levels:
         stats = LevelStats(level=level)
-        for batch, size in enumerate(chunk_sizes(config.initial_samples, BATCH_PATHS)):
+        for batch, start in enumerate(range(0, config.initial_samples, BATCH_PATHS)):
+            size = min(BATCH_PATHS, config.initial_samples - start)
             stats.add(sampler(level, rng.child("level", level, "batch", batch), size))
         out.append(stats)
     return out
@@ -60,6 +61,25 @@ class TestLevelStats:
         assert s.n == 4
         assert s.mean == pytest.approx(2.5)
         assert s.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
+
+    def test_variance_without_cancellation(self):
+        # a large mean and a small spread: a sum of squares less the squared
+        # sum over n loses every digit of the variance here
+        x = 1e8 + 1e-3 * RngStream(3).normal(20_000)
+        s = LevelStats(level=0)
+        s.add(x)
+        assert s.mean == pytest.approx(x.mean(), rel=1e-15)
+        assert s.variance == pytest.approx(np.var(x, ddof=1), rel=1e-9)
+
+    def test_whole_blocks_merge_the_same_bytes_however_split(self):
+        x = RngStream(4).normal(10_000)
+        whole = LevelStats()
+        whole.add(x)
+        for cut in (4096, 8192):
+            split = LevelStats()
+            split.add(x[:cut])
+            split.add(x[cut:])
+            assert (split.n, split.mean, split.m2) == (whole.n, whole.mean, whole.m2)
 
     def test_variance_needs_two(self):
         s = LevelStats(level=0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import coeff, const_vol_ou_spec, gbm_factor_spec
+from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec
 
 from svschemes import schemes
 from svschemes.errors import ConfigError, InvalidParameterError
@@ -402,7 +402,7 @@ class TestNodeCoeffs:
         spec = VolModelSpec(r=base.r, s0=base.s0, y0=base.y0, T=base.T, rho=base.rho,
                             ou=base.ou, **{n: counted(n, getattr(base, n)) for n in fields})
         n_steps, npaths = 8, 50
-        draws = schemes.draw_factor_paths(spec, kind, n_steps, RngStream(1).child("y"), npaths)
+        draws = factor_draws(spec, kind, n_steps, RngStream(1).child("y"), npaths)
         calls.clear()  # the factor path of a generic spec calls b and sigma
         schemes.drift_and_mult(spec, kind, draws, cutoff)
         names = [name for name, _ in calls]

@@ -126,6 +126,56 @@ class TestMapBlocks:
         assert sorted(finished) == [0, 66, 133]
 
 
+class TestMapTasks:
+    def test_results_in_order_from_caller_and_pool(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+
+        def work(i):
+            time.sleep(0.02)
+            return i, threading.current_thread().name
+
+        got = _parallel.map_tasks(work, range(6), 2 * _parallel.MIN_BLOCK)
+        assert [i for i, _ in got] == list(range(6))
+        names = {name for _, name in got}
+        assert threading.current_thread().name in names
+        assert any(name.startswith("svschemes") for name in names)
+
+    def test_inline_below_two_minimum_blocks(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        here = threading.current_thread().name
+        got = _parallel.map_tasks(lambda i: threading.current_thread().name, range(5),
+                                  2 * _parallel.MIN_BLOCK - 1)
+        assert got == [here] * 5
+
+    def test_idle_worker_takes_the_next_item(self, monkeypatch):
+        # one long item and four short ones: the short ones all run on the
+        # other worker while the long one does
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        monkeypatch.setattr(_parallel, "_pool", None)
+        done = []
+
+        def work(i):
+            time.sleep(0.3 if i == 0 else 0.01)
+            done.append(i)
+
+        _parallel.map_tasks(work, range(5), 2 * _parallel.MIN_BLOCK)
+        assert done == [1, 2, 3, 4, 0]
+
+    def test_exception_reaches_caller_after_every_item(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        done = []
+
+        def work(i):
+            if i == 2:
+                raise ValueError("item 2")
+            time.sleep(0.01)
+            done.append(i)
+
+        with pytest.raises(ValueError, match="item 2"):
+            _parallel.map_tasks(work, range(8), 2 * _parallel.MIN_BLOCK)
+        assert sorted(done) == [0, 1, 3, 4, 5, 6, 7]
+
+
 class TestWorkerCountInvariance:
     def test_normal_array_path(self, monkeypatch):
         results = across_workers(monkeypatch, lambda: RngStream(11, "n").normal((5, 3, 301)))

@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from conftest import const_vol_ou_spec, scott_spec
+from conftest import const_vol_ou_spec, factor_draws, scott_spec
 
 from svschemes import models
 from svschemes.coupling import coupling_start, level_sums
 from svschemes.errors import InvalidParameterError
 from svschemes.mlmc import call_level_sampler
+from svschemes.coupling import lookback_single_level
 from svschemes.pricing import (
     PriceEstimate,
     _mc_estimate,
     bs_call,
     call_payoff,
+    chunked_estimate,
     conditional_call_values,
     discounted_call_payoff,
     plain_call,
     romano_touzi_call,
 )
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind, draw_factor_paths
+from svschemes.schemes import SchemeKind
 
 
 class TestBsCall:
@@ -134,7 +136,7 @@ class TestConditionalValues:
         # paths (numpy sums one column of eight or more steps pairwise,
         # but several columns row by row)
         spec = scott_spec()
-        draws = draw_factor_paths(spec, kind, 8, RngStream(42, "y"), 64)
+        draws = factor_draws(spec, kind, 8, RngStream(42, "y"), 64)
         batch = coupling_start(spec, kind, 64)
         level_sums(spec, kind, draws, "floor", batch)
         for j in range(64):
@@ -203,3 +205,49 @@ class TestRomanoTouzi:
         est = romano_touzi_call(spec, SchemeKind.WEAK2, 8, 100.0, RngStream(8), 100_000)
         assert abs(est.value - 12.82603) < 0.05
         assert est.stderr < 0.05
+
+
+class TestChunkSizeInvariance:
+    """A chunk is a union of whole path blocks, so the chunk size sets memory
+    only: different chunk sizes give the same bytes."""
+
+    CHUNKS = (4096, 8192, 250_000)
+
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAK2, SchemeKind.WEAKTRAJ1, SchemeKind.CMT])
+    def test_romano_touzi_call(self, kind):
+        # 10,000 paths: chunks of 4096 + 4096 + 1808, 8192 + 1808, or one
+        results = {(est.value, est.stderr) for est in (
+            romano_touzi_call(scott_spec(), kind, 4, 100.0, RngStream(5), 10_000,
+                              chunk_paths=chunk) for chunk in self.CHUNKS)}
+        assert len(results) == 1
+
+    def test_plain_call(self):
+        results = {(est.value, est.stderr) for est in (
+            plain_call(scott_spec(), SchemeKind.EULER, 4, 100.0, RngStream(6), 9000,
+                       chunk_paths=chunk) for chunk in self.CHUNKS)}
+        assert len(results) == 1
+
+    def test_chunk_rounds_up_to_whole_blocks(self):
+        # 5,000 paths a chunk means two blocks: the same bytes as 8192
+        def values(chunk):
+            est = romano_touzi_call(scott_spec(), SchemeKind.WEAK2, 4, 100.0, RngStream(7),
+                                    9000, chunk_paths=chunk)
+            return est.value, est.stderr
+
+        assert values(5000) == values(8192) == values(1)
+
+    def test_lookback_price_is_chunked(self):
+        spec = scott_spec()
+
+        def price(chunk):
+            est = chunked_estimate(lambda first, size: lookback_single_level(
+                spec, SchemeKind.WEAKTRAJ1, 4, RngStream(8), size, "floor", first), 9000, chunk)
+            return est.value, est.stderr
+
+        assert price(4096) == price(250_000)
+
+    def test_needs_a_path(self):
+        with pytest.raises(InvalidParameterError, match="at least one path"):
+            chunked_estimate(lambda first, size: np.zeros(size), 0)
+        with pytest.raises(InvalidParameterError, match="two samples"):
+            chunked_estimate(lambda first, size: np.zeros(size), 1)

@@ -11,7 +11,10 @@ from svschemes import _parallel
 from svschemes.errors import InvalidParameterError
 from svschemes.models import OUParams
 from svschemes.rng import (
+    PATH_BLOCK,
+    BlockStreams,
     RngStream,
+    block_chunks,
     joint_chol,
     joint_from_normals,
     joint_w_integral,
@@ -94,7 +97,8 @@ REFERENCE_DRAWS = {
 
 
 class TestStreamContinuity:
-    """Array draws split into blocks read the same values as one sequential draw."""
+    """Array draws, into a given output or not, read the same values as one
+    sequential draw of the stream's documented key."""
 
     @pytest.mark.parametrize("workers", (1, 2, 3))
     @pytest.mark.parametrize("consumed", range(4))
@@ -113,6 +117,10 @@ class TestStreamContinuity:
                 want = reference(ref, size)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (method, size)
+        for method in ("normal", "uniform_open"):
+            out = np.zeros((4, 3))
+            assert getattr(stream, method)((4, 3), out=out) is out
+            assert out.tobytes() == REFERENCE_DRAWS[method](ref, (4, 3)).tobytes()
         # the draws after a parallel one continue the sequence
         assert stream.normal() == ndtri(max(ref.random(), 2.0**-64))
         assert stream.uniform_open(5).tobytes() == (1.0 - ref.random(5)).tobytes()
@@ -222,8 +230,8 @@ class TestOUTriple:
 
     def test_taylor_guard_for_dw_dy_cov(self):
         ou = OUParams(kappa=1.0, theta=0.0, nu=0.5, y0=0.0)
-        below = ou_triple_cov(ou, 0.99e-4)[0, 2]
-        above = ou_triple_cov(ou, 1.01e-4)[0, 2]
+        below = ou_triple_cov(ou, 0.99e-4)[0, 1]
+        above = ou_triple_cov(ou, 1.01e-4)[0, 1]
         ratio = below / 0.99e-4 / (above / 1.01e-4)
         assert ratio == pytest.approx(1.0, rel=1e-6)
 
@@ -237,13 +245,49 @@ class TestOUTriple:
         cov_within_3se(emp, ou_triple_cov(BENCH_OU, delta), n)
 
     def test_consistency_with_pair_laws(self):
-        # the (dW, iW) block matches joint_chol and the (iW, dY) block
-        # matches the exact transition moments
+        # in the order (dY, dW, iW): the (dW, iW) block matches joint_chol
+        # and the (dY, iW) block the exact transition moments
         delta = 0.3
         cov = ou_triple_cov(BENCH_OU, delta)
         pair = joint_chol(delta)
-        assert np.allclose(cov[:2, :2], pair @ pair.T)
+        assert np.allclose(cov[1:, 1:], pair @ pair.T)
         _, _, g11, g12, g22 = ou_transition_moments(BENCH_OU, delta)
-        assert cov[1, 1] == pytest.approx(g22)
-        assert cov[1, 2] == pytest.approx(g12)
-        assert cov[2, 2] == pytest.approx(g11)
+        assert cov[2, 2] == pytest.approx(g22)
+        assert cov[0, 2] == pytest.approx(g12)
+        assert cov[0, 0] == pytest.approx(g11)
+
+
+class TestBlockStreams:
+    """Each path block draws from its own streams, keyed by the run's block index."""
+
+    def test_block_values_come_from_its_keyed_stream(self):
+        npaths = 2 * PATH_BLOCK + 5
+        got = BlockStreams(RngStream(8), npaths).draw(3, normals=("x",), uniforms=("u",))
+        for b, cols in enumerate([slice(0, PATH_BLOCK), slice(PATH_BLOCK, 2 * PATH_BLOCK),
+                                  slice(2 * PATH_BLOCK, npaths)]):
+            width = cols.stop - cols.start
+            want = RngStream(8).child("x", "block", b).normal((3, width))
+            assert got["x"][:, cols].tobytes() == want.tobytes()
+            want = RngStream(8).child("u", "block", b).uniform_open((3, width))
+            assert got["u"][:, cols].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_a_chunk_of_whole_blocks_draws_its_columns_of_the_run(self, monkeypatch, workers):
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        npaths = 3 * PATH_BLOCK + 17
+        run = BlockStreams(RngStream(9), npaths)
+        whole = np.concatenate([run.draw(2, normals=("x",))["x"],
+                                run.draw(3, normals=("x",))["x"]])
+        chunk = BlockStreams(RngStream(9), PATH_BLOCK + 17, first=2)
+        part = chunk.draw(5, normals=("x",))["x"]
+        assert part.tobytes() == np.ascontiguousarray(whole[:, 2 * PATH_BLOCK:]).tobytes()
+
+    def test_needs_a_path(self):
+        with pytest.raises(InvalidParameterError, match="at least one path"):
+            BlockStreams(RngStream(0), 0)
+
+    def test_block_chunks(self):
+        assert block_chunks(10_000, 4096) == [(0, 4096), (1, 4096), (2, 1808)]
+        assert block_chunks(10_000, 5000) == [(0, 8192), (2, 1808)]
+        assert block_chunks(10_000, 250_000) == [(0, 10_000)]
+        assert block_chunks(3, 1) == [(0, 3)]

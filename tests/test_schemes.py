@@ -5,23 +5,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import coeff, const_vol_ou_spec, gbm_factor_spec, scott_spec
+from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes import _parallel, models, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import OUParams, VolModelSpec
-from svschemes.rng import RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
+from svschemes.rng import BlockStreams, RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
     FactorDraws,
     SchemeKind,
+    advance_blocks,
     block_steps,
     cmt_step,
     coarsen_factor_draws,
     cutoff_radicand,
     draw_brownian_increments,
-    draw_factor_paths,
     drift_and_mult,
-    factor_blocks,
     milstein_step_y,
     nv_step_y,
     simulate_paths,
@@ -292,7 +291,7 @@ class TestCmtStep:
 class TestFactorDraws:
     def test_shapes(self):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(1), 5)
+        draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(1), 5)
         assert draws.y.shape == (9, 5)
         assert draws.dW.shape == (8, 5)
         assert draws.iW.shape == (8, 5)
@@ -302,11 +301,11 @@ class TestFactorDraws:
         spec = gbm_factor_spec()
         for kind in (SchemeKind.OU_IMPROVED, SchemeKind.IJK):
             with pytest.raises(InvalidParameterError):
-                draw_factor_paths(spec, kind, 4, RngStream(0), 2)
+                factor_draws(spec, kind, 4, RngStream(0), 2)
 
     def test_ou_nodes_follow_exact_transition(self):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, SchemeKind.EULER, 4, RngStream(3), 1000)
+        draws = factor_draws(spec, SchemeKind.EULER, 4, RngStream(3), 1000)
         decay, mean_shift, g11, _, _ = ou_transition_moments(spec.ou, draws.delta)
         resid = draws.y[1:] - mean_shift - decay * draws.y[:-1]
         assert abs(resid.var() - g11) < 5 * g11 / math.sqrt(resid.size)
@@ -317,31 +316,39 @@ class TestFactorDraws:
         monkeypatch.setattr(_parallel, "WORKERS", workers)
         spec = scott_spec(theta=0.3, y0=-0.2)  # a non-zero mean shift
         n_steps, npaths = 6, 301
-        draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps, RngStream(41, "y"), npaths)
-        # the whole-array mix and recursion, in the same operation order
-        g = RngStream(41, "y").normal((n_steps, 3, npaths))
+        draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, n_steps, RngStream(41), npaths)
+        # the whole-array mix and recursion, in the same operation order,
+        # from the one path block's stream of each normal
+        g0, g1, g2 = (RngStream(41).child(name, "block", 0).normal((n_steps, npaths))
+                      for name in ("dY", "dW", "iW"))
         chol = ou_triple_chol(spec.ou, draws.delta)
         decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, draws.delta)
-        dW = chol[0, 0] * g[:, 0]
-        iW = chol[1, 0] * g[:, 0] + chol[1, 1] * g[:, 1]
-        dy = chol[2, 0] * g[:, 0] + chol[2, 1] * g[:, 1] + chol[2, 2] * g[:, 2]
+        dy = chol[0, 0] * g0
+        dW = chol[1, 0] * g0 + chol[1, 1] * g1
+        iW = chol[2, 0] * g0 + chol[2, 1] * g1 + chol[2, 2] * g2
         y = np.empty((n_steps + 1, npaths))
         y[0] = spec.y0
         for k in range(n_steps):
             y[k + 1] = mean_shift + decay * y[k] + dy[k]
         for got, want in ((draws.dW, dW), (draws.iW, iW), (draws.y, y)):
             assert got.tobytes() == want.tobytes()
+        # weak2 reads the factor nodes alone: the same y from dY, no dW or iW
+        weak2 = factor_draws(spec, SchemeKind.WEAK2, n_steps, RngStream(41), npaths)
+        assert weak2.y.tobytes() == y.tobytes()
+        for undrawn in (weak2.dW, weak2.iW):
+            assert undrawn.shape == (n_steps, npaths) and undrawn.strides == (0, 0)
+            assert np.isnan(undrawn).all()
 
     def test_ou_draws_have_the_triple_covariance(self, monkeypatch):
         # three workers, so the draws are built in several column blocks
         monkeypatch.setattr(_parallel, "WORKERS", 3)
         spec = scott_spec()
         n_steps, npaths = 4, 50_000
-        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, n_steps, RngStream(31), npaths)
+        draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, n_steps, RngStream(31), npaths)
         decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, draws.delta)
         dy = draws.y[1:] - mean_shift - decay * draws.y[:-1]
         # steps are independent draws of one law: pool them
-        sample = np.stack([draws.dW, draws.iW, dy]).reshape(3, -1)
+        sample = np.stack([dy, draws.dW, draws.iW]).reshape(3, -1)
         n = sample.shape[1]
         emp = sample @ sample.T / n  # the law has mean zero
         theory = ou_triple_cov(spec.ou, draws.delta)
@@ -358,21 +365,34 @@ class TestFactorDraws:
         spec = scott_spec()
         tracemalloc.start()
         try:
-            draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 256, RngStream(5), 4000)
+            draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, 256, RngStream(5), 4000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         kept = draws.y.nbytes + draws.dW.nbytes + draws.iW.nbytes
         assert peak <= 2.1 * kept, peak / kept
 
+    def test_undrawn_increment_trips_its_reader(self):
+        # weak2 draws dY alone: dW and iW are NaN views of the full shape,
+        # so a scheme that reads them fails its finiteness check
+        spec = scott_spec()
+        draws = factor_draws(spec, SchemeKind.WEAK2, 4, RngStream(2), 5)
+        assert np.size(draws.dW) == np.size(draws.iW) == 4 * 5
+        drift_and_mult(spec, SchemeKind.WEAK2, draws)
+        with pytest.raises(NumericalError):
+            drift_and_mult(spec, SchemeKind.WEAKTRAJ1, draws)
+        coarse = coarsen_factor_draws(spec, SchemeKind.WEAK2, draws)
+        assert coarse.dW.shape == coarse.iW.shape == (2, 5)
+        assert coarse.dW.strides == coarse.iW.strides == (0, 0)
+
     def test_needs_a_path(self):
         for npaths in (0, -5):
             with pytest.raises(InvalidParameterError):
-                draw_factor_paths(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(0), npaths)
+                factor_draws(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(0), npaths)
 
     def test_coarsen_identities(self):
         spec = scott_spec()
-        fine = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 7)
+        fine = factor_draws(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 7)
         coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine)
         assert coarse.delta == pytest.approx(2 * fine.delta)
         assert np.allclose(coarse.dW, fine.dW[0::2] + fine.dW[1::2])
@@ -381,7 +401,7 @@ class TestFactorDraws:
 
     def test_coarsen_generic_reruns_recursion(self):
         spec = gbm_factor_spec()
-        fine = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 3)
+        fine = factor_draws(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 3)
         coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine)
         y = np.full(3, spec.y0)
         for k in range(4):
@@ -390,15 +410,16 @@ class TestFactorDraws:
 
     def test_coarsen_needs_even_steps(self):
         spec = scott_spec()
-        fine = draw_factor_paths(spec, SchemeKind.EULER, 3, RngStream(0), 2)
+        fine = factor_draws(spec, SchemeKind.EULER, 3, RngStream(0), 2)
         with pytest.raises(InvalidParameterError):
             coarsen_factor_draws(spec, SchemeKind.EULER, fine)
 
     def test_brownian_increment_variance(self):
-        db = draw_brownian_increments(RngStream(4), 4, 100_000, 0.25)
-        assert abs(db.var() - 0.25) < 0.005
+        normals = BlockStreams(RngStream(4), 100_000).draw(4, normals=("b",))["b"]
+        db = draw_brownian_increments(normals, 0.25)
+        assert db is normals and abs(db.var() - 0.25) < 0.005
         with pytest.raises(InvalidParameterError):
-            draw_brownian_increments(RngStream(4), 4, 10, 0.0)
+            draw_brownian_increments(normals, 0.0)
 
 
 class TestStepBlocks:
@@ -415,8 +436,10 @@ class TestStepBlocks:
     def test_blocks_are_one_draw(self, monkeypatch, spec, kind):
         # 11 steps in blocks of 4: two full blocks and a block of 3
         monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: 4)
-        whole = draw_factor_paths(spec, kind, 11, RngStream(5, "y"), 7)
-        blocks = list(factor_blocks(spec, kind, 11, RngStream(5, "y"), 7))
+        whole = factor_draws(spec, kind, 11, RngStream(5), 7, reads=("iW",))
+        blocks = []
+        advance_blocks(spec, (kind,), 11, RngStream(5), 7, lambda: np.zeros(7),
+                       lambda draws, carry: blocks.append(draws), streams=(), reads=("iW",))
         assert [b.dW.shape[0] for b in blocks] == [4, 4, 3]
         assert all(b.delta == whole.delta for b in blocks)
         for name in ("dW", "iW"):
@@ -427,9 +450,9 @@ class TestStepBlocks:
 
     def test_blocks_validate_before_drawing(self):
         with pytest.raises(InvalidParameterError, match="at least one path"):
-            factor_blocks(scott_spec(), SchemeKind.EULER, 4, RngStream(0), 0)
+            advance_blocks(scott_spec(), (SchemeKind.EULER,), 4, RngStream(0), 0, None, None)
         with pytest.raises(InvalidParameterError, match="at least one step"):
-            factor_blocks(scott_spec(), SchemeKind.EULER, 0, RngStream(0), 5)
+            advance_blocks(scott_spec(), (SchemeKind.EULER,), 0, RngStream(0), 5, None, None)
 
 
 def assert_stepwise(spec, kind, draws):
@@ -445,27 +468,27 @@ def assert_stepwise(spec, kind, draws):
 class TestDriftAndMult:
     def test_matches_scalar_steps(self):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(11), 6)
+        draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(11), 6)
         for kind in (SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED, SchemeKind.IJK,
                      SchemeKind.WEAK2):
             assert_stepwise(spec, kind, draws)
 
     def test_euler_matches_scalar_step(self):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, SchemeKind.EULER, 3, RngStream(13), 4)
+        draws = factor_draws(spec, SchemeKind.EULER, 3, RngStream(13), 4)
         assert_stepwise(spec, SchemeKind.EULER, draws)
 
     @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.OU_IMPROVED])
     def test_non_finite_radicand_raises(self, kind):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, kind, 4, RngStream(15), 5)
+        draws = factor_draws(spec, kind, 4, RngStream(15), 5)
         draws.y[2, 3] = np.nan
         with pytest.raises(NumericalError):
             drift_and_mult(spec, kind, draws)
 
     def test_cmt_rejected(self):
         spec = scott_spec()
-        draws = draw_factor_paths(spec, SchemeKind.EULER, 2, RngStream(0), 1)
+        draws = factor_draws(spec, SchemeKind.EULER, 2, RngStream(0), 1)
         with pytest.raises(InvalidParameterError):
             drift_and_mult(spec, SchemeKind.CMT, draws)
 
@@ -499,8 +522,8 @@ class TestSimulatePath:
         spec = scott_spec()
         rng = RngStream(21)
         path = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 1, rng, 1)
-        draws = draw_factor_paths(spec, SchemeKind.WEAKTRAJ1, 1, RngStream(21).child("y"), 1)
-        db = draw_brownian_increments(RngStream(21).child("b"), 1, 1, 1.0)[0, 0]
+        draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, 1, RngStream(21), 1)
+        db = BlockStreams(RngStream(21), 1).draw(1, normals=("b",))["b"][0, 0]
         y0, y1, iw = draws.y[0, 0], draws.y[1, 0], draws.iW[0, 0]
         # the weaktraj1 step over delta = 1, floor cutoff
         rad = max(coeff(spec, "psi", y0) + spec.sigma(y0) * coeff(spec, "psi1", y0) * iw / 1.0, 0.0)
@@ -542,7 +565,7 @@ class TestWeak2Terminal:
         spec = scott_spec()
         seed_rng = RngStream(17)
         x, y_t, m_bar, v_bar = weak2_terminal(spec, 4, seed_rng)
-        g = RngStream(17).child("b").normal(1)[0]
+        g = BlockStreams(RngStream(17), 1).draw(1, normals=("b",))["b"][0, 0]
         expect = (
             spec.x0 + spec.rho * (spec.F(y_t) - spec.F(spec.y0)) + m_bar
             + math.sqrt((1 - spec.rho**2) * v_bar) * g
