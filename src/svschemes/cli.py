@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strike", type=_strike, default=100.0)
     p.add_argument("--max-level", type=int, default=10)
     p.add_argument("--probe-samples", type=int, default=10_000,
-                   help="initial samples per level before the allocation step")
+                   help="initial samples on each of levels 0-2 before the allocation")
 
     p = sub.add_parser("price", help="single-grid price of a call or lookback")
     _add_common(p)

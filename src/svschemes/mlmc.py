@@ -8,8 +8,16 @@ follow the usual variance/cost allocation
 
     N_l = ceil(2 * eps^-2 * sqrt(V_l / C_l) * sum_j sqrt(V_j * C_j))
 
-and levels are added until the regressed weak-decay rate alpha
-(floored at 1/2) certifies |mean_L| / (2^alpha - 1) < eps / sqrt(2).
+after Giles (Acta Numerica 24, 2015, section 3): levels 0 to 2 start
+from the probe samples; a level above them starts from its allocation,
+its variance extrapolated from the one below by the regressed variance
+decay rate beta. The allocation is redone until no level is more than
+1% short of its N_l. Levels are added until the regressed weak-decay
+rate alpha (floored at 1/2) certifies
+
+    max(|mean_L|, |mean_{L-1}| / 2^alpha) / (2^alpha - 1) < eps / sqrt(2),
+
+the second term from level 2 up.
 
 Costs are counted as simulated fine plus coarse steps per sample:
 base_steps at level 0, 3 * base_steps * 2^(l-1) above.
@@ -35,6 +43,10 @@ LevelSampler = Callable[[int, RngStream, int], np.ndarray]
 # Most samples a level draws in one sampler call, each call on its own
 # child stream.
 BATCH_PATHS = 100_000
+
+# Levels 0 to PROBE_LEVELS - 1 start from MlmcConfig.initial_samples; a
+# level above them starts from its allocation.
+PROBE_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -124,33 +136,65 @@ def _draw_into(stats: LevelStats, sampler: LevelSampler, rng: RngStream, target:
         stats.batches += 1
 
 
-def _regress_alpha(levels: list[LevelStats]) -> float:
-    """Weak-decay exponent from log2 |mean_l| against l over the last three
-    levels, floored at 1/2."""
-    pts = [(s.level, abs(s.mean)) for s in levels if s.level >= 1 and abs(s.mean) > 0]
-    pts = pts[-3:]
+def _decay_rate(stats: list[LevelStats], moment: Callable[[LevelStats], float]) -> float:
+    """Decay exponent of a level moment: minus the slope of log2 moment(l)
+    regressed on l over the levels from 1 up that hold samples, floored
+    at 1/2."""
+    pts = [(s.level, moment(s)) for s in stats if s.level >= 1 and s.n >= 2]
+    pts = [(l, m) for l, m in pts if m > 0]
     if len(pts) < 2:
         return 0.5
-    xs = np.array([p[0] for p in pts], dtype=float)
-    ys = np.log2([p[1] for p in pts])
-    slope = np.polyfit(xs, ys, 1)[0]
+    slope = np.polyfit([l for l, _ in pts], np.log2([m for _, m in pts]), 1)[0]
     return max(-float(slope), 0.5)
 
 
-def _sample_target(config: MlmcConfig, stats: LevelStats, total_work: float) -> int:
-    """N_l of the variance/cost allocation, at least the initial samples.
+def _variances(stats: list[LevelStats]) -> list[float]:
+    """Level variances for the allocation.
+
+    A level above the probe levels holds no samples when it is added: its
+    variance is the level below's divided by 2^beta, beta regressed over
+    the levels that hold samples. Once it has samples its estimate is kept
+    from falling below half that extrapolation, as a few samples may put it.
+    """
+    beta = _decay_rate(stats, lambda s: s.variance)
+    out: list[float] = []
+    for s in stats:
+        if s.level < PROBE_LEVELS:
+            out.append(s.variance)
+            continue
+        extrapolated = out[-1] / 2.0**beta
+        out.append(extrapolated if s.n < 2 else max(s.variance, 0.5 * extrapolated))
+    return out
+
+
+def _sample_target(config: MlmcConfig, level: int, variance: float, total_work: float) -> int:
+    """N_l of the variance/cost allocation, at least two samples.
 
     Raises NumericalError when the target is not finite, as when
     epsilon^2 underflows.
     """
     eps2 = config.epsilon**2
     needed = math.inf if eps2 == 0.0 else 2.0 / eps2 * math.sqrt(
-        stats.variance / config.cost_per_sample(stats.level)
+        variance / config.cost_per_sample(level)
     ) * total_work
     if not math.isfinite(needed):
-        raise NumericalError(f"sample target {needed} at level {stats.level} is not finite "
+        raise NumericalError(f"sample target {needed} at level {level} is not finite "
                              f"(epsilon {config.epsilon:.3g})")
-    return max(config.initial_samples, math.ceil(needed))
+    return max(2, math.ceil(needed))
+
+
+def _allocate(sampler: LevelSampler, config: MlmcConfig, stats: list[LevelStats],
+              rng: RngStream) -> bool:
+    """Draw each level that is more than 1% short of its N_l up to it; True
+    if one was, so that the allocation is to be redone on the new variances."""
+    variances = _variances(stats)
+    total_work = sum(math.sqrt(v * config.cost_per_sample(s.level))
+                     for s, v in zip(stats, variances))
+    targets = [_sample_target(config, s.level, v, total_work) for s, v in zip(stats, variances)]
+    short = [(s, t) for s, t in zip(stats, targets) if t > 1.01 * s.n]
+    for s, target in short:
+        _draw_into(s, sampler, rng, target)
+    return bool(short)
 
 
 def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> MlmcResult:
@@ -164,14 +208,13 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
         _draw_into(s, sampler, rng, config.initial_samples)
 
     while True:
-        total_work = sum(
-            math.sqrt(s.variance * config.cost_per_sample(s.level)) for s in stats
-        )
-        for s in stats:
-            _draw_into(s, sampler, rng, _sample_target(config, s, total_work))
-
-        alpha = _regress_alpha(stats)
-        remaining_bias = abs(stats[-1].mean) / (2.0**alpha - 1.0)
+        while _allocate(sampler, config, stats, rng):
+            pass
+        alpha = _decay_rate(stats, lambda s: abs(s.mean))
+        finest = abs(stats[-1].mean)
+        if stats[-1].level >= 2:
+            finest = max(finest, abs(stats[-2].mean) / 2.0**alpha)
+        remaining_bias = finest / (2.0**alpha - 1.0)
         if remaining_bias < config.epsilon / math.sqrt(2.0):
             break
         if stats[-1].level >= config.max_level:
@@ -181,7 +224,8 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
                 f"{config.epsilon / math.sqrt(2.0):.3g})"
             )
         nxt = LevelStats(level=stats[-1].level + 1)
-        _draw_into(nxt, sampler, rng, config.initial_samples)
+        if nxt.level < PROBE_LEVELS:
+            _draw_into(nxt, sampler, rng, config.initial_samples)
         stats.append(nxt)
 
     value = sum(s.mean for s in stats)

@@ -110,6 +110,24 @@ class TestDriver:
         with pytest.raises(BudgetExceededError):
             mlmc_estimate(sampler, cfg, RngStream(2))
 
+    def test_finer_levels_start_from_their_allocation(self):
+        # level-l corrections 2^-l (1 + Z): alpha = 1, beta = 2, so the run
+        # goes to level 8 and the allocation wants fewer samples on the
+        # fine levels than the probe levels 0-2 are given
+        def sampler(level, rng, n):
+            z = rng.normal(n)
+            return 1.0 + z if level == 0 else 2.0**-level * (1.0 + z)
+
+        cfg = MlmcConfig(epsilon=0.01, max_level=10, initial_samples=1000)
+        res = mlmc_estimate(sampler, cfg, RngStream(15))
+        assert [s.level for s in res.levels] == list(range(len(res.levels)))
+        assert len(res.levels) >= 7
+        assert all(s.n >= cfg.initial_samples for s in res.levels[:3])
+        assert res.levels[-1].n < cfg.initial_samples
+        # the allocation is redone until met: the statistical error is eps/sqrt(2)
+        assert res.stderr < 1.05 * cfg.epsilon / math.sqrt(2.0)
+        assert abs(res.value - 2.0) < 3 * res.stderr + res.bias_bound
+
     def test_reproducible(self):
         spec = scott_spec()
         sampler = call_level_sampler(spec, SchemeKind.WEAKTRAJ1, 100.0)
