@@ -2,14 +2,14 @@
 
 Once its randomness is drawn, each path of a batch is computed
 independently of the others, so work on arrays whose last axis runs
-over paths can be split into column blocks and run on a thread pool:
-numpy and scipy's special functions release the interpreter lock
-inside their loops. Random draws are shared out one stream at a time
-(``map_tasks``): each path block of a batch has its own counter-based
-stream (``rng.BlockStreams``), so a value does not depend on which
-worker draws it. Callers join block results in block order before any
-reduction across paths, so every output is the same bytes for any
-number of workers.
+over paths can be split into column blocks (``map_blocks``) and run on
+a thread pool: numpy and scipy's special functions release the
+interpreter lock inside their loops. Random draws are shared out one
+stream at a time (``map_tasks``): each path block of a batch has its own
+counter-based stream (``rng.BlockStreams``), so a value does not depend
+on which worker draws it. Both run in one taker loop, the caller beside
+the pool. Callers join block results in block order before any reduction
+across paths, so every output is the same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -31,41 +31,38 @@ BLOCK_VALUES = 2**17
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_in_worker = threading.local()
-
-
-def _mark_worker():
-    _in_worker.flag = True
-
+_in_block = threading.local()
 
 def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(WORKERS, "svschemes", initializer=_mark_worker)
+            _pool = ThreadPoolExecutor(WORKERS, "svschemes",
+                                       initializer=lambda: setattr(_in_block, "flag", True))
         return _pool
 
 
 def _parallel_here() -> bool:
     """True where work may go to the pool: several CPUs, outside a block."""
-    return WORKERS > 1 and not getattr(_in_worker, "flag", False)
+    return WORKERS > 1 and not getattr(_in_block, "flag", False)
 
 
 def map_tasks(fn, items, values: int) -> list:
     """Results of ``fn(item)`` for each of ``items``, in order.
 
-    ``values`` counts the values of all the items together. Once they fill
-    a MIN_BLOCK per worker for two workers, the caller and one pool task
-    per other worker take the items in turn, each the next one not yet
-    taken, so items of uneven sizes still balance at the cost of one
-    hand-off per worker; otherwise (or from inside a block) the items run
-    in turn in the caller. A taker stops at its first exception, which is
-    re-raised once every taker has stopped (the caller's first).
+    ``values`` counts the values of all the items. From two MIN_BLOCKs of
+    them, outside a block, the caller and WORKERS - 1 pool threads take
+    the items in turn, each the next one not yet taken, so items of uneven
+    sizes balance; otherwise the caller runs them in turn. A taker is
+    inside a block while it runs an item, so nested calls run inline. It
+    stops at its first exception; once every taker has stopped, the
+    exception of the lowest item is re-raised.
     """
     items = list(items)
     if not (_parallel_here() and values >= 2 * MIN_BLOCK and len(items) > 1):
         return [fn(item) for item in items]
     results = [None] * len(items)
+    errors = {}
     taken = iter(range(len(items)))
     lock = threading.Lock()
 
@@ -75,17 +72,24 @@ def map_tasks(fn, items, values: int) -> list:
                 i = next(taken, None)
             if i is None:
                 return
-            results[i] = fn(items[i])
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                errors[i] = exc
+                return
 
-    # the caller takes items too, from the start, beside WORKERS - 1 tasks
     pool = _executor()
     futures = [pool.submit(take) for _ in range(min(WORKERS, len(items)) - 1)]
+    _in_block.flag = True
     try:
         take()
     finally:
+        _in_block.flag = False
         wait(futures)
     for f in futures:
         f.result()
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -96,21 +100,12 @@ def map_blocks(fn, n: int, rows: int = 1) -> list:
     several rows is cut into blocks of at most BLOCK_VALUES values (work of
     one row, such as the Black-Scholes values, streams through memory), and
     into one block per worker when each then holds MIN_BLOCK values or
-    more. The results come in block order. Blocks run on the pool, or in
-    turn with a single CPU or from inside a block (so nested calls cannot
-    deadlock the pool); on the pool every block runs to completion and
-    the first exception in block order is re-raised.
+    more. The blocks run as the items of ``map_tasks``, and the results
+    come in block order.
     """
-    parallel = _parallel_here()
     count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
-    if parallel:
+    if _parallel_here():
         count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
     count = max(1, min(n, count))
     edges = [n * i // count for i in range(count + 1)]
-    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    if count < 2 or not parallel:
-        return [fn(cols) for cols in blocks]
-    pool = _executor()
-    futures = [pool.submit(fn, cols) for cols in blocks]
-    wait(futures)
-    return [f.result() for f in futures]
+    return map_tasks(fn, [slice(a, b) for a, b in zip(edges, edges[1:])], rows * n)

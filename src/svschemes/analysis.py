@@ -49,7 +49,7 @@ from .mlmc import (
 from .models import VolModelSpec
 from .pricing import conditional_call_values, romano_touzi_call
 from .rng import BlockStreams, RngStream, block_chunks
-from .schemes import FactorDraws, SchemeKind, advance_blocks
+from .schemes import FactorDraws, SchemeKind, advance_blocks, uses_nv
 
 # Converged at-the-money call price under the benchmark Scott parameters
 # (strike 100, maturity 1); used as the weak-error reference.
@@ -184,15 +184,16 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
                      experiment: str, mode: str) -> list[ExperimentRow]:
     kinds = [k for k in config.kinds if not (k is SchemeKind.CMT and mode == "traj")]
-    # factor draws are kind-independent for OU-backed specs
-    groups = [kinds] if spec.ou is not None else [[k] for k in kinds]
+    groups: dict = {}  # kinds sharing one factor draw (one recursion on a generic spec)
+    for kind in kinds:
+        groups.setdefault(spec.ou is None and uses_nv(kind), []).append(kind)
     rows: list[ExperimentRow] = []
     for n_coarse in config.n_ladder:
         acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         cell = rng.child(experiment, n_coarse)
         for first, size in block_chunks(config.npaths, config.chunk_paths):
-            errors = _cell_errors(spec, groups, mode, cell, 2 * n_coarse, size, config.cutoff,
-                                  first)
+            errors = _cell_errors(spec, groups.values(), mode, cell, 2 * n_coarse, size,
+                                  config.cutoff, first)
             for kind in kinds:
                 log_err, asset_err = errors[kind]
                 acc[kind, "log_sq_err"].add(log_err)

@@ -48,6 +48,10 @@ BATCH_PATHS = 100_000
 # level above them starts from its allocation.
 PROBE_LEVELS = 3
 
+# Most path-steps an allocation may project: one to four hours at the 7e6 to
+# 2.5e7 path-steps a second of the benchmark workloads on a 2-core Xeon.
+MAX_COST = 1e11
+
 
 @dataclass(frozen=True)
 class MlmcConfig:
@@ -186,11 +190,15 @@ def _sample_target(config: MlmcConfig, level: int, variance: float, total_work: 
 def _allocate(sampler: LevelSampler, config: MlmcConfig, stats: list[LevelStats],
               rng: RngStream) -> bool:
     """Draw each level that is more than 1% short of its N_l up to it; True
-    if one was, so that the allocation is to be redone on the new variances."""
+    if one was, so that the allocation is to be redone on the new variances.
+    Raises BudgetExceededError first if the N_l cost more than MAX_COST."""
     variances = _variances(stats)
     total_work = sum(math.sqrt(v * config.cost_per_sample(s.level))
                      for s, v in zip(stats, variances))
     targets = [_sample_target(config, s.level, v, total_work) for s, v in zip(stats, variances)]
+    cost = sum(max(t, s.n) * config.cost_per_sample(s.level) for s, t in zip(stats, targets))
+    if cost > MAX_COST:
+        raise BudgetExceededError(f"projected cost {cost:.3g} path-steps exceeds {MAX_COST:.3g}")
     short = [(s, t) for s, t in zip(stats, targets) if t > 1.01 * s.n]
     for s, target in short:
         _draw_into(s, sampler, rng, target)

@@ -25,6 +25,8 @@ reads the factor nodes alone, so on an OU-backed spec it draws one normal
 per step. Streams are step-major, so estimators draw and consume a grid a
 step block at a time (``advance_blocks``), carrying per-path state from
 block to block: memory is O(paths), and the bytes are those of one draw.
+After its draw, a step block is one pass over column blocks of its paths,
+each building its own factor path and running the estimator on it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from enum import Enum
 import numpy as np
 
 from . import _parallel
-from ._parallel import map_blocks
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
 from .rng import BlockStreams, RngStream, joint_chol, ou_transition_moments, ou_triple_chol
@@ -113,10 +114,6 @@ class FactorDraws:
     iW: np.ndarray
     coeffs: NodeCoeffs | None = None
 
-    def columns(self, cols: slice) -> "FactorDraws":
-        """The draws of the paths selected by ``cols``, as views, without a table."""
-        return FactorDraws(self.delta, self.y[..., cols], self.dW[..., cols], self.iW[..., cols])
-
 
 def undrawn(shape) -> np.ndarray:
     """The stand-in for an increment whose normal was not drawn."""
@@ -125,6 +122,12 @@ def undrawn(shape) -> np.ndarray:
 
 def _is_undrawn(values: np.ndarray) -> bool:
     return values.ndim > 0 and not any(values.strides)
+
+
+def uses_nv(kind: SchemeKind) -> bool:
+    """True if the factor recursion of ``kind`` on a generic spec is
+    Ninomiya-Victoir (weak2); every other kind's is Milstein."""
+    return kind is SchemeKind.WEAK2
 
 
 def factor_normals(spec: VolModelSpec, kinds, reads=()) -> tuple[str, ...]:
@@ -256,17 +259,16 @@ def cmt_step(spec: VolModelSpec, x, y, delta: float, dW, dB):
 # vectorized path machinery
 
 
-def _recursive_factor_path(spec: VolModelSpec, delta: float, dW: np.ndarray, use_nv: bool,
+def _recursive_factor_path(spec: VolModelSpec, delta: float, dW: np.ndarray, kind: SchemeKind,
                            start):
-    """Milstein (or NV) factor path for generic specs, from the values ``start``."""
+    """The factor path of ``kind`` on a generic spec (``uses_nv``), from the
+    values ``start``."""
     n_steps = dW.shape[0]
     y = np.empty((n_steps + 1,) + dW.shape[1:])
     y[0] = start
+    step = nv_step_y if uses_nv(kind) else milstein_step_y
     for k in range(n_steps):
-        if use_nv:
-            y[k + 1] = nv_step_y(spec, y[k], delta, dW[k])
-        else:
-            y[k + 1] = milstein_step_y(spec, y[k], delta, dW[k])
+        y[k + 1] = step(spec, y[k], delta, dW[k])
     return y
 
 
@@ -283,51 +285,36 @@ def _ou_factor_draws(spec: VolModelSpec, delta: float, g: dict, start) -> Factor
     """Exact OU draws from the normals g ("dY" and, if drawn, "dW" and "iW",
     each of shape (N, paths)) and the values ``start``.
 
-    Runs over column blocks of paths, one step at a time within a block,
-    so the Cholesky mix of (dY_stoch, dW, iW) and the exact recursion
-    y' = mean_shift + decay*y + dY_stoch keep only one-row temporaries;
-    dW and iW overwrite their own normals.
+    The Cholesky mix of (dY_stoch, dW, iW) runs on whole arrays, dW and iW
+    overwriting their own normals; the exact recursion
+    y' = (mean_shift + decay*y) + dY_stoch runs a row at a time.
     """
     g0 = g["dY"]
-    n_steps, npaths = g0.shape
+    n_steps = g0.shape[0]
     chol = ou_triple_chol(spec.ou, delta)
     decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, delta)
     dW, iW = g.get("dW"), g.get("iW")
-    y = np.empty((n_steps + 1, npaths))
+    y = np.empty((n_steps + 1,) + g0.shape[1:])
     y[0] = start
-    # two scratch rows allocated here: arrays allocated in worker threads
-    # grow per-thread malloc arenas (+3 MB peak RSS over an MLMC run)
-    scratch = np.empty((2, npaths))
-
-    def build(cols):
-        term, mix = scratch[0, cols], scratch[1, cols]
-        for k in range(n_steps):
-            z = g0[k, cols]
-            if iW is not None:
-                # iW = (c20*g0 + c21*g1) + c22*g2, before g1 becomes dW
-                np.multiply(chol[2, 0], z, out=mix)
-                mix += np.multiply(chol[2, 1], dW[k, cols], out=term)
-                iw = iW[k, cols]
-                iw *= chol[2, 2]
-                iw += mix
-            if dW is not None:
-                # dW = c10*g0 + c11*g1
-                dw = dW[k, cols]
-                dw *= chol[1, 1]
-                dw += np.multiply(chol[1, 0], z, out=term)
-            # y' = (mean_shift + decay*y) + c00*g0
-            y_next = np.multiply(decay, y[k, cols], out=y[k + 1, cols])
-            y_next += mean_shift
-            y_next += np.multiply(chol[0, 0], z, out=term)
-
-    # each numpy call sees one row of a block, so a block needs MIN_BLOCK
-    # paths: narrower rows run slower on two threads than on one, as the
-    # calls contend for the interpreter lock (on a 2-core Xeon, 256 steps
-    # x 10,000 paths took a third longer on two)
-    map_blocks(build, npaths)
-    shape = (n_steps, npaths)
-    return FactorDraws(delta=delta, y=y, dW=undrawn(shape) if dW is None else dW,
-                       iW=undrawn(shape) if iW is None else iW)
+    # y's rows from 1 on hold a product until the recursion writes them
+    term, dy = y[1:], np.empty(g0.shape)
+    if iW is not None:
+        # iW = (c20*g0 + c21*g1) + c22*g2, before g1 becomes dW
+        mix = np.multiply(chol[2, 0], g0, out=dy)
+        mix += np.multiply(chol[2, 1], dW, out=term)
+        iW *= chol[2, 2]
+        iW += mix
+    if dW is not None:
+        # dW = c11*g1 + c10*g0
+        dW *= chol[1, 1]
+        dW += np.multiply(chol[1, 0], g0, out=term)
+    np.multiply(chol[0, 0], g0, out=dy)
+    for k in range(n_steps):
+        y_next = np.multiply(decay, y[k], out=y[k + 1])
+        y_next += mean_shift
+        y_next += dy[k]
+    return FactorDraws(delta=delta, y=y, dW=undrawn(g0.shape) if dW is None else dW,
+                       iW=undrawn(g0.shape) if iW is None else iW)
 
 
 def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normals: dict,
@@ -355,7 +342,7 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
     dW = chol[0, 0] * g0
     iW = (chol[1, 0] * g0 + chol[1, 1] * normals["iW"] if "iW" in normals
           else undrawn(dW.shape))
-    y = _recursive_factor_path(spec, delta, dW, kind is SchemeKind.WEAK2, start)
+    y = _recursive_factor_path(spec, delta, dW, kind, start)
     return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
 
 
@@ -367,33 +354,37 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, npat
 
     The batch is the ``npaths`` paths from path block ``first`` on
     (``rng.BlockStreams``). Step blocks hold ``block_steps`` steps (the
-    last one what is left). Each draws, in one pass over the path-parallel
-    pool, the next steps of the factor normals that ``kinds`` and the
-    consumer (``reads``) read, and of each stream in ``streams``: "b"
-    (B-increments) or "u" (bridge uniforms); the factor draws are those of
-    ``kinds[0]``, from the last node of the block before. ``advance(draws,
-    *arrays, carry)`` then runs on column blocks of the paths, on views of
-    the arrays and of the carry's last axis; the draws carry one node table
-    for ``kinds``.
+    last one what is left). Each is drawn in one pass over the pool: the
+    factor normals that ``kinds`` and the consumer (``reads``) read, and
+    each stream in ``streams``, "b" (B-increments) or "u" (bridge
+    uniforms). One more pass, over column blocks of the paths, builds each
+    block's factor draws (those of ``kinds[0]``, with one node table for
+    ``kinds``) from its paths' last node of the step block before, and
+    runs ``advance(draws, *arrays, carry)`` on views of the arrays and of
+    the carry's last axis.
     """
     _check_batch(n_steps, npaths)
     batch = BlockStreams(rng, npaths, first)
-    normals = factor_normals(spec, kinds, reads) + tuple(n for n in streams if n == "b")
-    uniforms = tuple(n for n in streams if n != "b")
+    factor = factor_normals(spec, kinds, reads)
     size = block_steps(npaths, multiple)
-    carry = y_last = None
+    y_last, carry = np.full(npaths, spec.y0), None
     for k0 in range(0, n_steps, size):
-        drawn = batch.draw(min(size, n_steps - k0), normals, uniforms)
-        draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, y_last)
-        y_last = draws.y[-1].copy()
-        arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
-                  else drawn[name] for name in streams]
-        if carry is None:
-            carry = start()
-        map_blocks(lambda cols: advance(with_coeffs(spec, draws.columns(cols), kinds),
-                                        *(a[:, cols] for a in arrays), carry[..., cols]),
-                   npaths, rows=draws.dW.shape[0])
-        del drawn, draws, arrays  # released before the next block is drawn
+        steps = min(size, n_steps - k0)
+        drawn = batch.draw(steps, factor + tuple(n for n in streams if n == "b"),
+                           [n for n in streams if n != "b"])
+        carry = start() if carry is None else carry
+
+        def block(cols):
+            draws = draw_factor_paths(spec, kinds[0], n_steps,
+                                      {name: drawn[name][:, cols] for name in factor},
+                                      y_last[cols])
+            y_last[cols] = draws.y[-1]
+            arrays = [draw_brownian_increments(drawn[name][:, cols], draws.delta) if name == "b"
+                      else drawn[name][:, cols] for name in streams]
+            advance(with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
+
+        _parallel.map_blocks(block, npaths, rows=steps)
+        del drawn  # released before the next block is drawn
     return carry
 
 
@@ -419,7 +410,7 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     if spec.ou is not None:
         coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
         return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
-    y_c = _recursive_factor_path(spec, delta_c, dW_c, kind is SchemeKind.WEAK2,
+    y_c = _recursive_factor_path(spec, delta_c, dW_c, kind,
                                  spec.y0 if start is None else start)
     return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
 

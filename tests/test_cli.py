@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -112,6 +113,15 @@ class TestMlmc:
                    "--probe-samples", "100", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "sample target" in capsys.readouterr().err
+
+    def test_tiny_epsilon_exits_3_before_drawing_its_cost(self, tmp_path, capsys):
+        # epsilon 1e-150 gives finite sample targets of about 1e303
+        started = time.perf_counter()
+        rc = main(["mlmc", "--payoff", "call", "--epsilon", "1e-150",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "projected cost" in capsys.readouterr().err
+        assert time.perf_counter() - started < 30.0
 
     @pytest.mark.parametrize("payoff", ["call", "lookback"])
     @pytest.mark.parametrize("epsilon", ["inf", "nan"])

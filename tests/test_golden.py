@@ -35,7 +35,7 @@ from svschemes.coupling import (
     lookback_single_level,
 )
 from svschemes.mlmc import call_level_sampler
-from svschemes.pricing import romano_touzi_call
+from svschemes.pricing import conditional_call_values, romano_touzi_call
 from svschemes.rng import RngStream
 from svschemes.schemes import (
     FactorDraws,
@@ -107,6 +107,16 @@ CASES = {
         lambda: rows_digest(weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2, 4), 16,
                                                   100.0, RngStream(31), 600, chunk_paths=400)),
         "a9dd2a01:cdc9950001e43388"),
+    # the factor recursions with a nonzero OU mean shift (theta != 0) and
+    # of a generic spec (NV), which the Scott cases above do not reach
+    "call-values-ou-theta": (
+        lambda: digest(conditional_call_values(scott_spec(theta=0.3), SchemeKind.WEAKTRAJ1, 8,
+                                               100.0, RngStream(32), 500)),
+        "26fb46304fb5ee2a"),
+    "call-values-generic-nv": (
+        lambda: digest(conditional_call_values(gbm_factor_spec(rho=-0.3), SchemeKind.WEAK2, 8,
+                                               100.0, RngStream(33), 500)),
+        "6dbfb8ea1644b7d1"),
     "weak2-paths": (weak2_path_digest, "be5567191a5718e8"),
     "weak2-terminal": (lambda: digest(*weak2_terminal(scott_spec(), 8, RngStream(29), 300)),
                        "aad257f2fd66f4b8"),

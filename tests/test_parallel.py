@@ -1,12 +1,13 @@
 """Path-parallel blocks: results are the same bytes for any worker count."""
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from conftest import gbm_factor_spec, scott_spec
+from conftest import factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes import _parallel, schemes
 from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_conv, run_traj_conv
@@ -64,10 +65,14 @@ class TestMapBlocks:
         n = 2 * _parallel.MIN_BLOCK // rows  # paths of two minimum blocks of values
         assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n - 1,
                                     rows=rows) == [here]
-        blocks = _parallel.map_blocks(lambda cols: (cols, threading.current_thread().name),
-                                      n, rows=rows)
+
+        def work(cols):
+            time.sleep(0.1)  # long enough for the pool thread to take the other block
+            return cols, threading.current_thread().name
+
+        blocks = _parallel.map_blocks(work, n, rows=rows)
         assert [cols for cols, _ in blocks] == [slice(0, n // 2), slice(n // 2, n)]
-        assert all(name.startswith("svschemes") for _, name in blocks)
+        assert len({name for _, name in blocks}) == 2
 
     def test_blocks_may_hold_one_path(self, monkeypatch):
         # per-path sums add one step at a time, so a one-path block gives
@@ -92,7 +97,8 @@ class TestMapBlocks:
         monkeypatch.setattr(_parallel, "_pool", None)
 
         def outer(cols):
-            inner = _parallel.map_blocks(lambda c: (c.start, c.stop), 1000)
+            inner = _parallel.map_blocks(
+                lambda c: (c.start, c.stop, threading.current_thread().name), 1000)
             return inner, threading.current_thread().name
 
         results = []
@@ -103,8 +109,7 @@ class TestMapBlocks:
         assert not caller.is_alive(), "nested map_blocks deadlocked"
         assert len(results) == 2
         for inner, name in results:
-            assert inner == [(0, 1000)]
-            assert name.startswith("svschemes")
+            assert inner == [(0, 1000, name)]  # one block, on the outer block's thread
 
     def test_exception_reaches_caller_after_every_block(self, monkeypatch):
         monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
@@ -175,6 +180,31 @@ class TestMapTasks:
             _parallel.map_tasks(work, range(8), 2 * _parallel.MIN_BLOCK)
         assert sorted(done) == [0, 1, 3, 4, 5, 6, 7]
 
+    def test_every_item_taken_once_under_stress(self, monkeypatch):
+        # more takers than cores, switching threads as often as possible
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _parallel.map_tasks(lambda i: runs.append(i) or i * i, range(2000),
+                                      2 * _parallel.MIN_BLOCK)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [i * i for i in range(2000)]
+        assert sorted(runs) == list(range(2000))
+
+    def test_lowest_exception_when_every_item_raises(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+
+        def work(i):
+            time.sleep(0.001 * (5 - i))  # later items fail sooner
+            raise ValueError(f"item {i}")
+
+        for _ in range(20):
+            with pytest.raises(ValueError, match="item 0"):
+                _parallel.map_tasks(work, range(6), 2 * _parallel.MIN_BLOCK)
+
 
 class TestWorkerCountInvariance:
     def test_normal_array_path(self, monkeypatch):
@@ -218,6 +248,35 @@ class TestWorkerCountInvariance:
         two_step_blocks(monkeypatch)
         results = across_workers(monkeypatch, lambda: run_strong_conv(spec, config, RngStream(16)))
         assert results == [whole] * 3
+
+    @pytest.mark.parametrize("spec, kind", [
+        (scott_spec(theta=0.3), SchemeKind.WEAKTRAJ1),  # theta = 0 hides the mean shift
+        (gbm_factor_spec(rho=-0.3), SchemeKind.WEAK2),  # the NV recursion
+    ])
+    def test_step_blocks_give_the_whole_draw(self, monkeypatch, spec, kind):
+        # 11 steps of 300 paths: step blocks of two steps (the last of one),
+        # each built in three column blocks; the carry keeps each path's
+        # steps done so far in its last row
+        n_steps, npaths = 11, 300
+        whole = factor_draws(spec, kind, n_steps, RngStream(18), npaths, reads=("iW",))
+
+        def advance(draws, carry):
+            k, size = int(carry[3, 0, 0]), draws.dW.shape[0]
+            carry[0, k:k + size + 1] = draws.y
+            carry[1, k:k + size] = draws.dW
+            carry[2, k:k + size] = draws.iW
+            carry[3, 0] += size
+
+        def joined():
+            return schemes.advance_blocks(
+                spec, (kind,), n_steps, RngStream(18), npaths,
+                lambda: np.zeros((4, n_steps + 1, npaths)), advance, streams=(), reads=("iW",))
+
+        two_step_blocks(monkeypatch)
+        for carry in across_workers(monkeypatch, joined):
+            assert carry[0].tobytes() == whole.y.tobytes()
+            assert carry[1, :-1].tobytes() == whole.dW.tobytes()
+            assert carry[2, :-1].tobytes() == whole.iW.tobytes()
 
     def test_small_blocks_split_every_cell(self, monkeypatch):
         # the convergence tests above: cells of 200 to 400 paths, 4 or 8

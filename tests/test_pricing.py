@@ -22,7 +22,7 @@ from svschemes.pricing import (
     romano_touzi_call,
 )
 from svschemes.rng import RngStream
-from svschemes.schemes import SchemeKind
+from svschemes.schemes import FactorDraws, SchemeKind
 
 
 class TestBsCall:
@@ -141,7 +141,9 @@ class TestConditionalValues:
         level_sums(spec, kind, draws, "floor", batch)
         for j in range(64):
             alone = coupling_start(spec, kind, 1)
-            level_sums(spec, kind, draws.columns(slice(j, j + 1)), "floor", alone)
+            path = FactorDraws(draws.delta, draws.y[:, j:j + 1], draws.dW[:, j:j + 1],
+                               draws.iW[:, j:j + 1])
+            level_sums(spec, kind, path, "floor", alone)
             assert alone.tobytes() == batch[..., j:j + 1].tobytes(), j
 
 

@@ -340,7 +340,7 @@ class TestFactorDraws:
             assert np.isnan(undrawn).all()
 
     def test_ou_draws_have_the_triple_covariance(self, monkeypatch):
-        # three workers, so the draws are built in several column blocks
+        # three workers, so the normals of the path blocks are drawn on the pool
         monkeypatch.setattr(_parallel, "WORKERS", 3)
         spec = scott_spec()
         n_steps, npaths = 4, 50_000
@@ -360,8 +360,8 @@ class TestFactorDraws:
         assert np.all(np.abs(sample.mean(axis=1)) <= 4.0 * np.sqrt(theory.diagonal() / n))
 
     def test_ou_draw_peak_memory(self):
-        # the normals, the kept arrays and one-row temporaries: about
-        # twice the kept bytes, where the whole-array Cholesky mix took 2.33x
+        # the normals, the kept arrays and one temporary of the normals'
+        # shape (dY_stoch): about 1.7 times the kept bytes
         spec = scott_spec()
         tracemalloc.start()
         try:
