@@ -7,9 +7,13 @@ a thread pool: numpy and scipy's special functions release the
 interpreter lock inside their loops. Random draws are shared out one
 stream at a time (``map_tasks``): each path block of a batch has its own
 counter-based stream (``rng.BlockStreams``), so a value does not depend
-on which worker draws it. Both run in one taker loop, the caller beside
-the pool. Callers join block results in block order before any reduction
-across paths, so every output is the same bytes for any number of workers.
+on which worker draws it. Whole tasks, such as the cells of a convergence
+ladder, are shared out the same way, and all of these run in one taker
+loop, the caller beside the pool. Work nested in an item runs inline, and
+the values of a step block are a budget summed over all takers
+(``step_values``). Callers join results in item order before any
+reduction across paths, so every output is the same bytes for any number
+of workers.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # conditional call values and the coupled errors.
 MIN_BLOCK = 32768
 # Most values per block of work over several rows, so that its arrays and
-# temporaries stay cache-sized; it also sizes schemes.block_steps.
+# temporaries stay cache-sized; summed over all takers, it also sizes
+# schemes.block_steps (``step_values``).
 BLOCK_VALUES = 2**17
 
 _pool: ThreadPoolExecutor | None = None
@@ -47,16 +52,24 @@ def _parallel_here() -> bool:
     return WORKERS > 1 and not getattr(_in_block, "flag", False)
 
 
+def step_values() -> int:
+    """Values a step block may hold here: BLOCK_VALUES is shared by all
+    takers, so inside an item each gets BLOCK_VALUES // WORKERS."""
+    return BLOCK_VALUES // WORKERS if getattr(_in_block, "flag", False) else BLOCK_VALUES
+
+
 def map_tasks(fn, items, values: int) -> list:
     """Results of ``fn(item)`` for each of ``items``, in order.
 
     ``values`` counts the values of all the items. From two MIN_BLOCKs of
     them, outside a block, the caller and WORKERS - 1 pool threads take
     the items in turn, each the next one not yet taken, so items of uneven
-    sizes balance; otherwise the caller runs them in turn. A taker is
-    inside a block while it runs an item, so nested calls run inline. It
-    stops at its first exception; once every taker has stopped, the
-    exception of the lowest item is re-raised.
+    sizes balance (put the largest first); otherwise the caller runs them
+    in turn. A taker is inside a block while it runs an item, so nested
+    calls run inline. Once a taker stops at an exception, or the caller at
+    an interrupt, no taker takes another item; once every taker has
+    stopped, the exception of the lowest item is re-raised (every lower
+    item was taken before it, and ran to its end).
     """
     items = list(items)
     if not (_parallel_here() and values >= 2 * MIN_BLOCK and len(items) > 1):
@@ -65,17 +78,20 @@ def map_tasks(fn, items, values: int) -> list:
     errors = {}
     taken = iter(range(len(items)))
     lock = threading.Lock()
+    stopped = False
 
     def take():
+        nonlocal stopped
         while True:
             with lock:
-                i = next(taken, None)
+                i = None if stopped else next(taken, None)
             if i is None:
                 return
             try:
                 results[i] = fn(items[i])
             except Exception as exc:
                 errors[i] = exc
+                stopped = True
                 return
 
     pool = _executor()
@@ -84,6 +100,7 @@ def map_tasks(fn, items, values: int) -> list:
     try:
         take()
     finally:
+        stopped = True  # the caller is done: take nothing more, also on an interrupt
         _in_block.flag = False
         wait(futures)
     for f in futures:

@@ -14,12 +14,12 @@ Within one (experiment, N) cell all schemes consume the same streams,
 which shares the factor normals and B-increments across schemes and
 removes cross-scheme Monte Carlo noise from slope comparisons. Paths are
 processed in chunks of whole path blocks (``rng.block_chunks``), so
-results depend neither on available memory nor on the chunk size. A
-chunk is coupled one step block at a
-time (``schemes.advance_blocks``), each block in parallel column blocks
-of its paths: one node table per column block serves both levels of
-every scheme that shares the draws, and each scheme carries its coupled
-pair and running errors from one block to the next.
+results depend neither on available memory nor on the chunk size. The
+cells of a ladder run as pool tasks, each on one thread. A chunk is
+coupled one step block at a time (``schemes.advance_blocks``): one node
+table per column block serves both levels of every scheme that shares
+the draws, and each scheme carries its coupled pair and running errors
+from one block to the next.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import map_tasks
 from .coupling import (
     TerminalCoupling,
     cmt_coupling_from_draws,
@@ -183,12 +184,19 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
 
 def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
                      experiment: str, mode: str) -> list[ExperimentRow]:
+    """Rows of one convergence experiment, in ladder order.
+
+    The cells (ladder points) are the items of one ``map_tasks`` call,
+    finest first, so the draws and column blocks of a cell run inline at
+    its full chunk width; when several cells fail, the finest one's
+    exception is raised.
+    """
     kinds = [k for k in config.kinds if not (k is SchemeKind.CMT and mode == "traj")]
     groups: dict = {}  # kinds sharing one factor draw (one recursion on a generic spec)
     for kind in kinds:
         groups.setdefault(spec.ou is None and uses_nv(kind), []).append(kind)
-    rows: list[ExperimentRow] = []
-    for n_coarse in config.n_ladder:
+
+    def cell_stats(n_coarse):
         acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         cell = rng.child(experiment, n_coarse)
         for first, size in block_chunks(config.npaths, config.chunk_paths):
@@ -198,9 +206,17 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
                 log_err, asset_err = errors[kind]
                 acc[kind, "log_sq_err"].add(log_err)
                 acc[kind, "asset_sq_err"].add(asset_err)
+        return acc
+
+    # a cell's cost grows with its steps: the other takers share out the
+    # coarser cells while one runs the finest
+    ladder = sorted(config.n_ladder, reverse=True)
+    accs = dict(zip(ladder, map_tasks(cell_stats, ladder, config.npaths * 2 * sum(ladder))))
+    rows: list[ExperimentRow] = []
+    for n_coarse in config.n_ladder:
         for kind in kinds:
             for metric in ("log_sq_err", "asset_sq_err"):
-                stats = acc[kind, metric]
+                stats = accs[n_coarse][kind, metric]
                 rows.append(ExperimentRow(experiment, kind.value, n_coarse, metric,
                                           stats.mean, stats.stderr))
     return rows

@@ -142,10 +142,11 @@ def factor_normals(spec: VolModelSpec, kinds, reads=()) -> tuple[str, ...]:
 
 
 def block_steps(npaths: int, multiple: int = 2) -> int:
-    """Steps per block for ``npaths`` paths: about BLOCK_VALUES / npaths,
-    at least MIN_STEPS, rounded down to a multiple of ``multiple`` (a
-    coarsening factor) and at least ``multiple``."""
-    return multiple * max(1, max(MIN_STEPS, _parallel.BLOCK_VALUES // npaths) // multiple)
+    """Steps per block for ``npaths`` paths: about ``_parallel.step_values()``
+    / npaths (BLOCK_VALUES summed over all takers, so a share of it inside
+    a pool item), at least MIN_STEPS, rounded down to a multiple of
+    ``multiple`` (a coarsening factor) and at least ``multiple``."""
+    return multiple * max(1, max(MIN_STEPS, _parallel.step_values() // npaths) // multiple)
 
 
 def with_coeffs(spec: VolModelSpec, draws: FactorDraws, kinds) -> FactorDraws:
@@ -494,14 +495,18 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, 
 
 def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
     """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
-    sum at the first node (zero by default), is advanced in place to the last."""
+    sum at the first node (zero by default), is advanced in place to the last.
+
+    The sum runs a row at a time, in cumsum's order: a cumsum over axis 0
+    walks each path's column at the row stride, 5-7 times slower at
+    10,000 paths."""
     increments = drift + mult * dB
     x = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
     if total is None:
         total = np.zeros(increments.shape[1:])
     x[0] = total
-    increments[0] += total
-    np.cumsum(increments, axis=0, out=x[1:])
+    for k in range(increments.shape[0]):
+        np.add(x[k], increments[k], out=x[k + 1, ...])
     total[...] = x[-1]
     x += x0
     return x

@@ -7,7 +7,7 @@ import pytest
 from conftest import scott_spec
 
 from svschemes import _parallel
-from svschemes.analysis import DEFAULT_KINDS, _cell_errors
+from svschemes.analysis import DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
 from svschemes.pricing import conditional_call_values
 from svschemes.rng import RngStream
@@ -44,3 +44,19 @@ def test_peak_does_not_grow_with_steps(monkeypatch, name):
     run(64)  # warm caches (the Scott spec, the thread pool) outside the measurement
     short, long = peak_bytes(run, 64), peak_bytes(run, 512)
     assert long <= 1.1 * short, f"peak {long} B at 512 steps, {short} B at 64"
+
+
+def test_cells_in_flight_share_the_step_budget(monkeypatch):
+    # two ladder cells run at once on two workers, each on step blocks of
+    # half the values: together about one cell's peak at one worker
+    config = ExperimentConfig(n_ladder=(2, 4, 8, 16, 32, 64), npaths=PATHS)
+
+    def run(_):
+        run_strong_conv(scott_spec(), config, RngStream(4))
+
+    peaks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        run(None)  # warm caches and the pool outside the measurement
+        peaks[workers] = peak_bytes(run, None)
+    assert peaks[2] <= 1.5 * peaks[1], f"peak {peaks[2]} B on two workers, {peaks[1]} B on one"

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import factor_draws, gbm_factor_spec, scott_spec
 
-from svschemes import _parallel, schemes
+from svschemes import _parallel, analysis, schemes
 from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_conv, run_traj_conv
 from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import romano_touzi_call
@@ -34,6 +34,20 @@ def across_workers(monkeypatch, compute, min_block=SMALL_BLOCK):
         monkeypatch.setattr(_parallel, "WORKERS", workers)
         results.append(compute())
     return results
+
+
+def cell_threads(monkeypatch) -> dict:
+    """Per WORKERS value, the names of the threads that the cells of the
+    convergence experiments run from now on ran on."""
+    threads, cell_errors = {}, analysis._cell_errors
+
+    def traced(*args, **kwargs):
+        threads.setdefault(_parallel.WORKERS, set()).add(threading.current_thread().name)
+        time.sleep(0.02)  # small cells: long enough for another taker to take the next
+        return cell_errors(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_cell_errors", traced)
+    return threads
 
 
 def assert_same_bytes(results):
@@ -111,12 +125,14 @@ class TestMapBlocks:
         for inner, name in results:
             assert inner == [(0, 1000, name)]  # one block, on the outer block's thread
 
-    def test_exception_reaches_caller_after_every_block(self, monkeypatch):
+    def test_exception_reaches_caller_after_running_blocks(self, monkeypatch):
+        # every block taken before the failure has finished when it is raised
         monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
         monkeypatch.setattr(_parallel, "WORKERS", 3)
-        finished = []
+        started, finished = [], []
 
         def work(cols):
+            started.append(cols.start)
             if cols.start == 0:
                 finished.append(cols.start)
                 raise ValueError("first block")
@@ -128,7 +144,7 @@ class TestMapBlocks:
 
         with pytest.raises(ValueError, match="first block"):
             _parallel.map_blocks(work, 200)
-        assert sorted(finished) == [0, 66, 133]
+        assert 0 in finished and sorted(finished) == sorted(started)
 
 
 class TestMapTasks:
@@ -166,19 +182,40 @@ class TestMapTasks:
         _parallel.map_tasks(work, range(5), 2 * _parallel.MIN_BLOCK)
         assert done == [1, 2, 3, 4, 0]
 
-    def test_exception_reaches_caller_after_every_item(self, monkeypatch):
-        monkeypatch.setattr(_parallel, "WORKERS", 3)
-        done = []
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_item_taken_after_a_failure(self, monkeypatch, workers):
+        # the items in flight on the other takers finish; no taker takes
+        # another, and the exception is the same for any worker count
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        started, done = [], []
 
         def work(i):
+            started.append(i)
             if i == 2:
                 raise ValueError("item 2")
-            time.sleep(0.01)
+            time.sleep(0.05)
             done.append(i)
 
         with pytest.raises(ValueError, match="item 2"):
-            _parallel.map_tasks(work, range(8), 2 * _parallel.MIN_BLOCK)
-        assert sorted(done) == [0, 1, 3, 4, 5, 6, 7]
+            _parallel.map_tasks(work, range(10), 2 * _parallel.MIN_BLOCK)
+        assert {0, 1} <= set(done)
+        assert len([i for i in started if i > 2]) <= workers - 1
+        assert sorted(done) == sorted(i for i in started if i != 2)
+
+    def test_interrupt_in_the_caller_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        here = threading.current_thread().name
+        started = []
+
+        def work(i):
+            started.append(i)
+            if threading.current_thread().name == here:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+
+        with pytest.raises(KeyboardInterrupt):
+            _parallel.map_tasks(work, range(10), 2 * _parallel.MIN_BLOCK)
+        assert len(started) <= 2  # the caller's item and the one the pool thread was running
 
     def test_every_item_taken_once_under_stress(self, monkeypatch):
         # more takers than cores, switching threads as often as possible
@@ -236,9 +273,11 @@ class TestWorkerCountInvariance:
         spec = scott_spec()
         whole = run(spec, config, RngStream(15))
         two_step_blocks(monkeypatch)
+        threads = cell_threads(monkeypatch)
         results = across_workers(monkeypatch, lambda: run(spec, config, RngStream(15)))
         assert results == [whole] * 3
         assert any(r.scheme == "cmt" for r in whole) == (run is not run_traj_conv)
+        assert len(threads[1]) == 1 and len(threads[2]) >= 2 and len(threads[3]) >= 2
 
     def test_conv_experiment_generic_spec(self, monkeypatch):
         config = ExperimentConfig(n_ladder=(2, 4), npaths=400, chunk_paths=400,
@@ -246,8 +285,10 @@ class TestWorkerCountInvariance:
         spec = gbm_factor_spec(rho=-0.3)
         whole = run_strong_conv(spec, config, RngStream(16))
         two_step_blocks(monkeypatch)
+        threads = cell_threads(monkeypatch)
         results = across_workers(monkeypatch, lambda: run_strong_conv(spec, config, RngStream(16)))
         assert results == [whole] * 3
+        assert len(threads[1]) == 1 and len(threads[2]) >= 2 and len(threads[3]) >= 2
 
     @pytest.mark.parametrize("spec, kind", [
         (scott_spec(theta=0.3), SchemeKind.WEAKTRAJ1),  # theta = 0 hides the mean shift

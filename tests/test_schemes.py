@@ -430,6 +430,16 @@ class TestStepBlocks:
         assert block_steps(250_000, 16) == 16
         assert block_steps(10_000, 8) == 8
 
+    def test_block_steps_count_every_taker(self, monkeypatch):
+        # inside a pool item the other takers hold blocks of their own, so a
+        # step block gets BLOCK_VALUES // WORKERS values
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        assert block_steps(10_000) == 12
+        inside = _parallel.map_tasks(lambda i: block_steps(10_000), range(2),
+                                     2 * _parallel.MIN_BLOCK)
+        assert inside == [8, 8]
+        assert block_steps(10_000) == 12
+
     @pytest.mark.parametrize("spec, kind", [(scott_spec(), SchemeKind.WEAKTRAJ1),
                                             (gbm_factor_spec(), SchemeKind.WEAK2),
                                             (gbm_factor_spec(), SchemeKind.EULER)])
