@@ -3,9 +3,11 @@
 Each experiment produces flat rows (experiment, scheme, N, metric,
 value, stderr) where N is the coarse step count of the two-level pair
 (or the finest step count for multilevel runs). Convergence metrics are
-mean squared differences at maturity:
+mean squared differences of the two levels of a coupled pair:
 
-* ``log_sq_err``  -- E[(X_T^{2N} - X_T^{N})^2] on the log-asset,
+* ``log_sq_err``  -- E[(max_k |X_{t_k}^{2N} - X_{t_k}^N|)^2] on the log-asset,
+  the sup over the coarse nodes t_k = kT/N (strong and traj), or
+  E[(X_T^{2N} - X_T^N)^2] at maturity (terminal),
 * ``asset_sq_err`` -- the same on the asset S = e^X,
 
 so a scheme of strong order p shows a log-log slope near -2p.
@@ -166,7 +168,7 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
     """
     g = None
     if mode == "terminal":
-        g = BlockStreams(cell, size, first).draw(1, normals=("g",))["g"][0]
+        g = BlockStreams(cell, size, first).draw(1, ("g",))["g"][0]
     errors = {}
     for group in groups:
         def advance(draws, db, carry):
@@ -278,13 +280,13 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
     measurable at practical path counts. Rows carry the metric
     ``weak_error`` with |E[P_N - P_fine]| and its standard error.
     """
-    for n in n_ladder:
-        if fine_steps % n or fine_steps < 2 * n:
-            raise InvalidParameterError(
-                f"ladder entry {n} must properly divide fine_steps={fine_steps}")
     grids = [fine_steps]  # the fine grid and each of its halvings down the ladder
-    while grids[-1] // 2 >= min(n_ladder):
+    while grids[-1] % 2 == 0 and grids[-1] // 2 >= max(min(n_ladder), 1):
         grids.append(grids[-1] // 2)
+    for n in n_ladder:
+        if n not in grids[1:]:
+            raise InvalidParameterError(
+                f"ladder entry {n} must be fine_steps={fine_steps} halved once or more")
     acc = {n: LevelStats() for n in n_ladder}
     for first, size in block_chunks(npaths, chunk_paths):
         values = conditional_call_values(spec, kind, fine_steps, strike,

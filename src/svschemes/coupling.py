@@ -304,7 +304,7 @@ def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
         lambda: coupling_start(spec, kind, npaths, np.inf),
         lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
                                                                carry),
-        ("b", "u"), reads=("dW",)))
+        reads=("dW", "b", "u")))
 
 
 def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
@@ -321,5 +321,5 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
 
     carry = advance_blocks(spec, (kind,), n_steps, rng, npaths,
                            lambda: coupling_start(spec, kind, npaths, np.inf, levels=1),
-                           advance, ("b", "u"), reads=("dW",), first=first)
+                           advance, reads=("dW", "b", "u"), first=first)
     return _lookback_payoff(spec, carry[0, 0], carry[0, 2])

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, NumericalError
 
 # Scalar-or-array function of the factor value.
 Fn = Callable[[float | np.ndarray], float | np.ndarray]
@@ -41,7 +41,6 @@ class OUParams:
     kappa: float
     theta: float
     nu: float
-    y0: float
 
     def __post_init__(self):
         if not self.kappa > 0:
@@ -74,11 +73,11 @@ class ScottParams:
         if not -1.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
         # positivity of kappa/nu checked by the OUParams embedding
-        OUParams(self.kappa, self.theta, self.nu, self.y0)
+        OUParams(self.kappa, self.theta, self.nu)
 
     @property
     def ou(self) -> OUParams:
-        return OUParams(self.kappa, self.theta, self.nu, self.y0)
+        return OUParams(self.kappa, self.theta, self.nu)
 
 
 # Coefficients derived from the model's own functions, each written once.
@@ -331,6 +330,8 @@ class QuadPrimitive:
 
     def __call__(self, y):
         arr = np.asarray(y, dtype=float)
+        if not np.isfinite(arr).all():
+            raise NumericalError("primitive evaluated at a non-finite point (NaN or inf)")
         with self._lock:
             self._extend(float(arr.min()), float(arr.max()))
             spline = self._spline

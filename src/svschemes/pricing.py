@@ -98,7 +98,7 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     sums = advance_blocks(spec, (kind,), n_steps, rng, npaths,
                           lambda: coupling_start(spec, kind, npaths, levels=depth + 1),
                           lambda draws, carry: level_sums(spec, kind, draws, cutoff, carry),
-                          streams=(), multiple=2 ** max(depth, 1), first=first)
+                          reads=(), multiple=2 ** max(depth, 1), first=first)
     scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
 
     def values(cols):

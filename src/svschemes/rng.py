@@ -6,12 +6,13 @@ of identifiers without coordination. Normals are produced by inversion
 of the standard normal CDF, so a fixed draw index always maps to the
 same variate.
 
-A batch of paths draws from one stream per path block and per named
-normal (``BlockStreams``): path p of a run reads block p // PATH_BLOCK,
-so a chunk of whole blocks draws what it would draw inside a larger
-batch, and a scheme pays only for the normals it reads.
+A batch of paths draws from one stream per path block and per name
+(``BlockStreams``): path p of a run reads block p // PATH_BLOCK, so a
+chunk of whole blocks draws what it would draw inside a larger batch,
+and a scheme pays only for the normals it reads.
 
-The joint laws implemented here:
+Each joint law mixes independent standard normals by the lower Cholesky
+factor of its covariance (``mix``). The laws implemented here:
 
 * (dW, iW) where iW = int_{t_k}^{t_{k+1}} (W_s - W_{t_k}) ds, with
   covariance [[delta, delta^2/2], [delta^2/2, delta^3/3]];
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import queue
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -44,6 +44,9 @@ _U_FLOOR = 2.0**-64
 # PATH_BLOCK consecutive paths of the run (the last block of a batch may
 # be narrower).
 PATH_BLOCK = 4096
+
+# The streams drawn as uniforms on (0, 1]; every other one as normals.
+UNIFORMS = {"u"}
 
 
 class _Key(ISeedSequence):
@@ -87,29 +90,19 @@ class RngStream:
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)
 
-    def uniform_open(self, size=None, out=None, scratch=None):
+    def uniform_open(self, size=None, out=None):
         """Uniform draws on (0, 1], valid inputs for log and bridge draws;
-        written to ``out`` if given (see ``normal``)."""
-        if size is None:
-            return 1.0 - self._gen.random()
-        u = self._uniforms(size, out, scratch)
-        return np.subtract(1.0, u, out=u if out is None else out)
+        written to ``out`` (an array of shape ``size``) if given."""
+        return np.subtract(1.0, self._gen.random(size), out=out)
 
-    def normal(self, size=None, out=None, scratch=None):
+    def normal(self, size=None, out=None):
         """Standard normals by inversion of the normal CDF; written to ``out``
-        (an array of shape ``size``) if given. The generator fills contiguous
-        arrays only: where ``out`` is not contiguous, the uniforms go to
-        ``scratch`` (contiguous, of shape ``size``), or to a temporary."""
+        (an array of shape ``size``, contiguous or not) if given."""
         if size is None:
             return ndtri(np.maximum(self._gen.random(), _U_FLOOR))
-        u = self._uniforms(size, out, scratch)
+        u = self._gen.random(size)
         np.maximum(u, _U_FLOOR, out=u)
         return ndtri(u, out=u if out is None else out)
-
-    def _uniforms(self, size, out, scratch) -> np.ndarray:
-        if out is not None and out.flags.c_contiguous:
-            return self._gen.random(out=out)
-        return self._gen.random(size, out=scratch)
 
 
 class BlockStreams:
@@ -131,38 +124,24 @@ class BlockStreams:
         self._blocks = [(first + i, slice(p, min(p + PATH_BLOCK, npaths)))
                         for i, p in enumerate(range(0, npaths, PATH_BLOCK))]
         self._streams: dict[str, list[RngStream]] = {}
-        self._scratch = queue.SimpleQueue()
 
-    def draw(self, steps: int, normals=(), uniforms=()) -> dict[str, np.ndarray]:
-        """The next ``steps`` rows, shape (steps, npaths), of standard normals
-        for each name in ``normals`` and of uniforms on (0, 1] for each name
-        in ``uniforms``, a block of a name at a time on the path-parallel
-        pool (``map_tasks``)."""
+    def draw(self, steps: int, names) -> dict[str, np.ndarray]:
+        """The next ``steps`` rows, shape (steps, npaths), of each name in
+        ``names``: uniforms on (0, 1] for the names in UNIFORMS, standard
+        normals for every other, a block of a name at a time on the
+        path-parallel pool (``map_tasks``)."""
         out, tasks = {}, []
-        for names, method in ((normals, RngStream.normal), (uniforms, RngStream.uniform_open)):
-            for name in names:
-                if name not in self._streams:
-                    self._streams[name] = [self.rng.child(name, "block", b) for b, _ in self._blocks]
-                out[name] = np.empty((steps, self.npaths))
-                tasks += [(method, stream, out[name][:, cols])
-                          for stream, (_, cols) in zip(self._streams[name], self._blocks)]
+        for name in names:
+            if name not in self._streams:
+                self._streams[name] = [self.rng.child(name, "block", b) for b, _ in self._blocks]
+            method = RngStream.uniform_open if name in UNIFORMS else RngStream.normal
+            out[name] = np.empty((steps, self.npaths))
+            tasks += [(method, stream, out[name][:, cols])
+                      for stream, (_, cols) in zip(self._streams[name], self._blocks)]
 
         def fill(task):
             method, stream, view = task
-            if view.flags.c_contiguous:  # the batch is one block
-                method(stream, view.shape, out=view)
-                return
-            # the uniforms of a block's columns go to a scratch block, reused
-            # from draw to draw (a fresh one per block costs page faults)
-            try:
-                scratch = self._scratch.get_nowait()
-            except queue.Empty:
-                scratch = np.empty(0)
-            if scratch.size < view.size:
-                scratch = np.empty(steps * PATH_BLOCK)
-            method(stream, view.shape, out=view,
-                   scratch=scratch[:view.size].reshape(view.shape))
-            self._scratch.put(scratch)
+            method(stream, view.shape, out=view)
 
         map_tasks(fill, tasks, steps * self.npaths * len(out))
         return out
@@ -177,6 +156,24 @@ def block_chunks(npaths: int, chunk_paths: int) -> list[tuple[int, int]]:
     return [(start // PATH_BLOCK, min(per, npaths - start)) for start in range(0, npaths, per)]
 
 
+def mix(chol: np.ndarray, normals: list) -> list:
+    """Mix the independent standard normals g_i in ``normals`` (arrays,
+    overwritten, or scalars) into the law with lower Cholesky factor
+    ``chol``, in place, and return the list. A row not drawn is None, and
+    so is every row after it. Row i becomes c_ii*g_i + (c_i0*g_0 + c_i1*g_1
+    + ...), summed left to right over the rows above, read unmixed."""
+    for i in reversed(range(len(normals))):
+        if normals[i] is None:
+            continue
+        normals[i] *= chol[i, i]
+        if i:
+            lower = chol[i, 0] * normals[0]
+            for j in range(1, i):
+                lower += chol[i, j] * normals[j]
+            normals[i] += lower
+    return normals
+
+
 def joint_chol(delta: float) -> np.ndarray:
     """Lower Cholesky factor of Cov(dW, iW)."""
     if not delta > 0:
@@ -188,15 +185,9 @@ def joint_chol(delta: float) -> np.ndarray:
     ])
 
 
-def joint_from_normals(delta: float, g1, g2):
-    """Map independent standard normals to a (dW, iW) pair."""
-    chol = joint_chol(delta)
-    return chol[0, 0] * np.asarray(g1), chol[1, 0] * np.asarray(g1) + chol[1, 1] * np.asarray(g2)
-
-
 def joint_w_integral(delta: float, rng: RngStream, size=None):
     """Draw (dW, iW), two normals per pair."""
-    return joint_from_normals(delta, rng.normal(size), rng.normal(size))
+    return tuple(mix(joint_chol(delta), [rng.normal(size), rng.normal(size)]))
 
 
 def ou_transition_moments(ou: OUParams, delta: float):
@@ -222,33 +213,15 @@ def ou_transition_moments(ou: OUParams, delta: float):
     return decay, mean_shift, g11, g12, g22
 
 
-def ou_joint_chol(ou: OUParams, delta: float) -> np.ndarray:
-    """Lower Cholesky factor of Gamma = Cov(dY_stoch, iW).
-
-    Degenerate-to-rounding covariances are regularized by clipping the
-    correlation into [-1, 1].
-    """
-    _, _, g11, g12, g22 = ou_transition_moments(ou, delta)
-    l11 = math.sqrt(g11)
-    corr = g12 / math.sqrt(g11 * g22)
-    corr = min(1.0, max(-1.0, corr))
-    l21 = corr * math.sqrt(g22)
-    l22 = math.sqrt(max(g22 - l21**2, 0.0))
-    return np.array([[l11, 0.0], [l21, l22]])
-
-
-def ou_joint_from_normals(ou: OUParams, y, delta: float, g1, g2):
-    """Map independent standard normals to (y_next, iW)."""
-    decay, mean_shift, _, _, _ = ou_transition_moments(ou, delta)
-    chol = ou_joint_chol(ou, delta)
-    y_next = mean_shift + decay * np.asarray(y) + chol[0, 0] * np.asarray(g1)
-    iw = chol[1, 0] * np.asarray(g1) + chol[1, 1] * np.asarray(g2)
-    return y_next, iw
-
-
 def ou_exact_joint(ou: OUParams, y: float, delta: float, rng: RngStream, size=None):
-    """Draw (y_next, iW): the exact OU transition jointly with the W time integral."""
-    return ou_joint_from_normals(ou, y, delta, rng.normal(size), rng.normal(size))
+    """Draw (y_next, iW): the exact OU transition jointly with the W time
+    integral. The Cholesky factor of Cov(dY_stoch, iW) clips the
+    correlation into [-1, 1], for covariances degenerate to rounding."""
+    decay, mean_shift, g11, g12, g22 = ou_transition_moments(ou, delta)
+    l21 = min(1.0, max(-1.0, g12 / math.sqrt(g11 * g22))) * math.sqrt(g22)
+    chol = np.array([[math.sqrt(g11), 0.0], [l21, math.sqrt(max(g22 - l21**2, 0.0))]])
+    dy, iw = mix(chol, [rng.normal(size), rng.normal(size)])
+    return mean_shift + decay * np.asarray(y) + dy, iw
 
 
 def ou_triple_cov(ou: OUParams, delta: float) -> np.ndarray:

@@ -22,9 +22,11 @@ Cholesky order of the OU triple (dY, dW, iW); "dW" and "iW" on generic
 specs), the B-increments "b" and the bridge uniforms "u". A batch draws
 only the factor normals its schemes read (``factor_normals``): weak2
 reads the factor nodes alone, so on an OU-backed spec it draws one normal
-per step. Streams are step-major, so estimators draw and consume a grid a
-step block at a time (``advance_blocks``), carrying per-path state from
-block to block: memory is O(paths), and the bytes are those of one draw.
+per step, which ``draw_factor_paths`` mixes in place (``rng.mix``), as it
+does every law's normals. Streams are step-major, so estimators draw and
+consume a grid a step block at a time (``advance_blocks``), carrying
+per-path state from block to block: memory is O(paths), and the bytes are
+those of one draw.
 After its draw, a step block is one pass over column blocks of its paths,
 each building its own factor path and running the estimator on it.
 """
@@ -41,7 +43,7 @@ import numpy as np
 from . import _parallel
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
-from .rng import BlockStreams, RngStream, joint_chol, ou_transition_moments, ou_triple_chol
+from .rng import BlockStreams, RngStream, joint_chol, mix, ou_transition_moments, ou_triple_chol
 
 
 class SchemeKind(str, Enum):
@@ -70,6 +72,10 @@ _BOTH_ENDS = {
     SchemeKind.IJK: frozenset({"f", "psi"}),
 }
 
+
+# The factor normals in the Cholesky order of the OU triple; a generic
+# spec's law is the pair (dW, iW).
+_FACTOR = ("dY", "dW", "iW")
 
 # The factor increments each scheme reads besides the factor nodes (CMT
 # reads dW and builds its own factor path).
@@ -132,13 +138,14 @@ def uses_nv(kind: SchemeKind) -> bool:
 
 def factor_normals(spec: VolModelSpec, kinds, reads=()) -> tuple[str, ...]:
     """The names of the normals drawn per step for the factor draws of the
-    schemes ``kinds``, whose consumer also reads the increments ``reads``:
-    the Cholesky order ("dY", "dW", "iW") of an OU-backed spec, or ("dW",
+    schemes ``kinds``, whose consumer also reads the increments in
+    ``reads`` (its other names, streams such as "b", are skipped): the
+    Cholesky order ("dY", "dW", "iW") of an OU-backed spec, or ("dW",
     "iW") of a generic one, up to the last increment read; the factor
     nodes read the first."""
-    order = ("dY", "dW", "iW") if spec.ou is not None else ("dW", "iW")
+    order = _FACTOR[spec.ou is None:]
     read = set(reads).union(*(_READS[kind] for kind in kinds))
-    return order[:max([1] + [order.index(name) + 1 for name in read])]
+    return order[:max([1] + [order.index(name) + 1 for name in read if name in order])]
 
 
 def block_steps(npaths: int, multiple: int = 2) -> int:
@@ -282,42 +289,6 @@ def draw_brownian_increments(normals: np.ndarray, delta: float) -> np.ndarray:
     return normals
 
 
-def _ou_factor_draws(spec: VolModelSpec, delta: float, g: dict, start) -> FactorDraws:
-    """Exact OU draws from the normals g ("dY" and, if drawn, "dW" and "iW",
-    each of shape (N, paths)) and the values ``start``.
-
-    The Cholesky mix of (dY_stoch, dW, iW) runs on whole arrays, dW and iW
-    overwriting their own normals; the exact recursion
-    y' = (mean_shift + decay*y) + dY_stoch runs a row at a time.
-    """
-    g0 = g["dY"]
-    n_steps = g0.shape[0]
-    chol = ou_triple_chol(spec.ou, delta)
-    decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, delta)
-    dW, iW = g.get("dW"), g.get("iW")
-    y = np.empty((n_steps + 1,) + g0.shape[1:])
-    y[0] = start
-    # y's rows from 1 on hold a product until the recursion writes them
-    term, dy = y[1:], np.empty(g0.shape)
-    if iW is not None:
-        # iW = (c20*g0 + c21*g1) + c22*g2, before g1 becomes dW
-        mix = np.multiply(chol[2, 0], g0, out=dy)
-        mix += np.multiply(chol[2, 1], dW, out=term)
-        iW *= chol[2, 2]
-        iW += mix
-    if dW is not None:
-        # dW = c11*g1 + c10*g0
-        dW *= chol[1, 1]
-        dW += np.multiply(chol[1, 0], g0, out=term)
-    np.multiply(chol[0, 0], g0, out=dy)
-    for k in range(n_steps):
-        y_next = np.multiply(decay, y[k], out=y[k + 1])
-        y_next += mean_shift
-        y_next += dy[k]
-    return FactorDraws(delta=delta, y=y, dW=undrawn(g0.shape) if dW is None else dW,
-                       iW=undrawn(g0.shape) if iW is None else iW)
-
-
 def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normals: dict,
                       start=None) -> FactorDraws:
     """The factor draws of a step block of an n_steps grid from its drawn
@@ -325,54 +296,63 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
     default).
 
     ``normals`` holds the factor normals of ``factor_normals`` by name (and
-    may hold other streams' draws). OU-backed specs mix them into (dY, dW,
-    iW), overwriting the dW and iW normals, and build y by the exact
-    transition; generic specs map them to (dW, iW) and build y by Milstein
-    (NV for the weak scheme). Increments whose normals are missing are
-    ``undrawn``.
+    may hold other streams' draws). They are mixed in place (``rng.mix``)
+    into the law of the spec: (dY_stoch, dW, iW) on an OU-backed spec,
+    whose y follows the exact transition y' = (mean_shift + decay*y) +
+    dY_stoch a row at a time; (dW, iW) on a generic one, whose y follows
+    Milstein (NV for the weak scheme). Increments whose normals are
+    missing are ``undrawn``.
     """
-    g0 = normals["dY" if spec.ou is not None else "dW"]
-    _check_batch(n_steps, g0.shape[1])
+    g = [normals.get(name) for name in _FACTOR[spec.ou is None:]]
+    _check_batch(n_steps, g[0].shape[1])
     if kind in _OU_ONLY:
         _require_ou(spec, kind)
     delta = spec.T / n_steps
     start = spec.y0 if start is None else start
-    if spec.ou is not None:
-        return _ou_factor_draws(spec, delta, normals, start)
-    chol = joint_chol(delta)
-    dW = chol[0, 0] * g0
-    iW = (chol[1, 0] * g0 + chol[1, 1] * normals["iW"] if "iW" in normals
-          else undrawn(dW.shape))
-    y = _recursive_factor_path(spec, delta, dW, kind, start)
-    return FactorDraws(delta=delta, y=y, dW=dW, iW=iW)
+    if spec.ou is None:
+        dW, iW = mix(joint_chol(delta), g)
+        y = _recursive_factor_path(spec, delta, dW, kind, start)
+    else:
+        dy, dW, iW = mix(ou_triple_chol(spec.ou, delta), g)
+        decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, delta)
+        y = np.empty((dy.shape[0] + 1,) + dy.shape[1:])
+        y[0] = start
+        for k in range(dy.shape[0]):
+            y_next = np.multiply(decay, y[k], out=y[k + 1])
+            y_next += mean_shift
+            y_next += dy[k]
+    shape = g[0].shape
+    return FactorDraws(delta=delta, y=y, dW=undrawn(shape) if dW is None else dW,
+                       iW=undrawn(shape) if iW is None else iW)
 
 
 def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, npaths: int,
-                   start, advance, streams=("b",), multiple: int = 2, reads=(),
+                   start, advance, reads=("b",), multiple: int = 2,
                    first: int = 0) -> np.ndarray:
     """The carry ``start()``, made once the first block is drawn, advanced over
     an n_steps grid drawn from ``rng`` a step block at a time.
 
     The batch is the ``npaths`` paths from path block ``first`` on
     (``rng.BlockStreams``). Step blocks hold ``block_steps`` steps (the
-    last one what is left). Each is drawn in one pass over the pool: the
-    factor normals that ``kinds`` and the consumer (``reads``) read, and
-    each stream in ``streams``, "b" (B-increments) or "u" (bridge
-    uniforms). One more pass, over column blocks of the paths, builds each
-    block's factor draws (those of ``kinds[0]``, with one node table for
-    ``kinds``) from its paths' last node of the step block before, and
-    runs ``advance(draws, *arrays, carry)`` on views of the arrays and of
-    the carry's last axis.
+    last one what is left). ``reads`` names what the consumer reads
+    besides the factor nodes: factor increments ("dW", "iW") and streams,
+    "b" (B-increments) or "u" (bridge uniforms). Each step block is drawn
+    in one pass over the pool: the factor normals that ``kinds`` and
+    ``reads`` need, and the streams. One more pass, over column blocks of
+    the paths, builds each block's factor draws (those of ``kinds[0]``,
+    with one node table for ``kinds``) from its paths' last node of the
+    step block before, and runs ``advance(draws, *streams, carry)`` on
+    views of the streams, in ``reads`` order, and of the carry's last axis.
     """
     _check_batch(n_steps, npaths)
     batch = BlockStreams(rng, npaths, first)
     factor = factor_normals(spec, kinds, reads)
+    streams = tuple(name for name in reads if name not in _FACTOR)
     size = block_steps(npaths, multiple)
     y_last, carry = np.full(npaths, spec.y0), None
     for k0 in range(0, n_steps, size):
         steps = min(size, n_steps - k0)
-        drawn = batch.draw(steps, factor + tuple(n for n in streams if n == "b"),
-                           [n for n in streams if n != "b"])
+        drawn = batch.draw(steps, factor + streams)
         carry = start() if carry is None else carry
 
         def block(cols):
@@ -493,21 +473,25 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, 
     return x, y
 
 
-def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
-    """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
-    sum at the first node (zero by default), is advanced in place to the last.
+def _running_sum(increments: np.ndarray, first=0.0) -> np.ndarray:
+    """The nodes ``first`` + the running sum of ``increments`` over axis 0.
 
     The sum runs a row at a time, in cumsum's order: a cumsum over axis 0
     walks each path's column at the row stride, 5-7 times slower at
     10,000 paths."""
-    increments = drift + mult * dB
-    x = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
-    if total is None:
-        total = np.zeros(increments.shape[1:])
-    x[0] = total
+    nodes = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
+    nodes[0] = first
     for k in range(increments.shape[0]):
-        np.add(x[k], increments[k], out=x[k + 1, ...])
-    total[...] = x[-1]
+        np.add(nodes[k], increments[k], out=nodes[k + 1, ...])
+    return nodes
+
+
+def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
+    """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
+    sum at the first node (zero by default), is advanced in place to the last."""
+    x = _running_sum(drift + mult * dB, 0.0 if total is None else total)
+    if total is not None:
+        total[...] = x[-1]
     x += x0
     return x
 
@@ -517,13 +501,8 @@ def _weak2_accumulators(spec: VolModelSpec, draws: FactorDraws):
     coeffs = with_coeffs(spec, draws, (SchemeKind.WEAK2,)).coeffs
     h_vals = coeffs.all("h")
     psi_vals = coeffs.all("psi")
-    m_inc = draws.delta * 0.5 * (h_vals[:-1] + h_vals[1:])
-    v_inc = draws.delta * 0.5 * (psi_vals[:-1] + psi_vals[1:])
-    shape = (m_inc.shape[0] + 1,) + m_inc.shape[1:]
-    m = np.zeros(shape)
-    v = np.zeros(shape)
-    np.cumsum(m_inc, axis=0, out=m[1:])
-    np.cumsum(v_inc, axis=0, out=v[1:])
+    m = _running_sum(draws.delta * 0.5 * (h_vals[:-1] + h_vals[1:]))
+    v = _running_sum(draws.delta * 0.5 * (psi_vals[:-1] + psi_vals[1:]))
     return m, v
 
 
@@ -566,7 +545,7 @@ def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int
     draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps,
                               batch.draw(n_steps, factor_normals(spec, (SchemeKind.WEAK2,))))
     m, v = _weak2_accumulators(spec, draws)
-    g = batch.draw(1, normals=("b",))["b"][0]
+    g = batch.draw(1, ("b",))["b"][0]
     y_terminal = draws.y[-1]
     m_bar = m[-1]
     v_bar = v[-1]

@@ -44,7 +44,7 @@ def scott_spec(**overrides):
 def const_vol_ou_spec(rho=0.0, sigma0=0.25, kappa=1.0, theta=0.0, nu=0.5,
                       r=0.05, s0=100.0, y0=0.0, T=1.0):
     """OU-backed spec with constant f: the asset is Black-Scholes when rho=0."""
-    ou = OUParams(kappa=kappa, theta=theta, nu=nu, y0=y0)
+    ou = OUParams(kappa=kappa, theta=theta, nu=nu)
 
     def zeros(y):
         return 0.0 * np.asarray(y, dtype=float)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import scott_spec
 
+from svschemes import analysis
 from svschemes.analysis import (
     BENCHMARK_CALL_PRICE,
     ExperimentConfig,
@@ -144,6 +145,17 @@ class TestWeakCall:
             weak_error_refinement(spec, SchemeKind.WEAK2, (8,), 8, 100.0, RngStream(0), 100)
         with pytest.raises(InvalidParameterError):
             weak_error_refinement(spec, SchemeKind.CMT, (2,), 8, 100.0, RngStream(0), 100)
+
+    def test_refinement_ladder_entries_are_halvings(self, monkeypatch):
+        # 8 divides 24 but is no halving of it: rejected before any draw
+        def drawn(*args, **kwargs):
+            raise AssertionError("drew before validating the ladder")
+
+        monkeypatch.setattr(analysis, "conditional_call_values", drawn)
+        for ladder, fine_steps in (((8,), 24), ((3, 8), 24), ((0,), 24), ((0,), 0)):
+            with pytest.raises(InvalidParameterError, match="halved"):
+                weak_error_refinement(scott_spec(), SchemeKind.WEAK2, ladder, fine_steps, 100.0,
+                                      RngStream(0), 100)
 
     def test_refinement_needs_two_paths(self):
         with pytest.raises(InvalidParameterError):

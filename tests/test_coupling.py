@@ -44,7 +44,7 @@ def fine_draws(spec, kind, n_coarse, rng, npaths):
 def terminal_pair(spec, kind, n_coarse, rng, npaths):
     """Shared-G terminal coupling of 2*n_coarse fine steps, G from the stream "g"."""
     fine = factor_draws(spec, kind, 2 * n_coarse, rng, npaths)
-    g = BlockStreams(rng, npaths).draw(1, normals=("g",))["g"][0]
+    g = BlockStreams(rng, npaths).draw(1, ("g",))["g"][0]
     return terminal_coupling_from_draws(spec, kind, fine, g)
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec
 
 from svschemes import schemes
-from svschemes.errors import ConfigError, InvalidParameterError
+from svschemes.errors import ConfigError, InvalidParameterError, NumericalError
 from svschemes.models import (
     NodeCoeffs,
     OUParams,
@@ -51,9 +51,9 @@ def gbm_spec(rho=0.0):
 class TestParams:
     def test_ou_requires_positive_kappa_nu(self):
         with pytest.raises(InvalidParameterError):
-            OUParams(kappa=0.0, theta=0.0, nu=0.5, y0=0.0)
+            OUParams(kappa=0.0, theta=0.0, nu=0.5)
         with pytest.raises(InvalidParameterError):
-            OUParams(kappa=1.0, theta=0.0, nu=-0.5, y0=0.0)
+            OUParams(kappa=1.0, theta=0.0, nu=-0.5)
 
     def test_scott_param_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -67,7 +67,7 @@ class TestParams:
         p = benchmark_scott_params()
         assert p.nu == pytest.approx(7.0 * math.sqrt(2.0) / 20.0)
         assert p.rho == -0.2
-        assert p.ou == OUParams(1.0, 0.0, p.nu, 0.0)
+        assert p.ou == OUParams(1.0, 0.0, p.nu)
 
 
 class TestScottClosedForms:
@@ -188,6 +188,13 @@ class TestQuadPrimitive:
         # cubic Hermite bound h^4 / 384 times the largest fourth derivative
         # of F = sin (at most 1), plus the quadrature tolerance
         assert np.abs(prim(mids) - np.sin(mids)).max() <= step**4 / 384.0 + 1e-9
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, np.array([0.5, math.nan])])
+    def test_non_finite_input_is_a_numerical_error(self, y):
+        prim = QuadPrimitive(np.cos)
+        with pytest.raises(NumericalError, match="non-finite"):
+            prim(y)
+        assert prim(0.5) == pytest.approx(math.sin(0.5), abs=1e-9)
 
     def test_far_extension_moves_no_value(self):
         ys = np.linspace(-0.9, 0.9, 37)

@@ -16,16 +16,15 @@ from svschemes.rng import (
     RngStream,
     block_chunks,
     joint_chol,
-    joint_from_normals,
     joint_w_integral,
+    mix,
     ou_exact_joint,
-    ou_joint_from_normals,
     ou_transition_moments,
     ou_triple_chol,
     ou_triple_cov,
 )
 
-BENCH_OU = OUParams(kappa=1.0, theta=0.0, nu=7.0 * math.sqrt(2.0) / 20.0, y0=0.0)
+BENCH_OU = OUParams(kappa=1.0, theta=0.0, nu=7.0 * math.sqrt(2.0) / 20.0)
 
 
 def cov_within_3se(emp, theory, n):
@@ -140,19 +139,13 @@ class TestJointIncrement:
             expect = np.array([[delta, delta**2 / 2], [delta**2 / 2, delta**3 / 3]])
             assert np.allclose(cov, expect)
 
-    def test_unit_normals_map(self):
-        dw, iw = joint_from_normals(1.0, 1.0, 0.0)
-        assert dw == pytest.approx(1.0)
-        assert iw == pytest.approx(0.5)
-        dw, iw = joint_from_normals(1.0, 0.0, 0.0)
-        assert dw == 0.0 and iw == 0.0
-
     def test_scalar_draw_type(self):
         # a plain (dW, iW) pair of the first two normals
         draw = joint_w_integral(0.25, RngStream(1))
         assert type(draw) is tuple and len(draw) == 2
         g1, g2 = RngStream(1).normal(2)
-        assert draw == joint_from_normals(0.25, g1, g2)
+        chol = joint_chol(0.25)
+        assert draw == (chol[0, 0] * g1, chol[1, 0] * g1 + chol[1, 1] * g2)
 
     def test_delta_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -175,18 +168,18 @@ class TestJointIncrement:
 
 class TestOUJoint:
     def test_mean_reversion_mean(self):
-        ou = OUParams(kappa=1.0, theta=1.0, nu=0.5, y0=0.0)
+        ou = OUParams(kappa=1.0, theta=1.0, nu=0.5)
         decay, mean_shift, *_ = ou_transition_moments(ou, 1.0)
         assert mean_shift + decay * 0.0 == pytest.approx(1.0 - math.exp(-1.0))
 
     def test_small_nu_limit(self):
-        ou = OUParams(kappa=1.0, theta=1.0, nu=1e-12, y0=0.0)
+        ou = OUParams(kappa=1.0, theta=1.0, nu=1e-12)
         y_next, _ = ou_exact_joint(ou, 0.0, 1.0, RngStream(2))
         assert y_next == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
 
     def test_taylor_guard_continuity(self):
         # the g12 expansion must join the closed form smoothly at the switch
-        ou = OUParams(kappa=1.0, theta=0.0, nu=0.5, y0=0.0)
+        ou = OUParams(kappa=1.0, theta=0.0, nu=0.5)
         below = ou_transition_moments(ou, 0.99e-4)[3]
         above = ou_transition_moments(ou, 1.01e-4)[3]
         ratio = below / (0.99e-4) ** 2 / (above / (1.01e-4) ** 2)
@@ -209,10 +202,53 @@ class TestOUJoint:
         z = (y - mean_shift - decay * y0) / math.sqrt(g11)
         assert stats.kstest(z, "norm").pvalue > 0.01
 
-    def test_deterministic_map(self):
-        y, iw = ou_joint_from_normals(BENCH_OU, 0.0, 0.125, 0.0, 0.0)
-        assert y == pytest.approx(0.0)
-        assert iw == 0.0
+    def test_scalar_draw_is_the_transition_of_two_normals(self):
+        y_next, iw = ou_exact_joint(BENCH_OU, 0.3, 0.125, RngStream(3))
+        g1, g2 = RngStream(3).normal(2)
+        decay, mean_shift, g11, g12, g22 = ou_transition_moments(BENCH_OU, 0.125)
+        l21 = g12 / math.sqrt(g11)
+        assert y_next == mean_shift + decay * 0.3 + math.sqrt(g11) * g1
+        assert iw == pytest.approx(l21 * g1 + math.sqrt(g22 - l21**2) * g2, rel=1e-12)
+
+
+class TestMix:
+    """rng.mix, the one Cholesky mix of the pair and triple laws."""
+
+    CHOLS = pytest.mark.parametrize(
+        "chol", (joint_chol(1.0), joint_chol(0.125), ou_triple_chol(BENCH_OU, 0.125)),
+        ids=("pair-delta-1", "pair", "ou-triple"))
+
+    @CHOLS
+    def test_zero_normals_map_to_zero(self, chol):
+        assert mix(chol, [0.0] * len(chol)) == [0.0] * len(chol)
+
+    @CHOLS
+    def test_unit_normals_map_to_the_columns(self, chol):
+        for j in range(len(chol)):
+            unit = [float(i == j) for i in range(len(chol))]
+            assert mix(chol, unit) == list(chol[:, j])
+
+    def test_in_place_in_the_lower_sum_order(self):
+        rng = RngStream(4)
+        chol = np.linalg.cholesky(np.cov(rng.normal((4, 10))))  # dense, 4 x 4
+        g = rng.normal((4, 7))
+        want = [chol[0, 0] * g[0]]
+        for i in range(1, 4):
+            lower = chol[i, 0] * g[0]
+            for j in range(1, i):
+                lower = lower + chol[i, j] * g[j]
+            want.append(chol[i, i] * g[i] + lower)
+        mix(chol, list(g))  # g's rows, mixed in place
+        assert g.tobytes() == np.stack(want).tobytes()
+
+    def test_rows_after_an_undrawn_row_stay_undrawn(self):
+        chol = ou_triple_chol(BENCH_OU, 0.125)
+        g = RngStream(5).normal((2, 6))
+        dy, dw, iw = mix(chol, [g[0].copy(), g[1].copy(), None])
+        assert iw is None
+        assert dy.tobytes() == (chol[0, 0] * g[0]).tobytes()
+        assert dw.tobytes() == (chol[1, 1] * g[1] + chol[1, 0] * g[0]).tobytes()
+        assert mix(chol, [g[0].copy(), None, None])[1:] == [None, None]
 
 
 class TestOUTriple:
@@ -229,7 +265,7 @@ class TestOUTriple:
             assert np.allclose(chol @ chol.T, cov, atol=1e-12)
 
     def test_taylor_guard_for_dw_dy_cov(self):
-        ou = OUParams(kappa=1.0, theta=0.0, nu=0.5, y0=0.0)
+        ou = OUParams(kappa=1.0, theta=0.0, nu=0.5)
         below = ou_triple_cov(ou, 0.99e-4)[0, 1]
         above = ou_triple_cov(ou, 1.01e-4)[0, 1]
         ratio = below / 0.99e-4 / (above / 1.01e-4)
@@ -238,10 +274,8 @@ class TestOUTriple:
     def test_empirical_triple_covariance(self):
         delta = 0.125
         n = 1_000_000
-        g = RngStream(21).normal((3, n))
-        chol = ou_triple_chol(BENCH_OU, delta)
-        draws = chol @ g
-        emp = np.cov(draws)
+        draws = mix(ou_triple_chol(BENCH_OU, delta), list(RngStream(21).normal((3, n))))
+        emp = np.cov(np.stack(draws))
         cov_within_3se(emp, ou_triple_cov(BENCH_OU, delta), n)
 
     def test_consistency_with_pair_laws(self):
@@ -262,7 +296,7 @@ class TestBlockStreams:
 
     def test_block_values_come_from_its_keyed_stream(self):
         npaths = 2 * PATH_BLOCK + 5
-        got = BlockStreams(RngStream(8), npaths).draw(3, normals=("x",), uniforms=("u",))
+        got = BlockStreams(RngStream(8), npaths).draw(3, ("x", "u"))
         for b, cols in enumerate([slice(0, PATH_BLOCK), slice(PATH_BLOCK, 2 * PATH_BLOCK),
                                   slice(2 * PATH_BLOCK, npaths)]):
             width = cols.stop - cols.start
@@ -276,10 +310,10 @@ class TestBlockStreams:
         monkeypatch.setattr(_parallel, "WORKERS", workers)
         npaths = 3 * PATH_BLOCK + 17
         run = BlockStreams(RngStream(9), npaths)
-        whole = np.concatenate([run.draw(2, normals=("x",))["x"],
-                                run.draw(3, normals=("x",))["x"]])
+        whole = np.concatenate([run.draw(2, ("x",))["x"],
+                                run.draw(3, ("x",))["x"]])
         chunk = BlockStreams(RngStream(9), PATH_BLOCK + 17, first=2)
-        part = chunk.draw(5, normals=("x",))["x"]
+        part = chunk.draw(5, ("x",))["x"]
         assert part.tobytes() == np.ascontiguousarray(whole[:, 2 * PATH_BLOCK:]).tobytes()
 
     def test_needs_a_path(self):

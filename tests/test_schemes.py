@@ -360,8 +360,8 @@ class TestFactorDraws:
         assert np.all(np.abs(sample.mean(axis=1)) <= 4.0 * np.sqrt(theory.diagonal() / n))
 
     def test_ou_draw_peak_memory(self):
-        # the normals, the kept arrays and one temporary of the normals'
-        # shape (dY_stoch): about 1.7 times the kept bytes
+        # the normals and, while rng.mix runs in place, two temporaries of
+        # their shape (a lower sum and a product): about 1.7 times the kept bytes
         spec = scott_spec()
         tracemalloc.start()
         try:
@@ -415,7 +415,7 @@ class TestFactorDraws:
             coarsen_factor_draws(spec, SchemeKind.EULER, fine)
 
     def test_brownian_increment_variance(self):
-        normals = BlockStreams(RngStream(4), 100_000).draw(4, normals=("b",))["b"]
+        normals = BlockStreams(RngStream(4), 100_000).draw(4, ("b",))["b"]
         db = draw_brownian_increments(normals, 0.25)
         assert db is normals and abs(db.var() - 0.25) < 0.005
         with pytest.raises(InvalidParameterError):
@@ -449,7 +449,7 @@ class TestStepBlocks:
         whole = factor_draws(spec, kind, 11, RngStream(5), 7, reads=("iW",))
         blocks = []
         advance_blocks(spec, (kind,), 11, RngStream(5), 7, lambda: np.zeros(7),
-                       lambda draws, carry: blocks.append(draws), streams=(), reads=("iW",))
+                       lambda draws, carry: blocks.append(draws), reads=("iW",))
         assert [b.dW.shape[0] for b in blocks] == [4, 4, 3]
         assert all(b.delta == whole.delta for b in blocks)
         for name in ("dW", "iW"):
@@ -533,7 +533,7 @@ class TestSimulatePath:
         rng = RngStream(21)
         path = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 1, rng, 1)
         draws = factor_draws(spec, SchemeKind.WEAKTRAJ1, 1, RngStream(21), 1)
-        db = BlockStreams(RngStream(21), 1).draw(1, normals=("b",))["b"][0, 0]
+        db = BlockStreams(RngStream(21), 1).draw(1, ("b",))["b"][0, 0]
         y0, y1, iw = draws.y[0, 0], draws.y[1, 0], draws.iW[0, 0]
         # the weaktraj1 step over delta = 1, floor cutoff
         rad = max(coeff(spec, "psi", y0) + spec.sigma(y0) * coeff(spec, "psi1", y0) * iw / 1.0, 0.0)
@@ -575,7 +575,7 @@ class TestWeak2Terminal:
         spec = scott_spec()
         seed_rng = RngStream(17)
         x, y_t, m_bar, v_bar = weak2_terminal(spec, 4, seed_rng)
-        g = BlockStreams(RngStream(17), 1).draw(1, normals=("b",))["b"][0, 0]
+        g = BlockStreams(RngStream(17), 1).draw(1, ("b",))["b"][0, 0]
         expect = (
             spec.x0 + spec.rho * (spec.F(y_t) - spec.F(spec.y0)) + m_bar
             + math.sqrt((1 - spec.rho**2) * v_bar) * g
