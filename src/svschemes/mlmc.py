@@ -140,6 +140,21 @@ def _draw_into(stats: LevelStats, sampler: LevelSampler, rng: RngStream, target:
         stats.batches += 1
 
 
+def _probe(sampler: LevelSampler, config: MlmcConfig, stats: list[LevelStats],
+           rng: RngStream, level: int) -> LevelStats:
+    """Level ``level`` with its config.initial_samples probe samples drawn.
+    Raises BudgetExceededError first if they would take the cost of the
+    samples drawn so far above MAX_COST."""
+    cost = (sum(s.n * config.cost_per_sample(s.level) for s in stats)
+            + config.initial_samples * config.cost_per_sample(level))
+    if cost > MAX_COST:
+        raise BudgetExceededError(f"probe samples of level {level} take the cost to "
+                                  f"{cost:.3g} path-steps, above {MAX_COST:.3g}")
+    probed = LevelStats(level=level)
+    _draw_into(probed, sampler, rng, config.initial_samples)
+    return probed
+
+
 def _decay_rate(stats: list[LevelStats], moment: Callable[[LevelStats], float]) -> float:
     """Decay exponent of a level moment: minus the slope of log2 moment(l)
     regressed on l over the levels from 1 up that hold samples, floored
@@ -209,11 +224,12 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
     """Run the adaptive multilevel loop until the bias test passes.
 
     Raises BudgetExceededError if the bias criterion still fails with
-    the finest level at config.max_level.
+    the finest level at config.max_level, or, before drawing them, if
+    probe samples or an allocation would cost more than MAX_COST.
     """
-    stats = [LevelStats(level=l) for l in range(2)]
-    for s in stats:
-        _draw_into(s, sampler, rng, config.initial_samples)
+    stats: list[LevelStats] = []
+    for level in range(2):
+        stats.append(_probe(sampler, config, stats, rng, level))
 
     while True:
         while _allocate(sampler, config, stats, rng):
@@ -231,10 +247,9 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
                 f"(remaining bias {remaining_bias:.3g} vs "
                 f"{config.epsilon / math.sqrt(2.0):.3g})"
             )
-        nxt = LevelStats(level=stats[-1].level + 1)
-        if nxt.level < PROBE_LEVELS:
-            _draw_into(nxt, sampler, rng, config.initial_samples)
-        stats.append(nxt)
+        level = stats[-1].level + 1
+        stats.append(_probe(sampler, config, stats, rng, level) if level < PROBE_LEVELS
+                     else LevelStats(level=level))
 
     value = sum(s.mean for s in stats)
     stderr = math.sqrt(sum(s.variance / s.n for s in stats))

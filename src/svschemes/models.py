@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConfigError, InvalidParameterError, NumericalError
 
@@ -224,13 +222,16 @@ class VolModelSpec:
     ``node_table(spec, y, both_ends)``, a ``NodeCoeffs`` unless the model
     supplies its own (Scott); a spec that replaces a function of such a
     model must replace the table too. The keyword-only constructor checks
-    s0, T and rho and defaults F to the quadrature primitive of f/sigma.
+    s0, T and rho and defaults F to the quadrature primitive of f/sigma
+    (``QuadPrimitive``, which loads scipy's quadrature and spline modules
+    on first use; a spec with F in closed form, as Scott's, never does).
     ``psi_lower`` floors the variance radicand; a finite ``psi_upper``
     replaces the band cap 1.5*f^2. h1 and h2 (h' and h'') serve the
     ou-improved scheme. ``ou`` is set for an OU factor, which unlocks exact
     factor simulation. ``flow_drift(y, t)`` and ``flow_vol(y, s)`` are the
     ODE flows of V0 = b - sigma*sigma'/2 and V = sigma for the
-    Ninomiya-Victoir step of a generic factor (see ``vol_flow_from_zeta``).
+    Ninomiya-Victoir step of a generic factor; a flow_vol can be built from
+    a primitive zeta of 1/sigma as flow_vol(y, s) = zeta^-1(s + zeta(y)).
     """
 
     r: float
@@ -285,12 +286,15 @@ class QuadPrimitive:
     """Primitive of an integrand with value 0 at 0, by cached quadrature.
 
     Keeps a knot grid of cumulative Gauss-Kronrod integrals (abs tol
-    1e-10) and the integrand at each knot, with cubic Hermite
+    1e-12) and the integrand at each knot, with cubic Hermite
     interpolation between knots; the grid is extended on demand, under
     a lock, when evaluated outside the cached range. Each piece of the
     interpolant depends only on its two knots, so extending the grid
     never moves a value already returned: F is the same function
-    whatever was evaluated before, in any thread.
+    whatever was evaluated before, in any thread. ``scipy.integrate``
+    and ``scipy.interpolate`` load on first use, when the first primitive
+    is built, not with this module: a run whose spec has F in closed form
+    never loads them.
     """
 
     def __init__(self, integrand: Fn, step: float = 0.0625):
@@ -306,6 +310,9 @@ class QuadPrimitive:
         self._extend(-1.0, 1.0)
 
     def _extend(self, lo: float, hi: float):
+        from scipy.integrate import quad
+        from scipy.interpolate import CubicHermiteSpline
+
         lo_idx = math.floor(lo / self._step) - 1
         hi_idx = math.ceil(hi / self._step) + 1
         changed = False
@@ -332,24 +339,13 @@ class QuadPrimitive:
         arr = np.asarray(y, dtype=float)
         if not np.isfinite(arr).all():
             raise NumericalError("primitive evaluated at a non-finite point (NaN or inf)")
+        if arr.size == 0:
+            return np.empty(arr.shape)
         with self._lock:
             self._extend(float(arr.min()), float(arr.max()))
             spline = self._spline
         out = spline(arr)
         return float(out) if np.isscalar(y) or arr.ndim == 0 else out
-
-
-def vol_flow_from_zeta(zeta: Fn, zeta_inv: Fn):
-    """Flow of the ODE eta' = V(eta) from a primitive zeta of 1/V.
-
-    Returns flow_vol(y, s) = zeta_inv(s + zeta(y)); the caller's
-    zeta_inv is expected to raise FlowDomainError outside its range.
-    """
-
-    def flow_vol(y, s):
-        return zeta_inv(s + zeta(y))
-
-    return flow_vol
 
 
 def scott_model(params: ScottParams) -> VolModelSpec:

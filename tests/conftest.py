@@ -10,7 +10,6 @@ from svschemes.models import (
     VolModelSpec,
     benchmark_scott_params,
     scott_model,
-    vol_flow_from_zeta,
 )
 from svschemes.rng import BlockStreams
 from svschemes.schemes import draw_factor_paths, factor_normals
@@ -32,6 +31,19 @@ def factor_draws(spec, kind, n_steps, rng, npaths, reads=()):
 def coeff(spec, name, y):
     """The coefficient ``name`` of ``spec`` at y, read from the spec's node table."""
     return spec.node_table(spec, y).all(name)
+
+
+def vol_flow_from_zeta(zeta, zeta_inv):
+    """Flow of the ODE eta' = V(eta) from a primitive zeta of 1/V.
+
+    Returns flow_vol(y, s) = zeta_inv(s + zeta(y)); the caller's
+    zeta_inv is expected to raise FlowDomainError outside its range.
+    """
+
+    def flow_vol(y, s):
+        return zeta_inv(s + zeta(y))
+
+    return flow_vol
 
 
 def scott_spec(**overrides):
@@ -68,7 +80,10 @@ def const_vol_ou_spec(rho=0.0, sigma0=0.25, kappa=1.0, theta=0.0, nu=0.5,
 
 
 def gbm_factor_spec(rho=0.0):
-    """Generic (non-OU) spec whose factor is a GBM: exercises the NV flows."""
+    """Generic (non-OU) spec whose factor is a GBM: exercises the NV flows.
+
+    b(y) = y/2 and sigma(y) = y, so V0 vanishes and the vol flow is y*e^s.
+    """
     return VolModelSpec(
         r=0.05, s0=100.0, y0=1.0, T=1.0, rho=rho,
         f=lambda y: 0.25 + 0.0 * np.asarray(y, dtype=float),
@@ -77,6 +92,8 @@ def gbm_factor_spec(rho=0.0):
         b=lambda y: 0.5 * np.asarray(y, dtype=float),
         sigma=lambda y: np.asarray(y, dtype=float),
         sigma1=lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float),
+        # f/sigma = 0.25/y is singular at 0, so the primitive needs an
+        # explicit anchor away from 0; schemes only ever use differences of F
         F=lambda y: 0.25 * np.log(np.asarray(y, dtype=float)),
         flow_drift=lambda y, t: y,
         flow_vol=vol_flow_from_zeta(np.log, np.exp),

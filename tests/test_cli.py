@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -18,6 +23,15 @@ SCOTT_CFG = {
 # The factor starts so high that e^{2y} overflows: radicands and prices
 # turn NaN or infinite.
 BLOWUP_CFG = dict(SCOTT_CFG, y0=400.0)
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(args, cwd, timeout=120):
+    """Run the interpreter with ``args`` in a fresh process that imports svschemes from src."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
 def write_cfg(tmp_path, cfg):
@@ -135,6 +149,16 @@ class TestMlmc:
             main(["mlmc", "--payoff", payoff, "--epsilon", epsilon])
         assert exc.value.code == 2
         assert "--epsilon" in capsys.readouterr().err
+
+    def test_probe_samples_over_the_cost_cap_exit_3_before_drawing(self, tmp_path):
+        # 1e11 probe samples cost 2e11 path-steps at level 0 alone
+        started = time.perf_counter()
+        proc = run_fresh(["-m", "svschemes.cli", "mlmc", "--payoff", "call",
+                          "--probe-samples", "100000000000"], tmp_path, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "probe samples of level 0" in proc.stderr
+        assert proc.stdout == ""
+        assert time.perf_counter() - started < 30.0
 
     def test_budget_trip_exits_3(self, tmp_path):
         rc = main(["mlmc", "--scheme", "euler", "--payoff", "call",
@@ -277,3 +301,44 @@ class TestNumericalGuards:
                           "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "radicand is not finite" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_quadrature_modules_load_only_for_a_spec_without_F(self, tmp_path):
+        # a Scott CLI run has F in closed form; a spec without F builds the
+        # quadrature primitive, which loads scipy.integrate and scipy.interpolate
+        proc = run_fresh(["-c", textwrap.dedent("""
+            import json, math, sys
+            import numpy as np
+            from svschemes.cli import main
+            from svschemes.models import VolModelSpec
+
+            HEAVY = ("scipy.integrate", "scipy.interpolate")
+            codes = [
+                main(["price", "--scheme", "weak2", "--steps", "8", "--paths", "8192",
+                      "--out", "price.json"]),
+                main(["mlmc", "--payoff", "lookback", "--epsilon", "0.5", "--out", "mlmc.csv"]),
+            ]
+            after_cli = [m for m in HEAVY if m in sys.modules]
+            spec = VolModelSpec(
+                r=0.05, s0=100.0, y0=0.0, T=1.0, rho=-0.2,
+                f=lambda y: 0.25 * np.exp(y), f1=lambda y: 0.25 * np.exp(y),
+                f2=lambda y: 0.25 * np.exp(y), b=lambda y: -np.asarray(y, dtype=float),
+                sigma=lambda y: 0.5 + 0.0 * np.asarray(y, dtype=float),
+                sigma1=lambda y: 0.0 * np.asarray(y, dtype=float),
+            )
+            after_spec = [m for m in HEAVY if m in sys.modules]
+            from scipy.integrate import quad
+            points = [-1.5, -0.2, 0.0, 0.7, 2.0]
+            errors = [abs(spec.F(y) - quad(lambda t: 0.5 * math.exp(t), 0.0, y)[0])
+                      for y in points]
+            print(json.dumps({"codes": codes, "after_cli": after_cli,
+                              "after_spec": after_spec, "errors": errors}))
+        """)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [0, 0]
+        assert got["after_cli"] == []
+        assert got["after_spec"] == ["scipy.integrate", "scipy.interpolate"]
+        # within the cubic Hermite bound between knots, 0.0625^4 / 384 * 0.5 e^2
+        assert max(got["errors"]) < 1e-7

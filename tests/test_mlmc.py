@@ -5,6 +5,7 @@ import pytest
 
 from conftest import const_vol_ou_spec, scott_spec
 
+from svschemes import mlmc
 from svschemes.errors import BudgetExceededError, InvalidParameterError
 from svschemes.mlmc import (
     BATCH_PATHS,
@@ -109,6 +110,22 @@ class TestDriver:
         cfg = MlmcConfig(epsilon=0.01, max_level=2, initial_samples=100)
         with pytest.raises(BudgetExceededError):
             mlmc_estimate(sampler, cfg, RngStream(2))
+
+    @pytest.mark.parametrize("cap, drawn", [(100.0, []), (500.0, [0]), (1000.0, [0, 1])])
+    def test_probe_samples_over_the_cost_cap_are_not_drawn(self, monkeypatch, cap, drawn):
+        # corrections that never decay; the probes cost 200, 600 and 1200
+        # path-steps at levels 0, 1 and 2, 200, 800 and 2000 in total
+        levels = []
+
+        def sampler(level, rng, n):
+            levels.append(level)
+            return np.full(n, 1.0) + 0.01 * rng.normal(n)
+
+        monkeypatch.setattr(mlmc, "MAX_COST", cap)
+        cfg = MlmcConfig(epsilon=0.01, max_level=4, initial_samples=100)
+        with pytest.raises(BudgetExceededError, match=f"probe samples of level {len(drawn)}"):
+            mlmc_estimate(sampler, cfg, RngStream(2))
+        assert sorted(set(levels)) == drawn
 
     def test_finer_levels_start_from_their_allocation(self):
         # level-l corrections 2^-l (1 + Z): alpha = 1, beta = 2, so the run

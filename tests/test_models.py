@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec
+from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes import schemes
 from svschemes.errors import ConfigError, InvalidParameterError, NumericalError
@@ -18,34 +18,10 @@ from svschemes.models import (
     ScottParams,
     VolModelSpec,
     benchmark_scott_params,
-    scott_model,
     spec_from_config,
     validate_spec,
-    vol_flow_from_zeta,
 )
 from svschemes.rng import RngStream
-
-
-def scott_spec():
-    return scott_model(benchmark_scott_params())
-
-
-def gbm_spec(rho=0.0):
-    # b(y) = y/2, sigma(y) = y: V0 vanishes and the vol flow is y*e^s
-    return VolModelSpec(
-        r=0.05, s0=100.0, y0=1.0, T=1.0, rho=rho,
-        f=lambda y: 0.25 + 0.0 * np.asarray(y, dtype=float),
-        f1=lambda y: 0.0 * np.asarray(y, dtype=float),
-        f2=lambda y: 0.0 * np.asarray(y, dtype=float),
-        b=lambda y: 0.5 * np.asarray(y, dtype=float),
-        sigma=lambda y: np.asarray(y, dtype=float),
-        sigma1=lambda y: 1.0 + 0.0 * np.asarray(y, dtype=float),
-        # f/sigma = 0.25/y is singular at 0, so the primitive needs an
-        # explicit anchor away from 0; schemes only ever use differences of F
-        F=lambda y: 0.25 * np.log(np.asarray(y, dtype=float)),
-        flow_drift=lambda y, t: y,
-        flow_vol=vol_flow_from_zeta(np.log, np.exp),
-    )
 
 
 class TestParams:
@@ -181,6 +157,12 @@ class TestQuadPrimitive:
         ys = np.array([-1.5, 0.0, 2.5])
         assert np.allclose(prim(ys), ys**2, atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_array(self, shape):
+        out = QuadPrimitive(np.cos)(np.empty(shape))
+        assert out.shape == shape
+        assert out.dtype == np.float64
+
     def test_error_between_knots(self):
         prim = QuadPrimitive(np.cos)
         step = 0.0625
@@ -264,7 +246,7 @@ class TestValidateSpec:
             validate_spec(scott_spec(), [])
 
     def test_gbm_factor_spec_passes(self):
-        report = validate_spec(gbm_spec(), [0.5, 1.0, 2.0])
+        report = validate_spec(gbm_factor_spec(), [0.5, 1.0, 2.0])
         assert report.ok
 
 
