@@ -43,6 +43,7 @@ from .coupling import (
 )
 from .errors import InvalidParameterError
 from .mlmc import (
+    BASE_STEPS,
     LevelStats,
     MlmcConfig,
     call_level_sampler,
@@ -52,7 +53,7 @@ from .mlmc import (
 from .models import VolModelSpec
 from .pricing import conditional_call_values, romano_touzi_call
 from .rng import BlockStreams, RngStream, block_chunks
-from .schemes import FactorDraws, SchemeKind, advance_blocks, uses_nv
+from .schemes import FactorDraws, SchemeKind, advance_blocks, is_template, uses_nv
 
 # Converged at-the-money call price under the benchmark Scott parameters
 # (strike 100, maturity 1); used as the weak-error reference.
@@ -175,10 +176,9 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
             for kind, pair in zip(group, carry):
                 _advance_pair(spec, kind, mode, draws, db, cutoff, pair)
 
-        carry = advance_blocks(
-            spec, group, n_fine, cell, size,
-            lambda: np.stack([coupling_start(spec, kind, size) for kind in group]), advance,
-            first=first)
+        carry = advance_blocks(spec, group, n_fine, cell,
+                               np.stack([coupling_start(spec, kind, size) for kind in group]),
+                               advance, first=first)
         errors.update((kind, _pair_errors(spec, kind, mode, pair, g, n_fine))
                       for kind, pair in zip(group, carry))
     return errors
@@ -193,7 +193,7 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
     its full chunk width; when several cells fail, the finest one's
     exception is raised.
     """
-    kinds = [k for k in config.kinds if not (k is SchemeKind.CMT and mode == "traj")]
+    kinds = [k for k in config.kinds if mode != "traj" or is_template(k)]
     groups: dict = {}  # kinds sharing one factor draw (one recursion on a generic spec)
     for kind in kinds:
         groups.setdefault(spec.ou is None and uses_nv(kind), []).append(kind)
@@ -300,7 +300,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
 
 def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,
                   epsilons: tuple[float, ...], rng: RngStream,
-                  max_level: int = 10, base_steps: int = 2, strike: float = 100.0,
+                  max_level: int = 10, strike: float = 100.0,
                   cutoff: str = "floor", initial_samples: int = 10_000,
                   reference: float | None = None) -> list[ExperimentRow]:
     """Multilevel cost-versus-accuracy sweep for one scheme and payoff.
@@ -311,20 +311,19 @@ def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,
     rows carry the finest step count in the N column.
     """
     if payoff == "call":
-        sampler = call_level_sampler(spec, kind, strike, base_steps, cutoff)
+        sampler = call_level_sampler(spec, kind, strike, cutoff)
     elif payoff == "lookback":
-        sampler = lookback_level_sampler(spec, kind, base_steps, cutoff)
+        sampler = lookback_level_sampler(spec, kind, cutoff)
     else:
         raise InvalidParameterError(f"unknown payoff {payoff!r}; expected 'call' or 'lookback'")
     rows: list[ExperimentRow] = []
     experiment = f"mlmc-{payoff}"
     for eps in epsilons:
-        config = MlmcConfig(epsilon=eps, max_level=max_level, base_steps=base_steps,
-                            initial_samples=initial_samples)
+        config = MlmcConfig(epsilon=eps, max_level=max_level, initial_samples=initial_samples)
         started = time.perf_counter()
         result = mlmc_estimate(sampler, config, rng.child(experiment, kind.value, repr(eps)))
         elapsed = time.perf_counter() - started
-        finest = base_steps * 2 ** result.levels[-1].level
+        finest = BASE_STEPS * 2 ** result.levels[-1].level
         rows.append(ExperimentRow(experiment, kind.value, finest, "price",
                                   result.value, result.stderr))
         rows.append(ExperimentRow(experiment, kind.value, finest, "total_cost",

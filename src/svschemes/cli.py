@@ -118,6 +118,12 @@ def _load_spec(args):
     return spec_from_config(cfg)
 
 
+def _reference_price(args):
+    """BENCHMARK_CALL_PRICE for a call at strike 100 on the built-in model, else None."""
+    call = getattr(args, "payoff", "call") == "call"
+    return BENCHMARK_CALL_PRICE if args.config is None and call and args.strike == 100.0 else None
+
+
 def _ladder(max_n: int) -> tuple[int, ...]:
     if max_n < 4 or max_n & (max_n - 1):
         raise ConfigError(f"--steps must be a power of two >= 4, got {max_n}")
@@ -175,19 +181,15 @@ def _run(args) -> int:
             n_ladder=_ladder(args.steps), npaths=args.paths, cutoff=args.cutoff,
             chunk_paths=min(args.paths, 250_000),
         )
-        reference = BENCHMARK_CALL_PRICE if (args.config is None and args.strike == 100.0) else None
-        write_rows_csv(run_weak_call(spec, config, rng, args.strike, reference),
+        write_rows_csv(run_weak_call(spec, config, rng, args.strike, _reference_price(args)),
                        args.out or "/dev/stdout")
         return 0
 
     if args.command == "mlmc":
-        reference = None
-        if args.config is None and args.payoff == "call" and args.strike == 100.0:
-            reference = BENCHMARK_CALL_PRICE
         rows = run_mlmc_cost(
             spec, SchemeKind(args.scheme), args.payoff, (args.epsilon,), rng,
             max_level=args.max_level, strike=args.strike, cutoff=args.cutoff,
-            initial_samples=args.probe_samples, reference=reference,
+            initial_samples=args.probe_samples, reference=_reference_price(args),
         )
         write_rows_csv(rows, args.out or "/dev/stdout")
         return 0

@@ -46,6 +46,7 @@ from .schemes import (
     cmt_paths,
     coarsen_factor_draws,
     drift_and_mult,
+    require_template,
     with_coeffs,
 )
 
@@ -104,6 +105,8 @@ def coupling_start(spec: VolModelSpec, kind: SchemeKind, npaths: int,
     consumer's value: the sum of squared multipliers, the spot minimum or
     a running error sup.
     """
+    if npaths < 1:
+        raise InvalidParameterError(f"need at least one path, got {npaths}")
     x = spec.x0 if kind is SchemeKind.CMT else 0.0
     return np.repeat([[[x], [spec.y0], [extra]]] * levels, npaths, axis=2)
 
@@ -210,8 +213,7 @@ def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fac
                                  carry=None) -> TerminalCoupling:
     """Shared-G terminal coupling from fine factor draws; each level of the
     carry sums its drifts and squared multipliers (``level_sums``)."""
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT has no conditional-Gaussian terminal form")
+    require_template(kind)
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
     level_sums(spec, kind, fine, cutoff, carry)
@@ -297,11 +299,9 @@ def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
                             rng: RngStream, npaths: int,
                             cutoff: str = "floor") -> LevelSample:
     """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse."""
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT supports no lookback with bridge minima")
+    require_template(kind)
     return LevelSample(spec, advance_blocks(
-        spec, (kind,), 2 * n_coarse, rng, npaths,
-        lambda: coupling_start(spec, kind, npaths, np.inf),
+        spec, (kind,), 2 * n_coarse, rng, coupling_start(spec, kind, npaths, np.inf),
         lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
                                                                carry),
         reads=("dW", "b", "u")))
@@ -312,14 +312,13 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                           first: int = 0) -> np.ndarray:
     """Discounted lookback payoffs on a single grid (MLMC base level), for
     the ``npaths`` paths from path block ``first`` on."""
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT supports no lookback with bridge minima")
+    require_template(kind)
 
     def advance(draws, db, uniforms, carry):
         x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0, 0])
         _bridge_low(spec, draws, x, db, uniforms, carry[0, 2])
 
-    carry = advance_blocks(spec, (kind,), n_steps, rng, npaths,
-                           lambda: coupling_start(spec, kind, npaths, np.inf, levels=1),
+    carry = advance_blocks(spec, (kind,), n_steps, rng,
+                           coupling_start(spec, kind, npaths, np.inf, levels=1),
                            advance, reads=("dW", "b", "u"), first=first)
     return _lookback_payoff(spec, carry[0, 0], carry[0, 2])

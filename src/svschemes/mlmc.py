@@ -1,6 +1,6 @@
 """Multilevel Monte Carlo driver and level samplers.
 
-The estimator telescopes over grids of base_steps * 2^l steps with
+The estimator telescopes over grids of BASE_STEPS * 2^l steps with
 refinement factor 2. A level sampler maps (level, rng, n) to n
 independent samples of the level-l correction: the plain functional at
 level 0, the coupled fine-minus-coarse difference above. Sample counts
@@ -20,7 +20,7 @@ rate alpha (floored at 1/2) certifies
 the second term from level 2 up.
 
 Costs are counted as simulated fine plus coarse steps per sample:
-base_steps at level 0, 3 * base_steps * 2^(l-1) above.
+BASE_STEPS at level 0, 3 * BASE_STEPS * 2^(l-1) above.
 """
 
 from __future__ import annotations
@@ -36,9 +36,13 @@ from .errors import BudgetExceededError, InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .pricing import conditional_call_values
 from .rng import PATH_BLOCK, RngStream
-from .schemes import SchemeKind
+from .schemes import SchemeKind, require_template
 
 LevelSampler = Callable[[int, RngStream, int], np.ndarray]
+
+# Steps of the level-0 grid; level l has BASE_STEPS * 2^l. The samplers'
+# grids and MlmcConfig.cost_per_sample both read it.
+BASE_STEPS = 2
 
 # Most samples a level draws in one sampler call, each call on its own
 # child stream.
@@ -59,7 +63,6 @@ class MlmcConfig:
 
     epsilon: float
     max_level: int
-    base_steps: int = 2
     initial_samples: int = 10_000
 
     def __post_init__(self):
@@ -67,15 +70,13 @@ class MlmcConfig:
             raise InvalidParameterError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_level < 1:
             raise InvalidParameterError(f"max_level must be >= 1, got {self.max_level}")
-        if self.base_steps < 1:
-            raise InvalidParameterError(f"base_steps must be >= 1, got {self.base_steps}")
         if self.initial_samples < 2:
             raise InvalidParameterError("initial_samples must be >= 2")
 
     def cost_per_sample(self, level: int) -> float:
         if level == 0:
-            return float(self.base_steps)
-        return 3.0 * self.base_steps * 2 ** (level - 1)
+            return float(BASE_STEPS)
+        return 3.0 * BASE_STEPS * 2 ** (level - 1)
 
 
 @dataclass
@@ -261,18 +262,17 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
 
 
 def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
-                       base_steps: int = 2, cutoff: str = "floor") -> LevelSampler:
+                       cutoff: str = "floor") -> LevelSampler:
     """Level sampler for the call under terminal coupling with conditioning.
 
     Both levels share the factor draws and each contributes its
     conditional Black-Scholes value, so the closing Gaussian is
     integrated out exactly at every level.
     """
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
+    require_template(kind)
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
-        values = conditional_call_values(spec, kind, base_steps * 2**level, strike, rng, n,
+        values = conditional_call_values(spec, kind, BASE_STEPS * 2**level, strike, rng, n,
                                          cutoff, depth=min(level, 1))
         return values[0] - values[1] if level else values
 
@@ -280,15 +280,14 @@ def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
 
 
 def lookback_level_sampler(spec: VolModelSpec, kind: SchemeKind,
-                           base_steps: int = 2, cutoff: str = "floor") -> LevelSampler:
+                           cutoff: str = "floor") -> LevelSampler:
     """Level sampler for the lookback with bridge-interpolated minima."""
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT supports no coupled lookback levels")
+    require_template(kind)
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
         if level == 0:
-            return lookback_single_level(spec, kind, base_steps, rng, n, cutoff)
-        pair = coupled_lookback_levels(spec, kind, base_steps * 2 ** (level - 1), rng, n, cutoff)
+            return lookback_single_level(spec, kind, BASE_STEPS, rng, n, cutoff)
+        pair = coupled_lookback_levels(spec, kind, BASE_STEPS * 2 ** (level - 1), rng, n, cutoff)
         return pair.fine - pair.coarse
 
     return sampler

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -64,13 +65,7 @@ class ScottParams:
     def __post_init__(self):
         if not self.sigma0 > 0:
             raise InvalidParameterError(f"sigma0 must be positive, got {self.sigma0}")
-        if not self.s0 > 0:
-            raise InvalidParameterError(f"s0 must be positive, got {self.s0}")
-        if not self.T > 0:
-            raise InvalidParameterError(f"T must be positive, got {self.T}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
-        # positivity of kappa/nu checked by the OUParams embedding
+        # kappa and nu are checked by the OUParams embedding; s0, T and rho by the spec
         OUParams(self.kappa, self.theta, self.nu)
 
     @property
@@ -404,7 +399,8 @@ def spec_from_config(cfg: dict) -> VolModelSpec:
     """Build a spec from a JSON-style config mapping.
 
     Only the Scott model is configurable this way; unknown keys are
-    rejected so typos fail loudly.
+    rejected so typos fail loudly, and every value must be a finite
+    number (JSON reads NaN and Infinity).
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a mapping, got {type(cfg).__name__}")
@@ -420,14 +416,14 @@ def spec_from_config(cfg: dict) -> VolModelSpec:
     numeric = {}
     for key in sorted(_SCOTT_KEYS - {"model"}):
         value = cfg[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):  # a float, not NaN or inf
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
         numeric[key] = float(value)
     try:
-        params = ScottParams(**numeric)
+        return scott_model(ScottParams(**numeric))
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    return scott_model(params)
 
 
 def benchmark_scott_params() -> ScottParams:

@@ -25,7 +25,7 @@ from .coupling import coupling_start, level_sums
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream, block_chunks
-from .schemes import SchemeKind, advance_blocks, cmt_paths, simulate_paths
+from .schemes import SchemeKind, advance_blocks, cmt_paths, require_template, simulate_paths
 
 
 @dataclass
@@ -93,10 +93,9 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     grid, finest first; the halvings of an OU-backed spec read the node
     table of the n_steps grid.
     """
-    if kind is SchemeKind.CMT:
-        raise InvalidParameterError("CMT admits no conditional-Gaussian terminal law")
-    sums = advance_blocks(spec, (kind,), n_steps, rng, npaths,
-                          lambda: coupling_start(spec, kind, npaths, levels=depth + 1),
+    require_template(kind)
+    sums = advance_blocks(spec, (kind,), n_steps, rng,
+                          coupling_start(spec, kind, npaths, levels=depth + 1),
                           lambda draws, carry: level_sums(spec, kind, draws, cutoff, carry),
                           reads=(), multiple=2 ** max(depth, 1), first=first)
     scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
@@ -117,8 +116,8 @@ def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int,
         x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry[0, :2])
         carry[0, :2] = x[-1], y[-1]
 
-    return advance_blocks(spec, (SchemeKind.CMT,), n_steps, rng, npaths,
-                          lambda: coupling_start(spec, SchemeKind.CMT, npaths, levels=1),
+    return advance_blocks(spec, (SchemeKind.CMT,), n_steps, rng,
+                          coupling_start(spec, SchemeKind.CMT, npaths, levels=1),
                           advance, first=first)[0, 0]
 
 

@@ -37,6 +37,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,37 +56,34 @@ class SchemeKind(str, Enum):
     CMT = "cmt"
 
 
-# Kinds that only make sense with exact OU factor simulation.
-_OU_ONLY = {SchemeKind.OU_IMPROVED, SchemeKind.IJK}
-
 # Fewest steps of a step block: each block pays for its draw dispatch,
 # its arrays and the node table on its first node.
 MIN_STEPS = 8
-
-# Coefficients each template scheme reads at both ends of a step; it
-# reads every other coefficient at the left node only.
-_BOTH_ENDS = {
-    SchemeKind.EULER: frozenset(),
-    SchemeKind.WEAKTRAJ1: frozenset({"F"}),
-    SchemeKind.OU_IMPROVED: frozenset({"F"}),
-    SchemeKind.WEAK2: frozenset({"F", "h", "psi"}),
-    SchemeKind.IJK: frozenset({"f", "psi"}),
-}
-
 
 # The factor normals in the Cholesky order of the OU triple; a generic
 # spec's law is the pair (dW, iW).
 _FACTOR = ("dY", "dW", "iW")
 
-# The factor increments each scheme reads besides the factor nodes (CMT
-# reads dW and builds its own factor path).
-_READS = {
-    SchemeKind.WEAK2: (),
-    SchemeKind.EULER: ("dW",),
-    SchemeKind.IJK: ("dW",),
-    SchemeKind.CMT: ("dW",),
-    SchemeKind.WEAKTRAJ1: ("iW",),
-    SchemeKind.OU_IMPROVED: ("iW",),
+
+class _Scheme(NamedTuple):
+    """What a scheme reads and which form it takes."""
+
+    reads: tuple[str, ...]  # factor increments read besides the factor nodes
+    both_ends: frozenset = frozenset()  # coefficients read at both ends of a step
+    ou_only: bool = False  # needs exact OU factor simulation
+    template: bool = True  # fits the conditional-Gaussian template
+
+
+# Every scheme kind, the one table of its traits. A template scheme reads
+# the coefficients not in ``both_ends`` at the left node only. CMT reads
+# dW and builds its own factor path.
+_SCHEMES = {
+    SchemeKind.EULER: _Scheme(("dW",)),
+    SchemeKind.WEAKTRAJ1: _Scheme(("iW",), frozenset({"F"})),
+    SchemeKind.OU_IMPROVED: _Scheme(("iW",), frozenset({"F"}), ou_only=True),
+    SchemeKind.WEAK2: _Scheme((), frozenset({"F", "h", "psi"})),
+    SchemeKind.IJK: _Scheme(("dW",), frozenset({"f", "psi"}), ou_only=True),
+    SchemeKind.CMT: _Scheme(("dW",), template=False),
 }
 
 
@@ -144,7 +142,7 @@ def factor_normals(spec: VolModelSpec, kinds, reads=()) -> tuple[str, ...]:
     "iW") of a generic one, up to the last increment read; the factor
     nodes read the first."""
     order = _FACTOR[spec.ou is None:]
-    read = set(reads).union(*(_READS[kind] for kind in kinds))
+    read = set(reads).union(*(_SCHEMES[kind].reads for kind in kinds))
     return order[:max([1] + [order.index(name) + 1 for name in read if name in order])]
 
 
@@ -161,12 +159,23 @@ def with_coeffs(spec: VolModelSpec, draws: FactorDraws, kinds) -> FactorDraws:
     unless the draws already carry one."""
     if draws.coeffs is not None:
         return draws
-    both_ends = frozenset().union(*(_BOTH_ENDS.get(kind, ()) for kind in kinds))
+    both_ends = frozenset().union(*(_SCHEMES[kind].both_ends for kind in kinds))
     return dataclasses.replace(draws, coeffs=spec.node_table(spec, draws.y, both_ends))
 
 
+def is_template(kind: SchemeKind) -> bool:
+    """True if ``kind`` fits the conditional-Gaussian template (every kind but CMT)."""
+    return _SCHEMES[kind].template
+
+
+def require_template(kind: SchemeKind):
+    """Raise InvalidParameterError unless ``kind`` fits the template (``is_template``)."""
+    if not is_template(kind):
+        raise InvalidParameterError(f"scheme {kind.name} has no conditional-Gaussian form")
+
+
 def _require_ou(spec: VolModelSpec, kind: SchemeKind):
-    if spec.ou is None:
+    if _SCHEMES[kind].ou_only and spec.ou is None:
         raise InvalidParameterError(f"scheme {kind.value} requires an OU-backed spec")
 
 
@@ -305,8 +314,7 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
     """
     g = [normals.get(name) for name in _FACTOR[spec.ou is None:]]
     _check_batch(n_steps, g[0].shape[1])
-    if kind in _OU_ONLY:
-        _require_ou(spec, kind)
+    _require_ou(spec, kind)
     delta = spec.T / n_steps
     start = spec.y0 if start is None else start
     if spec.ou is None:
@@ -326,34 +334,33 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
                        iW=undrawn(shape) if iW is None else iW)
 
 
-def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, npaths: int,
-                   start, advance, reads=("b",), multiple: int = 2,
-                   first: int = 0) -> np.ndarray:
-    """The carry ``start()``, made once the first block is drawn, advanced over
-    an n_steps grid drawn from ``rng`` a step block at a time.
+def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carry: np.ndarray,
+                   advance, reads=("b",), multiple: int = 2, first: int = 0) -> np.ndarray:
+    """The per-path ``carry``, advanced in place over an n_steps grid drawn
+    from ``rng`` a step block at a time, and returned.
 
-    The batch is the ``npaths`` paths from path block ``first`` on
-    (``rng.BlockStreams``). Step blocks hold ``block_steps`` steps (the
-    last one what is left). ``reads`` names what the consumer reads
-    besides the factor nodes: factor increments ("dW", "iW") and streams,
-    "b" (B-increments) or "u" (bridge uniforms). Each step block is drawn
-    in one pass over the pool: the factor normals that ``kinds`` and
-    ``reads`` need, and the streams. One more pass, over column blocks of
-    the paths, builds each block's factor draws (those of ``kinds[0]``,
+    The batch is the paths of the carry's last axis, from path block
+    ``first`` on (``rng.BlockStreams``). Step blocks hold ``block_steps``
+    steps (the last one what is left). ``reads`` names what the consumer
+    reads besides the factor nodes: factor increments ("dW", "iW") and
+    streams, "b" (B-increments) or "u" (bridge uniforms). Each step block
+    is drawn in one pass over the pool: the factor normals that ``kinds``
+    and ``reads`` need, and the streams. One more pass, over column blocks
+    of the paths, builds each block's factor draws (those of ``kinds[0]``,
     with one node table for ``kinds``) from its paths' last node of the
     step block before, and runs ``advance(draws, *streams, carry)`` on
     views of the streams, in ``reads`` order, and of the carry's last axis.
     """
+    npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
     batch = BlockStreams(rng, npaths, first)
     factor = factor_normals(spec, kinds, reads)
     streams = tuple(name for name in reads if name not in _FACTOR)
     size = block_steps(npaths, multiple)
-    y_last, carry = np.full(npaths, spec.y0), None
+    y_last = np.full(npaths, spec.y0)
     for k0 in range(0, n_steps, size):
         steps = min(size, n_steps - k0)
         drawn = batch.draw(steps, factor + streams)
-        carry = start() if carry is None else carry
 
         def block(cols):
             draws = draw_factor_paths(spec, kinds[0], n_steps,
@@ -405,8 +412,8 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
     (N, paths). The coefficients come from the node table of ``draws``,
     built here if they carry none.
     """
-    if kind not in _BOTH_ENDS:
-        raise InvalidParameterError(f"scheme {kind.value} has no drift/multiplier form")
+    require_template(kind)
+    _require_ou(spec, kind)
     draws = with_coeffs(spec, draws, (kind,))
     prev, nxt = draws.coeffs.prev, draws.coeffs.next
     delta = draws.delta
@@ -417,7 +424,6 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
         rad = _cutoff(spec, prev("psi") + correction, lambda: prev("psi_hat"), cutoff)
         mult = sqrt1m * np.sqrt(rad)
     elif kind is SchemeKind.OU_IMPROVED:
-        _require_ou(spec, kind)
         if spec.h1 is None or spec.h2 is None:
             raise InvalidParameterError("OU_IMPROVED needs closed-form h' and h''")
         ou = spec.ou
@@ -439,7 +445,6 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
         mult = sqrt1m * prev("f")
         mult = np.broadcast_to(np.asarray(mult), drift.shape)
     elif kind is SchemeKind.IJK:
-        _require_ou(spec, kind)
         nu = spec.ou.nu
         drift = (
             (spec.r - (nxt("psi") + prev("psi")) / 4.0) * delta

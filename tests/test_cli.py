@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -221,6 +222,21 @@ class TestConfigErrors:
         cfg = dict(SCOTT_CFG)
         cfg["kappa"] = -1.0
         assert main(["price", "--config", write_cfg(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int-1e400"])
+    @pytest.mark.parametrize("key", ["kappa", "theta"])  # range-checked, unchecked
+    def test_non_finite_value_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys,
+                                                      key, value):
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before the config was rejected")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        monkeypatch.setattr(RngStream, "uniform_open", no_draw)
+        rc = main(["price", "--scheme", "weak2", "--steps", "8", "--paths", "20000",
+                   "--config", write_cfg(tmp_path, dict(SCOTT_CFG, **{key: value}))])
+        assert rc == 2
+        assert f"config key {key!r} must be a finite number" in capsys.readouterr().err
 
     def test_negative_paths_exits_2(self, tmp_path, capsys):
         rc = main(["price", "--payoff", "lookback", "--steps", "4", "--paths", "-5",

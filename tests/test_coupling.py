@@ -178,12 +178,6 @@ class TestTerminalCoupling:
             errs.append(np.mean((t.x_fine - t.x_coarse) ** 2))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_cmt_rejected(self):
-        spec = scott_spec()
-        fine = factor_draws(spec, SchemeKind.EULER, 4, RngStream(0), 2)
-        with pytest.raises(InvalidParameterError):
-            terminal_coupling_from_draws(spec, SchemeKind.CMT, fine, np.zeros(2))
-
     def test_marginal_law_matches_path_simulation(self):
         spec = scott_spec()
         n = 50_000
@@ -238,6 +232,19 @@ class TestStepBlocks:
             part = terminal_coupling_from_draws(spec, kind, block, g, carry=carry)
         assert part.x_fine.tobytes() == whole.x_fine.tobytes()
         assert part.x_coarse.tobytes() == whole.x_coarse.tobytes()
+
+    def test_estimators_need_a_path(self):
+        # the carry is the batch: a path count below one fails when it is made
+        spec = scott_spec()
+        for npaths in (0, -5):
+            for estimate in (
+                lambda: conditional_call_values(spec, SchemeKind.WEAK2, 4, 100.0, RngStream(0),
+                                                npaths),
+                lambda: lookback_single_level(spec, SchemeKind.WEAK2, 4, RngStream(0), npaths),
+                lambda: coupled_lookback_levels(spec, SchemeKind.WEAK2, 2, RngStream(0), npaths),
+            ):
+                with pytest.raises(InvalidParameterError, match="at least one path"):
+                    estimate()
 
     @pytest.mark.parametrize("spec, kind", SPECS)
     def test_lookback_payoffs(self, spec, kind):
@@ -392,12 +399,6 @@ class TestLookback:
         a, b = s.fine, solo
         se = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se
-
-    def test_cmt_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            coupled_lookback_levels(scott_spec(), SchemeKind.CMT, 2, RngStream(0), 4)
-        with pytest.raises(InvalidParameterError):
-            lookback_single_level(scott_spec(), SchemeKind.CMT, 2, RngStream(0), 4)
 
     def test_reproducible(self):
         spec = scott_spec()

@@ -43,12 +43,10 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             MlmcConfig(epsilon=0.1, max_level=0)
         with pytest.raises(InvalidParameterError):
-            MlmcConfig(epsilon=0.1, max_level=5, base_steps=0)
-        with pytest.raises(InvalidParameterError):
             MlmcConfig(epsilon=0.1, max_level=5, initial_samples=1)
 
     def test_cost_schedule(self):
-        cfg = MlmcConfig(epsilon=0.1, max_level=5, base_steps=2)
+        cfg = MlmcConfig(epsilon=0.1, max_level=5)
         assert cfg.cost_per_sample(0) == 2.0
         assert cfg.cost_per_sample(1) == 6.0
         assert cfg.cost_per_sample(3) == 24.0
@@ -174,10 +172,6 @@ class TestDriver:
 
 
 class TestCallSampler:
-    def test_cmt_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            call_level_sampler(scott_spec(), SchemeKind.CMT, 100.0)
-
     def test_constant_vol_levels_vanish(self):
         spec = const_vol_ou_spec(rho=0.0)
         sampler = call_level_sampler(spec, SchemeKind.WEAK2, 100.0)
@@ -216,10 +210,6 @@ class TestCallSampler:
 
 
 class TestLookbackSampler:
-    def test_cmt_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            lookback_level_sampler(scott_spec(), SchemeKind.CMT)
-
     def test_level_zero_is_single_grid(self):
         spec = scott_spec()
         sampler = lookback_level_sampler(spec, SchemeKind.WEAKTRAJ1)

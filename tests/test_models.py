@@ -18,6 +18,7 @@ from svschemes.models import (
     ScottParams,
     VolModelSpec,
     benchmark_scott_params,
+    scott_model,
     spec_from_config,
     validate_spec,
 )
@@ -34,10 +35,13 @@ class TestParams:
     def test_scott_param_validation(self):
         with pytest.raises(InvalidParameterError):
             ScottParams(sigma0=-0.1, kappa=1, theta=0, nu=0.5, rho=0, r=0, s0=100, y0=0, T=1)
+        # rho and T are the spec's checks
         with pytest.raises(InvalidParameterError):
-            ScottParams(sigma0=0.25, kappa=1, theta=0, nu=0.5, rho=1.5, r=0, s0=100, y0=0, T=1)
+            scott_model(ScottParams(sigma0=0.25, kappa=1, theta=0, nu=0.5, rho=1.5, r=0, s0=100,
+                                    y0=0, T=1))
         with pytest.raises(InvalidParameterError):
-            ScottParams(sigma0=0.25, kappa=1, theta=0, nu=0.5, rho=0, r=0, s0=100, y0=0, T=0)
+            scott_model(ScottParams(sigma0=0.25, kappa=1, theta=0, nu=0.5, rho=0, r=0, s0=100,
+                                    y0=0, T=0))
 
     def test_benchmark_values(self):
         p = benchmark_scott_params()
@@ -293,10 +297,12 @@ class TestConfig:
             spec_from_config(["not", "a", "mapping"])
 
     def test_invalid_values_become_config_errors(self):
-        cfg = self.base_cfg()
-        cfg["kappa"] = -1.0
-        with pytest.raises(ConfigError):
-            spec_from_config(cfg)
+        # kappa is checked by ScottParams; rho, T and s0 by the spec
+        for key, value in [("kappa", -1.0), ("rho", 1.5), ("T", 0.0), ("s0", 0.0)]:
+            cfg = self.base_cfg()
+            cfg[key] = value
+            with pytest.raises(ConfigError):
+                spec_from_config(cfg)
 
 
 class TestNodeCoeffs:

@@ -310,8 +310,8 @@ class TestWorkerCountInvariance:
 
         def joined():
             return schemes.advance_blocks(
-                spec, (kind,), n_steps, RngStream(18), npaths,
-                lambda: np.zeros((4, n_steps + 1, npaths)), advance, reads=("iW",))
+                spec, (kind,), n_steps, RngStream(18), np.zeros((4, n_steps + 1, npaths)),
+                advance, reads=("iW",))
 
         two_step_blocks(monkeypatch)
         for carry in across_workers(monkeypatch, joined):

@@ -120,10 +120,6 @@ class TestConditionalValues:
         assert np.allclose(vals, expect, rtol=1e-12)
         assert vals.std() == pytest.approx(0.0, abs=1e-10)
 
-    def test_cmt_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            conditional_call_values(scott_spec(), SchemeKind.CMT, 4, 100.0, RngStream(0), 10)
-
     def test_values_nonnegative(self):
         vals = conditional_call_values(scott_spec(), SchemeKind.WEAKTRAJ1, 8, 100.0,
                                        RngStream(2), 5000)

@@ -7,7 +7,7 @@ from scipy import stats
 
 from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
-from svschemes import _parallel, models, schemes
+from svschemes import _parallel, coupling, mlmc, models, pricing, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import OUParams, VolModelSpec
 from svschemes.rng import BlockStreams, RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
@@ -448,7 +448,7 @@ class TestStepBlocks:
         monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: 4)
         whole = factor_draws(spec, kind, 11, RngStream(5), 7, reads=("iW",))
         blocks = []
-        advance_blocks(spec, (kind,), 11, RngStream(5), 7, lambda: np.zeros(7),
+        advance_blocks(spec, (kind,), 11, RngStream(5), np.zeros(7),
                        lambda draws, carry: blocks.append(draws), reads=("iW",))
         assert [b.dW.shape[0] for b in blocks] == [4, 4, 3]
         assert all(b.delta == whole.delta for b in blocks)
@@ -460,9 +460,9 @@ class TestStepBlocks:
 
     def test_blocks_validate_before_drawing(self):
         with pytest.raises(InvalidParameterError, match="at least one path"):
-            advance_blocks(scott_spec(), (SchemeKind.EULER,), 4, RngStream(0), 0, None, None)
+            advance_blocks(scott_spec(), (SchemeKind.EULER,), 4, RngStream(0), np.zeros(0), None)
         with pytest.raises(InvalidParameterError, match="at least one step"):
-            advance_blocks(scott_spec(), (SchemeKind.EULER,), 0, RngStream(0), 5, None, None)
+            advance_blocks(scott_spec(), (SchemeKind.EULER,), 0, RngStream(0), np.zeros(5), None)
 
 
 def assert_stepwise(spec, kind, draws):
@@ -501,6 +501,41 @@ class TestDriftAndMult:
         draws = factor_draws(spec, SchemeKind.EULER, 2, RngStream(0), 1)
         with pytest.raises(InvalidParameterError):
             drift_and_mult(spec, SchemeKind.CMT, draws)
+
+
+# Every entry point that needs the conditional-Gaussian template, called
+# with a kind, on draws made beforehand where it takes them.
+TEMPLATE_ONLY = {
+    "drift_and_mult": lambda spec, fine, kind: schemes.drift_and_mult(spec, kind, fine),
+    "terminal_coupling_from_draws": lambda spec, fine, kind: (
+        coupling.terminal_coupling_from_draws(spec, kind, fine, np.zeros(2))),
+    "coupled_lookback_levels": lambda spec, fine, kind: (
+        coupling.coupled_lookback_levels(spec, kind, 2, RngStream(0), 4)),
+    "lookback_single_level": lambda spec, fine, kind: (
+        coupling.lookback_single_level(spec, kind, 2, RngStream(0), 4)),
+    "conditional_call_values": lambda spec, fine, kind: (
+        pricing.conditional_call_values(spec, kind, 4, 100.0, RngStream(0), 10)),
+    "call_level_sampler": lambda spec, fine, kind: mlmc.call_level_sampler(spec, kind, 100.0),
+    "lookback_level_sampler": lambda spec, fine, kind: mlmc.lookback_level_sampler(spec, kind),
+}
+
+
+class TestTemplateOnly:
+    def test_kinds(self):
+        assert [k for k in SchemeKind if not schemes.is_template(k)] == [SchemeKind.CMT]
+
+    @pytest.mark.parametrize("entry", sorted(TEMPLATE_ONLY))
+    def test_cmt_rejected_before_drawing(self, monkeypatch, entry):
+        spec = scott_spec()
+        fine = factor_draws(spec, SchemeKind.EULER, 4, RngStream(0), 2)
+
+        def no_draw(*args, **kwargs):
+            pytest.fail("random values were drawn before CMT was rejected")
+
+        monkeypatch.setattr(RngStream, "normal", no_draw)
+        monkeypatch.setattr(RngStream, "uniform_open", no_draw)
+        with pytest.raises(InvalidParameterError, match="CMT"):
+            TEMPLATE_ONLY[entry](spec, fine, SchemeKind.CMT)
 
 
 class TestSimulatePath:
