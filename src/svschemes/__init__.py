@@ -15,7 +15,6 @@ from .models import (
     benchmark_scott_params,
     scott_model,
     spec_from_config,
-    validate_spec,
 )
 from .rng import RngStream
 from .schemes import GridPath, SchemeKind, simulate_paths, weak2_terminal
@@ -55,7 +54,7 @@ __all__ = [
     "BudgetExceededError", "ConfigError", "FlowDomainError", "InvalidParameterError",
     "NumericalError", "SvSchemesError",
     "OUParams", "ScottParams", "VolModelSpec", "benchmark_scott_params",
-    "scott_model", "spec_from_config", "validate_spec",
+    "scott_model", "spec_from_config",
     "RngStream",
     "GridPath", "SchemeKind", "simulate_paths", "weak2_terminal",
     "CoupledPaths", "LevelSample", "TerminalCoupling", "bridge_min",

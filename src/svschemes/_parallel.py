@@ -2,16 +2,17 @@
 
 Once its randomness is drawn, each path of a batch is computed
 independently of the others, so work on arrays whose last axis runs
-over paths can be split into column blocks (``map_blocks``) and run on
+over paths can be split into column blocks (``column_blocks``) and run on
 a thread pool: numpy and scipy's special functions release the
-interpreter lock inside their loops. Random draws are shared out one
-stream at a time (``map_tasks``): each path block of a batch has its own
-counter-based stream (``rng.BlockStreams``), so a value does not depend
-on which worker draws it. Whole tasks, such as the cells of a convergence
+interpreter lock inside their loops. Each path block of a batch has its
+own counter-based stream (``rng.BlockStreams``), so a value does not
+depend on which worker draws it: a column block of whole path blocks
+draws its own streams, and a draw of a whole batch is shared out one
+stream at a time. Whole tasks, such as the cells of a convergence
 ladder, are shared out the same way, and all of these run in one taker
-loop, the caller beside the pool. Work nested in an item runs inline, and
-the values of a step block are a budget summed over all takers
-(``step_values``). Callers join results in item order before any
+loop (``map_tasks``), the caller beside the pool. Work nested in an item
+runs inline, and the values of a step block are a budget summed over all
+takers (``step_values``). Callers join results in item order before any
 reduction across paths, so every output is the same bytes for any number
 of workers.
 """
@@ -110,19 +111,26 @@ def map_tasks(fn, items, values: int) -> list:
     return results
 
 
-def map_blocks(fn, n: int, rows: int = 1) -> list:
-    """Results of ``fn(cols)`` for contiguous slices ``cols`` covering range(n).
+def column_blocks(n: int, rows: int = 1, unit: int = 1) -> list[slice]:
+    """Contiguous slices covering range(n), cut at multiples of ``unit``.
 
     ``n`` counts paths (columns) and ``rows`` the values per path. Work of
     several rows is cut into blocks of at most BLOCK_VALUES values (work of
     one row, such as the Black-Scholes values, streams through memory), and
     into one block per worker when each then holds MIN_BLOCK values or
-    more. The blocks run as the items of ``map_tasks``, and the results
-    come in block order.
+    more; never into more blocks than there are units of ``unit`` columns
+    (the last one may be narrower), which the blocks share out evenly.
     """
     count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
     if _parallel_here():
         count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
-    count = max(1, min(n, count))
-    edges = [n * i // count for i in range(count + 1)]
-    return map_tasks(fn, [slice(a, b) for a, b in zip(edges, edges[1:])], rows * n)
+    units = -(-n // unit)
+    count = max(1, min(units, count))
+    edges = [min(n, unit * (units * i // count)) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def map_blocks(fn, n: int, rows: int = 1) -> list:
+    """Results of ``fn(cols)`` for the slices ``cols`` of ``column_blocks(n,
+    rows)``, run as the items of ``map_tasks``, in block order."""
+    return map_tasks(fn, column_blocks(n, rows), rows * n)

@@ -22,8 +22,8 @@ import functools
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -266,17 +266,6 @@ class VolModelSpec:
         return math.log(self.s0)
 
 
-@dataclass
-class ValidationReport:
-    """Consistency check results; empty failure list means pass."""
-
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 class QuadPrimitive:
     """Primitive of an integrand with value 0 at 0, by cached quadrature.
 
@@ -363,33 +352,6 @@ def scott_model(params: ScottParams) -> VolModelSpec:
         F=formula("F"), h1=formula("h1"), h2=formula("h2"),
         ou=params.ou, node_table=functools.partial(_ScottCoeffs, params),
     )
-
-
-def validate_spec(spec: VolModelSpec, probe_points: Sequence[float]) -> ValidationReport:
-    """Spot-check the spec's node table against its functions at the probe points."""
-    if len(probe_points) == 0:
-        raise InvalidParameterError("probe_points must be nonempty")
-    report = ValidationReport()
-    eps = 1e-5
-    for y in probe_points:
-        table = spec.node_table(spec, y)
-        sig = float(table.all("sigma"))
-        if not sig > 0:
-            report.failures.append(f"sigma not positive at y={y}: {sig}")
-            continue
-        target = float(table.all("f")) / sig
-        fd = (float(spec.F(y + eps)) - float(spec.F(y - eps))) / (2 * eps)
-        if abs(fd - target) > 1e-5 * (1.0 + abs(target)):
-            report.failures.append(f"F inconsistent with f/sigma at y={y}: {fd} vs {target}")
-        h = float(table.all("h"))
-        if abs(h - float(NodeCoeffs(spec, y).all("h"))) > 1e-8 * (1.0 + abs(h)):
-            report.failures.append(f"h inconsistent with components at y={y}")
-        psi_val = float(table.all("psi"))
-        if spec.psi_lower > psi_val + 1e-12:
-            report.failures.append(f"psi_lower exceeds psi at y={y}")
-        if float(table.all("psi_hat")) < psi_val - 1e-12:
-            report.failures.append(f"psi_hat below psi at y={y}")
-    return report
 
 
 _SCOTT_KEYS = {"model", "sigma0", "kappa", "theta", "nu", "rho", "r", "s0", "y0", "T"}

@@ -26,9 +26,10 @@ per step, which ``draw_factor_paths`` mixes in place (``rng.mix``), as it
 does every law's normals. Streams are step-major, so estimators draw and
 consume a grid a step block at a time (``advance_blocks``), carrying
 per-path state from block to block: memory is O(paths), and the bytes are
-those of one draw.
-After its draw, a step block is one pass over column blocks of its paths,
-each building its own factor path and running the estimator on it.
+those of one draw. A step block is one pass over column blocks of whole
+path blocks. Each column block draws the next steps of its own path
+blocks' streams, the only taker to draw them, then builds its factor path
+and runs the estimator on it, so no array of a step block spans the batch.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 from . import _parallel
 from .errors import InvalidParameterError, NumericalError
 from .models import NodeCoeffs, VolModelSpec
-from .rng import BlockStreams, RngStream, joint_chol, mix, ou_transition_moments, ou_triple_chol
+from .rng import (PATH_BLOCK, BlockStreams, RngStream, joint_chol, mix, ou_transition_moments,
+                  ou_triple_chol)
 
 
 class SchemeKind(str, Enum):
@@ -344,35 +346,35 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     steps (the last one what is left). ``reads`` names what the consumer
     reads besides the factor nodes: factor increments ("dW", "iW") and
     streams, "b" (B-increments) or "u" (bridge uniforms). Each step block
-    is drawn in one pass over the pool: the factor normals that ``kinds``
-    and ``reads`` need, and the streams. One more pass, over column blocks
-    of the paths, builds each block's factor draws (those of ``kinds[0]``,
-    with one node table for ``kinds``) from its paths' last node of the
-    step block before, and runs ``advance(draws, *streams, carry)`` on
-    views of the streams, in ``reads`` order, and of the carry's last axis.
+    is one pass over the pool, whose items are column blocks of whole path
+    blocks (``_parallel.column_blocks``). Each item draws the next steps of
+    its own path blocks' streams: the factor normals that ``kinds`` and
+    ``reads`` need, and the streams. It builds its factor draws (those of
+    ``kinds[0]``, with one node table for ``kinds``) from its paths' last
+    node of the step block before, and runs ``advance(draws, *streams,
+    carry)`` on its streams, in ``reads`` order, and on a view of the
+    carry's last axis. Every stream is created before the first pass.
     """
     npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
-    batch = BlockStreams(rng, npaths, first)
     factor = factor_normals(spec, kinds, reads)
     streams = tuple(name for name in reads if name not in _FACTOR)
+    batch = BlockStreams(rng, npaths, first).open(factor + streams)
     size = block_steps(npaths, multiple)
     y_last = np.full(npaths, spec.y0)
     for k0 in range(0, n_steps, size):
         steps = min(size, n_steps - k0)
-        drawn = batch.draw(steps, factor + streams)
 
         def block(cols):
-            draws = draw_factor_paths(spec, kinds[0], n_steps,
-                                      {name: drawn[name][:, cols] for name in factor},
-                                      y_last[cols])
+            drawn = batch.draw(steps, factor + streams, cols)
+            draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, y_last[cols])
             y_last[cols] = draws.y[-1]
-            arrays = [draw_brownian_increments(drawn[name][:, cols], draws.delta) if name == "b"
-                      else drawn[name][:, cols] for name in streams]
+            arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
+                      else drawn[name] for name in streams]
             advance(with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
 
-        _parallel.map_blocks(block, npaths, rows=steps)
-        del drawn  # released before the next block is drawn
+        _parallel.map_tasks(block, _parallel.column_blocks(npaths, steps, PATH_BLOCK),
+                            steps * npaths)
     return carry
 
 

@@ -1,4 +1,5 @@
-"""Memory is bounded by design: a batch's peak does not grow with its steps."""
+"""Memory is bounded by design: a batch's peak does not grow with its steps,
+and a step block holds no array of the whole batch's width."""
 
 import tracemalloc
 
@@ -6,11 +7,13 @@ import pytest
 
 from conftest import scott_spec
 
-from svschemes import _parallel
+import numpy as np
+
+from svschemes import _parallel, schemes
 from svschemes.analysis import DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
 from svschemes.pricing import conditional_call_values
-from svschemes.rng import RngStream
+from svschemes.rng import PATH_BLOCK, RngStream
 from svschemes.schemes import SchemeKind
 
 PATHS = 2000
@@ -60,3 +63,24 @@ def test_cells_in_flight_share_the_step_budget(monkeypatch):
         run(None)  # warm caches and the pool outside the measurement
         peaks[workers] = peak_bytes(run, None)
     assert peaks[2] <= 1.5 * peaks[1], f"peak {peaks[2]} B on two workers, {peaks[1]} B on one"
+
+
+def test_step_block_peak_per_path(monkeypatch):
+    # one worker; 64 steps are eight-step blocks at both widths: each
+    # column block draws and computes its own paths, so an added path costs
+    # its factor's last node and its carry, not its columns of a step block
+    monkeypatch.setattr(_parallel, "WORKERS", 1)
+    spec = scott_spec()
+
+    def advance(draws, db, u, carry):
+        carry += draws.dW[-1] + db[-1] + u[-1]
+
+    def peak(blocks):
+        carry = np.zeros(blocks * PATH_BLOCK)
+        return peak_bytes(lambda n: schemes.advance_blocks(
+            spec, (SchemeKind.WEAKTRAJ1,), n, RngStream(5), carry, advance,
+            reads=("dW", "b", "u")), 64)
+
+    peak(1)  # warm caches outside the measurement
+    per_path = (peak(64) - peak(16)) / (48 * PATH_BLOCK)
+    assert per_path <= 16, f"peak grows by {per_path:.0f} B per path"

@@ -10,10 +10,12 @@ import pytest
 from conftest import factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes import _parallel, analysis, schemes
-from svschemes.analysis import ExperimentConfig, run_strong_conv, run_terminal_conv, run_traj_conv
+from svschemes.analysis import (DEFAULT_KINDS, ExperimentConfig, run_strong_conv,
+                                run_terminal_conv, run_traj_conv)
+from svschemes.coupling import coupled_lookback_levels
 from svschemes.mlmc import call_level_sampler
-from svschemes.pricing import romano_touzi_call
-from svschemes.rng import RngStream
+from svschemes.pricing import conditional_call_values, romano_touzi_call
+from svschemes.rng import PATH_BLOCK, RngStream
 from svschemes.schemes import SchemeKind
 
 # Small enough that the small inputs below are split into several blocks.
@@ -48,6 +50,30 @@ def cell_threads(monkeypatch) -> dict:
 
     monkeypatch.setattr(analysis, "_cell_errors", traced)
     return threads
+
+
+# Three path blocks, the last one narrow.
+WIDE = 2 * PATH_BLOCK + 300
+
+
+def wide_lookback_levels():
+    level = coupled_lookback_levels(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(20), WIDE)
+    return np.stack([level.fine, level.coarse])
+
+
+def wide_strong_cell():
+    errors = analysis._cell_errors(scott_spec(), [list(DEFAULT_KINDS)], "strong",
+                                   RngStream(21), 8, WIDE, "floor")
+    return np.stack([np.stack(pair) for pair in errors.values()])
+
+
+# Estimators over WIDE paths, as one array each.
+WIDE_ESTIMATORS = {
+    "conditional-call": lambda: conditional_call_values(
+        scott_spec(), SchemeKind.WEAKTRAJ1, 8, 100.0, RngStream(19), WIDE, depth=2),
+    "lookback-levels": wide_lookback_levels,
+    "strong-conv-cell": wide_strong_cell,
+}
 
 
 def assert_same_bytes(results):
@@ -295,10 +321,10 @@ class TestWorkerCountInvariance:
         (gbm_factor_spec(rho=-0.3), SchemeKind.WEAK2),  # the NV recursion
     ])
     def test_step_blocks_give_the_whole_draw(self, monkeypatch, spec, kind):
-        # 11 steps of 300 paths: step blocks of two steps (the last of one),
-        # each built in three column blocks; the carry keeps each path's
-        # steps done so far in its last row
-        n_steps, npaths = 11, 300
+        # 11 steps of three path blocks, the last one narrow: step blocks
+        # of two steps (the last of one), each built in three column
+        # blocks; the carry keeps each path's steps done so far in its last row
+        n_steps, npaths = 11, 2 * PATH_BLOCK + 300
         whole = factor_draws(spec, kind, n_steps, RngStream(18), npaths, reads=("iW",))
 
         def advance(draws, carry):
@@ -321,11 +347,23 @@ class TestWorkerCountInvariance:
 
     def test_small_blocks_split_every_cell(self, monkeypatch):
         # the convergence tests above: cells of 200 to 400 paths, 4 or 8
-        # fine steps, so each cell runs in two or more step blocks, and
-        # each step block in two or more blocks of paths
+        # fine steps, so each cell runs in two or more step blocks of one
+        # path block each (test_path_block_items splits a step block's
+        # paths), and the call values in two or more blocks of paths
         two_step_blocks(monkeypatch)
         assert schemes.block_steps(300) == 2
         assert len(_parallel.map_blocks(lambda cols: cols, 200, rows=2)) == 2
+
+    @pytest.mark.parametrize("name", list(WIDE_ESTIMATORS))
+    def test_path_block_items(self, monkeypatch, name):
+        # three path blocks, the last one narrow: at 200 values every item
+        # of a step block holds one path block and draws its own streams
+        compute = WIDE_ESTIMATORS[name]
+        whole = compute()
+        monkeypatch.setattr(_parallel, "BLOCK_VALUES", 200)
+        assert _parallel.column_blocks(WIDE, 8, PATH_BLOCK) == [
+            slice(0, PATH_BLOCK), slice(PATH_BLOCK, 2 * PATH_BLOCK), slice(2 * PATH_BLOCK, WIDE)]
+        assert_same_bytes([whole] + across_workers(monkeypatch, compute))
 
     @pytest.mark.parametrize("level", [0, 2])
     def test_mlmc_call_sampler(self, monkeypatch, level):
