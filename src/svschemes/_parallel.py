@@ -120,6 +120,9 @@ def column_blocks(n: int, rows: int = 1, unit: int = 1) -> list[slice]:
     into one block per worker when each then holds MIN_BLOCK values or
     more; never into more blocks than there are units of ``unit`` columns
     (the last one may be narrower), which the blocks share out evenly.
+    ``schemes.advance_blocks`` cuts a batch once, with ``rows`` the steps
+    of a full step block, and keeps that cut for every step block, so a
+    pass of fewer steps holds narrower blocks, never wider ones.
     """
     count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
     if _parallel_here():

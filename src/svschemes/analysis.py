@@ -172,7 +172,7 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
         g = BlockStreams(cell, size, first).draw(1, ("g",))["g"][0]
     errors = {}
     for group in groups:
-        def advance(draws, db, carry):
+        def advance(_, draws, db, carry):
             for kind, pair in zip(group, carry):
                 _advance_pair(spec, kind, mode, draws, db, cutoff, pair)
 

@@ -302,8 +302,8 @@ def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
     require_template(kind)
     return LevelSample(spec, advance_blocks(
         spec, (kind,), 2 * n_coarse, rng, coupling_start(spec, kind, npaths, np.inf),
-        lambda fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u, cutoff,
-                                                               carry),
+        lambda _, fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u,
+                                                                  cutoff, carry),
         reads=("dW", "b", "u")))
 
 
@@ -314,7 +314,7 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     the ``npaths`` paths from path block ``first`` on."""
     require_template(kind)
 
-    def advance(draws, db, uniforms, carry):
+    def advance(_, draws, db, uniforms, carry):
         x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0, 0])
         _bridge_low(spec, draws, x, db, uniforms, carry[0, 2])
 

@@ -96,7 +96,7 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     require_template(kind)
     sums = advance_blocks(spec, (kind,), n_steps, rng,
                           coupling_start(spec, kind, npaths, levels=depth + 1),
-                          lambda draws, carry: level_sums(spec, kind, draws, cutoff, carry),
+                          lambda _, draws, carry: level_sums(spec, kind, draws, cutoff, carry),
                           reads=(), multiple=2 ** max(depth, 1), first=first)
     scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
 
@@ -112,7 +112,7 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
 def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int,
                   first: int = 0) -> np.ndarray:
     """Terminal log-asset values of the CMT paths from path block ``first`` on."""
-    def advance(draws, db, carry):
+    def advance(_, draws, db, carry):
         x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry[0, :2])
         carry[0, :2] = x[-1], y[-1]
 

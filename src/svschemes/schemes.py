@@ -27,9 +27,14 @@ does every law's normals. Streams are step-major, so estimators draw and
 consume a grid a step block at a time (``advance_blocks``), carrying
 per-path state from block to block: memory is O(paths), and the bytes are
 those of one draw. A step block is one pass over column blocks of whole
-path blocks. Each column block draws the next steps of its own path
-blocks' streams, the only taker to draw them, then builds its factor path
-and runs the estimator on it, so no array of a step block spans the batch.
+path blocks, cut once per batch for a full step block, so a short grid's
+blocks are no wider than a long one's. Each column block draws the next
+steps of its own path blocks' streams, the only taker to draw them, then
+builds its factor path and runs the estimator on it, so no array of a step
+block spans the batch. The whole-path simulators are consumers too:
+``simulate_paths`` writes each step block's node rows into its output, and
+``weak2_terminal`` carries the terminal sums, so every path builder works
+in O(paths x B) memory beside its output.
 """
 
 from __future__ import annotations
@@ -347,13 +352,16 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     reads besides the factor nodes: factor increments ("dW", "iW") and
     streams, "b" (B-increments) or "u" (bridge uniforms). Each step block
     is one pass over the pool, whose items are column blocks of whole path
-    blocks (``_parallel.column_blocks``). Each item draws the next steps of
-    its own path blocks' streams: the factor normals that ``kinds`` and
-    ``reads`` need, and the streams. It builds its factor draws (those of
-    ``kinds[0]``, with one node table for ``kinds``) from its paths' last
-    node of the step block before, and runs ``advance(draws, *streams,
-    carry)`` on its streams, in ``reads`` order, and on a view of the
-    carry's last axis. Every stream is created before the first pass.
+    blocks (``_parallel.column_blocks``), cut once per batch for a full
+    step block: every pass, a short grid's too, has the same items, and no
+    item holds more paths than an item of a full step block. Each item
+    draws the next steps of its own path blocks' streams: the factor
+    normals that ``kinds`` and ``reads`` need, and the streams. It builds
+    its factor draws (those of ``kinds[0]``, with one node table for
+    ``kinds``) from its paths' last node of the step block before, and runs
+    ``advance(k0, draws, *streams, carry)`` with k0 the block's first step
+    in the grid, its streams in ``reads`` order, and a view of the carry's
+    last axis. Every stream is created before the first pass.
     """
     npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
@@ -361,6 +369,7 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     streams = tuple(name for name in reads if name not in _FACTOR)
     batch = BlockStreams(rng, npaths, first).open(factor + streams)
     size = block_steps(npaths, multiple)
+    items = _parallel.column_blocks(npaths, size, PATH_BLOCK)
     y_last = np.full(npaths, spec.y0)
     for k0 in range(0, n_steps, size):
         steps = min(size, n_steps - k0)
@@ -371,10 +380,9 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
             y_last[cols] = draws.y[-1]
             arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
                       else drawn[name] for name in streams]
-            advance(with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
+            advance(k0, with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
 
-        _parallel.map_tasks(block, _parallel.column_blocks(npaths, steps, PATH_BLOCK),
-                            steps * npaths)
+        _parallel.map_tasks(block, items, steps * npaths)
     return carry
 
 
@@ -480,14 +488,13 @@ def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, 
     return x, y
 
 
-def _running_sum(increments: np.ndarray, first=0.0) -> np.ndarray:
-    """The nodes ``first`` + the running sum of ``increments`` over axis 0.
+def _running_sum(nodes: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """``nodes``, one row more than ``increments``, filled in place from its
+    first row: row k+1 becomes row k + increments[k].
 
     The sum runs a row at a time, in cumsum's order: a cumsum over axis 0
     walks each path's column at the row stride, 5-7 times slower at
     10,000 paths."""
-    nodes = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
-    nodes[0] = first
     for k in range(increments.shape[0]):
         np.add(nodes[k], increments[k], out=nodes[k + 1, ...])
     return nodes
@@ -496,21 +503,20 @@ def _running_sum(increments: np.ndarray, first=0.0) -> np.ndarray:
 def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
     """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
     sum at the first node (zero by default), is advanced in place to the last."""
-    x = _running_sum(drift + mult * dB, 0.0 if total is None else total)
+    x = np.empty((drift.shape[0] + 1,) + drift.shape[1:])
+    x[0] = 0.0 if total is None else total
+    _running_sum(x, drift + mult * dB)
     if total is not None:
         total[...] = x[-1]
     x += x0
     return x
 
 
-def _weak2_accumulators(spec: VolModelSpec, draws: FactorDraws):
-    """Cumulative trapezoidal integrals of h and f^2 along the factor path."""
-    coeffs = with_coeffs(spec, draws, (SchemeKind.WEAK2,)).coeffs
-    h_vals = coeffs.all("h")
-    psi_vals = coeffs.all("psi")
-    m = _running_sum(draws.delta * 0.5 * (h_vals[:-1] + h_vals[1:]))
-    v = _running_sum(draws.delta * 0.5 * (psi_vals[:-1] + psi_vals[1:]))
-    return m, v
+def _weak2_increments(draws: FactorDraws):
+    """Per-step trapezoidal increments of the integrals m of h and v of psi
+    along the factor path, from the node table of ``draws``."""
+    get = draws.coeffs.all
+    return [draws.delta * 0.5 * (values[:-1] + values[1:]) for values in (get("h"), get("psi"))]
 
 
 def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
@@ -519,22 +525,40 @@ def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
     """Simulate a batch of paths on the uniform grid.
 
     Draws the factor normals of ``kind`` and the B-increments "b" of the
-    ``npaths`` paths from path block ``first`` on (``rng.BlockStreams``).
+    ``npaths`` paths from path block ``first`` on (``rng.BlockStreams``) a
+    step block at a time (``advance_blocks``), and writes each block's
+    nodes into the output, so that the memory beside the output is that of
+    a step block. CMT runs its own recursion (``cmt_paths``); weak2 also
+    returns the running integrals m and v.
     """
-    drawn = BlockStreams(rng, npaths, first).draw(
-        n_steps, factor_normals(spec, (kind,)) + ("b",))
-    draws = draw_factor_paths(spec, kind, n_steps, drawn)
-    dB = draw_brownian_increments(drawn["b"], draws.delta)
-    times = np.linspace(0.0, spec.T, n_steps + 1)
+    _check_batch(n_steps, npaths)
+    weak2 = kind is SchemeKind.WEAK2
+    # rows x, y (and m, v); a template scheme's x row holds the running sum
+    # of its increments until x0 is added at the end
+    nodes = np.zeros((4 if weak2 else 2, n_steps + 1, npaths))
+    nodes[1, 0] = spec.y0
     if kind is SchemeKind.CMT:
-        x, y = cmt_paths(spec, draws.delta, draws.dW, dB)
-        return GridPath(times=times, x=x, y=y)
-    drift, mult = drift_and_mult(spec, kind, draws, cutoff)
-    x = _assemble_x(spec.x0, drift, mult, dB)
-    m = v = None
-    if kind is SchemeKind.WEAK2:
-        m, v = _weak2_accumulators(spec, draws)
-    return GridPath(times=times, x=x, y=draws.y, m=m, v=v)
+        nodes[0, 0] = spec.x0
+
+    def advance(k0, draws, db, out):
+        block = out[:, k0:k0 + db.shape[0] + 1]
+        if kind is SchemeKind.CMT:
+            x, y = cmt_paths(spec, draws.delta, draws.dW, db, block[:2, 0])
+            block[0, 1:], block[1, 1:] = x[1:], y[1:]
+            return
+        drift, mult = drift_and_mult(spec, kind, draws, cutoff)
+        _running_sum(block[0], drift + mult * db)
+        block[1, 1:] = draws.y[1:]
+        if weak2:
+            for row, increments in zip(block[2:], _weak2_increments(draws)):
+                _running_sum(row, increments)
+
+    advance_blocks(spec, (kind,), n_steps, rng, nodes, advance, first=first)
+    if kind is not SchemeKind.CMT:
+        nodes[0] += spec.x0
+    m, v = nodes[2:] if weak2 else (None, None)
+    return GridPath(times=np.linspace(0.0, spec.T, n_steps + 1), x=nodes[0], y=nodes[1],
+                    m=m, v=v)
 
 
 def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int | None = None):
@@ -542,20 +566,24 @@ def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int
 
     Returns (xT, yT, m_bar, v_bar); scalars when npaths is None, arrays
     of length npaths otherwise. The factor path uses the exact OU
-    transition when available, the NV scheme otherwise; one independent
-    normal G (stream "b") closes the conditional Gaussian.
+    transition when available, the NV scheme otherwise, a step block at a
+    time (``advance_blocks``); one independent normal G (stream "b", one
+    row) closes the conditional Gaussian.
     """
     if not -1.0 < spec.rho < 1.0:
         raise InvalidParameterError(f"weak2_terminal requires rho in (-1, 1), got {spec.rho}")
     squeeze = npaths is None
-    batch = BlockStreams(rng, 1 if squeeze else npaths)
-    draws = draw_factor_paths(spec, SchemeKind.WEAK2, n_steps,
-                              batch.draw(n_steps, factor_normals(spec, (SchemeKind.WEAK2,))))
-    m, v = _weak2_accumulators(spec, draws)
-    g = batch.draw(1, ("b",))["b"][0]
-    y_terminal = draws.y[-1]
-    m_bar = m[-1]
-    v_bar = v[-1]
+    npaths = 1 if squeeze else npaths
+
+    def advance(_, draws, carry):
+        carry[0] = draws.y[-1]
+        for total, increments in zip(carry[1:], _weak2_increments(draws)):
+            for row in increments:
+                total += row
+
+    y_terminal, m_bar, v_bar = advance_blocks(spec, (SchemeKind.WEAK2,), n_steps, rng,
+                                              np.zeros((3, npaths)), advance, reads=())
+    g = BlockStreams(rng, npaths).draw(1, ("b",))["b"][0]
     x_terminal = (
         spec.x0
         + spec.rho * (spec.F(y_terminal) - spec.F(spec.y0))

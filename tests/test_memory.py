@@ -65,22 +65,51 @@ def test_cells_in_flight_share_the_step_budget(monkeypatch):
     assert peaks[2] <= 1.5 * peaks[1], f"peak {peaks[2]} B on two workers, {peaks[1]} B on one"
 
 
+def advance_peak(blocks: int, n_steps: int) -> int:
+    """Peak of a weaktraj1 lookback's reads over ``blocks`` path blocks."""
+    def advance(_, draws, db, u, carry):
+        carry += draws.dW[-1] + db[-1] + u[-1]
+
+    carry = np.zeros(blocks * PATH_BLOCK)
+    return peak_bytes(lambda n: schemes.advance_blocks(
+        scott_spec(), (SchemeKind.WEAKTRAJ1,), n, RngStream(5), carry, advance,
+        reads=("dW", "b", "u")), n_steps)
+
+
 def test_step_block_peak_per_path(monkeypatch):
     # one worker; 64 steps are eight-step blocks at both widths: each
     # column block draws and computes its own paths, so an added path costs
     # its factor's last node and its carry, not its columns of a step block
     monkeypatch.setattr(_parallel, "WORKERS", 1)
-    spec = scott_spec()
-
-    def advance(draws, db, u, carry):
-        carry += draws.dW[-1] + db[-1] + u[-1]
-
-    def peak(blocks):
-        carry = np.zeros(blocks * PATH_BLOCK)
-        return peak_bytes(lambda n: schemes.advance_blocks(
-            spec, (SchemeKind.WEAKTRAJ1,), n, RngStream(5), carry, advance,
-            reads=("dW", "b", "u")), 64)
-
-    peak(1)  # warm caches outside the measurement
-    per_path = (peak(64) - peak(16)) / (48 * PATH_BLOCK)
+    advance_peak(1, 64)  # warm caches outside the measurement
+    per_path = (advance_peak(64, 64) - advance_peak(16, 64)) / (48 * PATH_BLOCK)
     assert per_path <= 16, f"peak grows by {per_path:.0f} B per path"
+
+
+def test_short_grid_items_are_full_block_wide(monkeypatch):
+    # one worker, 16 path blocks: a batch's column blocks are cut for a
+    # full step block, so a 2-step grid's items hold no more paths than an
+    # 8-step grid's, and its peak is about a third of theirs
+    monkeypatch.setattr(_parallel, "WORKERS", 1)
+    advance_peak(1, 8)  # warm caches outside the measurement
+    short, full = advance_peak(16, 2), advance_peak(16, 8)
+    assert short <= 0.5 * full, f"peak {short} B at 2 steps, {full} B at 8"
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.EULER, SchemeKind.WEAK2,
+                                  SchemeKind.CMT])
+@pytest.mark.parametrize("n_steps, npaths", [(512, 8192), (4096, 1024)])
+def test_whole_paths_cost_their_output(monkeypatch, kind, n_steps, npaths):
+    # one worker; the paths are written a step block at a time into the
+    # output, so the peak is the output and one step block's work
+    monkeypatch.setattr(_parallel, "WORKERS", 1)
+    spec = scott_spec()
+    schemes.simulate_paths(kind, spec, 8, RngStream(6), 100)  # warm caches
+    tracemalloc.start()
+    try:
+        path = schemes.simulate_paths(kind, spec, n_steps, RngStream(6), npaths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in (path.times, path.x, path.y, path.m, path.v) if a is not None)
+    assert peak <= 1.5 * output, f"peak {peak} B for an output of {output} B"

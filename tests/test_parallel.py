@@ -12,7 +12,7 @@ from conftest import factor_draws, gbm_factor_spec, scott_spec
 from svschemes import _parallel, analysis, schemes
 from svschemes.analysis import (DEFAULT_KINDS, ExperimentConfig, run_strong_conv,
                                 run_terminal_conv, run_traj_conv)
-from svschemes.coupling import coupled_lookback_levels
+from svschemes.coupling import coupled_lookback_levels, lookback_single_level
 from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import conditional_call_values, romano_touzi_call
 from svschemes.rng import PATH_BLOCK, RngStream
@@ -72,6 +72,9 @@ WIDE_ESTIMATORS = {
     "conditional-call": lambda: conditional_call_values(
         scott_spec(), SchemeKind.WEAKTRAJ1, 8, 100.0, RngStream(19), WIDE, depth=2),
     "lookback-levels": wide_lookback_levels,
+    # a 2-step grid: its items are cut for a full step block all the same
+    "lookback-single-short": lambda: lookback_single_level(
+        scott_spec(), SchemeKind.WEAKTRAJ1, 2, RngStream(22), WIDE),
     "strong-conv-cell": wide_strong_cell,
 }
 
@@ -323,20 +326,19 @@ class TestWorkerCountInvariance:
     def test_step_blocks_give_the_whole_draw(self, monkeypatch, spec, kind):
         # 11 steps of three path blocks, the last one narrow: step blocks
         # of two steps (the last of one), each built in three column
-        # blocks; the carry keeps each path's steps done so far in its last row
+        # blocks, written at the step offset each block is given
         n_steps, npaths = 11, 2 * PATH_BLOCK + 300
         whole = factor_draws(spec, kind, n_steps, RngStream(18), npaths, reads=("iW",))
 
-        def advance(draws, carry):
-            k, size = int(carry[3, 0, 0]), draws.dW.shape[0]
-            carry[0, k:k + size + 1] = draws.y
-            carry[1, k:k + size] = draws.dW
-            carry[2, k:k + size] = draws.iW
-            carry[3, 0] += size
+        def advance(k0, draws, carry):
+            size = draws.dW.shape[0]
+            carry[0, k0:k0 + size + 1] = draws.y
+            carry[1, k0:k0 + size] = draws.dW
+            carry[2, k0:k0 + size] = draws.iW
 
         def joined():
             return schemes.advance_blocks(
-                spec, (kind,), n_steps, RngStream(18), np.zeros((4, n_steps + 1, npaths)),
+                spec, (kind,), n_steps, RngStream(18), np.zeros((3, n_steps + 1, npaths)),
                 advance, reads=("iW",))
 
         two_step_blocks(monkeypatch)

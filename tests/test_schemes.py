@@ -449,7 +449,7 @@ class TestStepBlocks:
         whole = factor_draws(spec, kind, 11, RngStream(5), 7, reads=("iW",))
         blocks = []
         advance_blocks(spec, (kind,), 11, RngStream(5), np.zeros(7),
-                       lambda draws, carry: blocks.append(draws), reads=("iW",))
+                       lambda _, draws, carry: blocks.append(draws), reads=("iW",))
         assert [b.dW.shape[0] for b in blocks] == [4, 4, 3]
         assert all(b.delta == whole.delta for b in blocks)
         for name in ("dW", "iW"):
