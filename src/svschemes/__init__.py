@@ -3,7 +3,6 @@
 from .errors import (
     BudgetExceededError,
     ConfigError,
-    FlowDomainError,
     InvalidParameterError,
     NumericalError,
     SvSchemesError,
@@ -20,8 +19,6 @@ from .rng import RngStream
 from .schemes import GridPath, SchemeKind, simulate_paths, weak2_terminal
 from .coupling import (
     CoupledPaths,
-    LevelSample,
-    TerminalCoupling,
     bridge_min,
     coupled_lookback_levels,
     lookback_single_level,
@@ -51,13 +48,13 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "ConfigError", "FlowDomainError", "InvalidParameterError",
+    "BudgetExceededError", "ConfigError", "InvalidParameterError",
     "NumericalError", "SvSchemesError",
     "OUParams", "ScottParams", "VolModelSpec", "benchmark_scott_params",
     "scott_model", "spec_from_config",
     "RngStream",
     "GridPath", "SchemeKind", "simulate_paths", "weak2_terminal",
-    "CoupledPaths", "LevelSample", "TerminalCoupling", "bridge_min",
+    "CoupledPaths", "bridge_min",
     "coupled_lookback_levels", "lookback_single_level",
     "PriceEstimate", "bs_call", "plain_call", "romano_touzi_call",
     "MlmcConfig", "MlmcResult", "call_level_sampler", "lookback_level_sampler",

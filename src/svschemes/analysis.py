@@ -26,7 +26,9 @@ from one block to the next.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import sys
 import time
 from dataclasses import dataclass
 
@@ -34,11 +36,11 @@ import numpy as np
 
 from ._parallel import map_tasks
 from .coupling import (
-    TerminalCoupling,
     cmt_coupling_from_draws,
     coupling_start,
+    level_sums,
+    level_variances,
     plain_coupling_from_draws,
-    terminal_coupling_from_draws,
     traj_coupling_from_draws,
 )
 from .errors import InvalidParameterError
@@ -137,7 +139,7 @@ def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: Factor
     if kind is SchemeKind.CMT:
         pair = cmt_coupling_from_draws(spec, draws, db, carry)
     elif mode == "terminal":
-        return terminal_coupling_from_draws(spec, kind, draws, None, cutoff, carry)
+        return level_sums(spec, kind, draws, cutoff, carry)
     else:
         coupling = {"strong": plain_coupling_from_draws, "traj": traj_coupling_from_draws}[mode]
         pair = coupling(spec, kind, draws, db, cutoff, carry)
@@ -151,10 +153,11 @@ def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndar
                  g: np.ndarray | None, n_fine: int):
     """Per-path squared log and asset errors of a coupled pair advanced to T."""
     if mode != "terminal":
-        return carry[0, 2] ** 2, carry[1, 2] ** 2
-    pair = TerminalCoupling(spec.x0, spec.T / n_fine, carry, g)
-    x_f, x_c = carry[:, 0] if kind is SchemeKind.CMT else (pair.x_fine, pair.x_coarse)
-    return (x_f - x_c) ** 2, (np.exp(x_f) - np.exp(x_c)) ** 2
+        return carry[:, 2] ** 2
+    x = carry[:, 0]
+    if kind is not SchemeKind.CMT:
+        x = spec.x0 + x + np.sqrt(level_variances(spec.T / n_fine, carry)) * g
+    return (x[0] - x[1]) ** 2, (np.exp(x[0]) - np.exp(x[1])) ** 2
 
 
 def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine: int,
@@ -348,9 +351,10 @@ def rows_slope(rows: list[ExperimentRow], experiment: str, scheme: str,
     return loglog_slope([r.n_steps for r in picked], [r.value for r in picked])
 
 
-def write_rows_csv(rows: list[ExperimentRow], path: str):
-    """Write rows in the fixed schema experiment,scheme,N,metric,value,stderr."""
-    with open(path, "w", newline="") as fh:
+def write_rows_csv(rows: list[ExperimentRow], path: str | None = None):
+    """Write rows in the fixed schema experiment,scheme,N,metric,value,stderr
+    to the file ``path``, or to stdout as it is open when no path is given."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "scheme", "N", "metric", "value", "stderr"])
         for row in rows:

@@ -163,54 +163,43 @@ def _run(args) -> int:
         _check_out(args.out)
     rng = RngStream(args.seed)
 
-    if args.command in ("strong-conv", "traj-conv", "terminal-conv"):
-        config = ExperimentConfig(
-            n_ladder=_ladder(args.steps), npaths=args.paths, cutoff=args.cutoff,
-            chunk_paths=min(args.paths, 10_000),
-        )
-        runner = {
-            "strong-conv": run_strong_conv,
-            "traj-conv": run_traj_conv,
-            "terminal-conv": run_terminal_conv,
-        }[args.command]
-        write_rows_csv(runner(spec, config, rng), args.out or "/dev/stdout")
-        return 0
-
-    if args.command == "weak-call":
-        config = ExperimentConfig(
-            n_ladder=_ladder(args.steps), npaths=args.paths, cutoff=args.cutoff,
-            chunk_paths=min(args.paths, 250_000),
-        )
-        write_rows_csv(run_weak_call(spec, config, rng, args.strike, _reference_price(args)),
-                       args.out or "/dev/stdout")
-        return 0
-
-    if args.command == "mlmc":
-        rows = run_mlmc_cost(
-            spec, SchemeKind(args.scheme), args.payoff, (args.epsilon,), rng,
-            max_level=args.max_level, strike=args.strike, cutoff=args.cutoff,
-            initial_samples=args.probe_samples, reference=_reference_price(args),
-        )
-        write_rows_csv(rows, args.out or "/dev/stdout")
-        return 0
-
     if args.command == "price":
         kind = SchemeKind(args.scheme)
+        payload = {"payoff": args.payoff, "scheme": kind.value, "steps": args.steps}
         if args.payoff == "call":
+            payload["strike"] = args.strike
             est = romano_touzi_call(spec, kind, args.steps, args.strike, rng, args.paths,
                                     cutoff=args.cutoff)
         else:
             est = chunked_estimate(lambda first, size: lookback_single_level(
                 spec, kind, args.steps, rng, size, args.cutoff, first), args.paths)
-            _emit_json({"payoff": "lookback", "scheme": kind.value, "steps": args.steps,
-                        "paths": args.paths, "value": est.value, "stderr": est.stderr}, args.out)
-            return 0
-        _emit_json({"payoff": "call", "scheme": kind.value, "steps": args.steps,
-                    "strike": args.strike, "paths": est.npaths,
-                    "value": est.value, "stderr": est.stderr}, args.out)
+        _emit_json({**payload, "paths": est.npaths, "value": est.value, "stderr": est.stderr},
+                   args.out)
         return 0
 
-    raise ConfigError(f"unknown command {args.command!r}")
+    if args.command in ("strong-conv", "traj-conv", "terminal-conv"):
+        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths,
+                                  cutoff=args.cutoff)
+        runner = {
+            "strong-conv": run_strong_conv,
+            "traj-conv": run_traj_conv,
+            "terminal-conv": run_terminal_conv,
+        }[args.command]
+        rows = runner(spec, config, rng)
+    elif args.command == "weak-call":
+        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths,
+                                  cutoff=args.cutoff, chunk_paths=250_000)
+        rows = run_weak_call(spec, config, rng, args.strike, _reference_price(args))
+    elif args.command == "mlmc":
+        rows = run_mlmc_cost(
+            spec, SchemeKind(args.scheme), args.payoff, (args.epsilon,), rng,
+            max_level=args.max_level, strike=args.strike, cutoff=args.cutoff,
+            initial_samples=args.probe_samples, reference=_reference_price(args),
+        )
+    else:
+        raise ConfigError(f"unknown command {args.command!r}")
+    write_rows_csv(rows, args.out)
+    return 0
 
 
 def main(argv=None) -> int:

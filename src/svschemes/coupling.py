@@ -26,6 +26,12 @@ schemes) one step block at a time, advancing a per-path carry
 lookback estimators draw the factor normals up to "dW" (the spot
 endpoints of the bridge read dW), the B-increments "b" and the bridge
 uniforms "u" through ``schemes.advance_blocks``.
+
+Every multi-level estimate is read off the carry once, as a (levels,
+paths) array, finest first: the terminal log-assets, the lookback
+payoffs, and ``pricing.conditional_call_values``. Row l of a carry has
+the step 2^l * delta; ``level_variances`` is the one place that scales
+its summed squared multipliers by it.
 """
 
 from __future__ import annotations
@@ -59,40 +65,6 @@ class CoupledPaths:
     y_fine: np.ndarray
     x_coarse: np.ndarray
     y_coarse: np.ndarray
-
-
-@dataclass
-class TerminalCoupling:
-    """Shared-G terminal coupling N(x0 + drift, var) per level, from its carry."""
-
-    x0: float
-    delta: float
-    carry: np.ndarray
-    g: np.ndarray
-
-    @property
-    def x_fine(self) -> np.ndarray:
-        return self.x0 + self.carry[0, 0] + np.sqrt(self.delta * self.carry[0, 2]) * self.g
-
-    @property
-    def x_coarse(self) -> np.ndarray:
-        return self.x0 + self.carry[1, 0] + np.sqrt(2.0 * self.delta * self.carry[1, 2]) * self.g
-
-
-@dataclass
-class LevelSample:
-    """Per-path discounted lookback payoffs at both levels, from their carry."""
-
-    spec: VolModelSpec
-    carry: np.ndarray
-
-    @property
-    def fine(self) -> np.ndarray:
-        return _lookback_payoff(self.spec, self.carry[0, 0], self.carry[0, 2])
-
-    @property
-    def coarse(self) -> np.ndarray:
-        return _lookback_payoff(self.spec, self.carry[1, 0], self.carry[1, 2])
 
 
 def coupling_start(spec: VolModelSpec, kind: SchemeKind, npaths: int,
@@ -208,16 +180,23 @@ def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, cutoff: 
         level[1] = draws.y[-1]
 
 
+def level_variances(delta: float, carry: np.ndarray) -> np.ndarray:
+    """Conditional variances delta * 2^l * (sum of squared multipliers) of
+    the levels l of a ``level_sums`` carry, finest (step ``delta``) first."""
+    return delta * 2.0 ** np.arange(len(carry))[:, None] * carry[:, 2]
+
+
 def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
                                  g: np.ndarray, cutoff: str = "floor",
-                                 carry=None) -> TerminalCoupling:
-    """Shared-G terminal coupling from fine factor draws; each level of the
-    carry sums its drifts and squared multipliers (``level_sums``)."""
+                                 carry=None) -> np.ndarray:
+    """Shared-G terminal log-assets x0 + D + sqrt(V)*G of each level of the
+    carry, shape (levels, paths), finest first; the carry sums each level's
+    drifts D and squared multipliers (``level_sums``)."""
     require_template(kind)
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
     level_sums(spec, kind, fine, cutoff, carry)
-    return TerminalCoupling(spec.x0, fine.delta, carry, g)
+    return spec.x0 + carry[:, 0] + np.sqrt(level_variances(fine.delta, carry)) * g
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +224,10 @@ def bridge_min(left, right, vol2, delta: float, u, anchor=None):
     return 0.5 * (left + right - np.sqrt(rad))
 
 
-def _lookback_payoff(spec: VolModelSpec, total: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Discounted lookback payoff from the log-asset sum and spot minimum at T."""
-    return np.exp(-spec.r * spec.T) * (np.exp(total + spec.x0) - low)
+def _lookback_payoffs(spec: VolModelSpec, carry: np.ndarray) -> np.ndarray:
+    """Discounted lookback payoffs of each level of a carry at T, from its
+    log-asset sum and spot minimum, shape (levels, paths), finest first."""
+    return np.exp(-spec.r * spec.T) * (np.exp(carry[:, 0] + spec.x0) - carry[:, 2])
 
 
 def _bridge_low(spec: VolModelSpec, draws: FactorDraws, x: np.ndarray, db: np.ndarray,
@@ -264,8 +244,9 @@ def _bridge_low(spec: VolModelSpec, draws: FactorDraws, x: np.ndarray, db: np.nd
 
 def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
                                 db_fine: np.ndarray, uniforms: np.ndarray,
-                                cutoff: str = "floor", carry=None) -> LevelSample:
-    """Coupled discounted lookback payoffs at the fine and coarse level.
+                                cutoff: str = "floor", carry=None) -> np.ndarray:
+    """Coupled discounted lookback payoffs at the fine and coarse level,
+    shape (2, paths), fine first.
 
     Fine level: for each substep, an exponential-Euler spot endpoint and
     a Brownian-bridge minimum drawn from the substep uniform. Coarse
@@ -292,15 +273,16 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     m1 = bridge_min(left, s_mid, psi_c, fine.delta, uniforms[0::2], anchor=left)
     m2 = bridge_min(s_mid, s_end, psi_c, fine.delta, uniforms[1::2], anchor=left)
     np.minimum(carry[1, 2], np.minimum(m1, m2).min(axis=0), out=carry[1, 2])
-    return LevelSample(spec, carry)
+    return _lookback_payoffs(spec, carry)
 
 
 def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
                             rng: RngStream, npaths: int,
-                            cutoff: str = "floor") -> LevelSample:
-    """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse."""
+                            cutoff: str = "floor") -> np.ndarray:
+    """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse,
+    shape (2, paths), fine first."""
     require_template(kind)
-    return LevelSample(spec, advance_blocks(
+    return _lookback_payoffs(spec, advance_blocks(
         spec, (kind,), 2 * n_coarse, rng, coupling_start(spec, kind, npaths, np.inf),
         lambda _, fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u,
                                                                   cutoff, carry),
@@ -321,4 +303,4 @@ def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     carry = advance_blocks(spec, (kind,), n_steps, rng,
                            coupling_start(spec, kind, npaths, np.inf, levels=1),
                            advance, reads=("dW", "b", "u"), first=first)
-    return _lookback_payoff(spec, carry[0, 0], carry[0, 2])
+    return _lookback_payoffs(spec, carry)[0]

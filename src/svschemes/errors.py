@@ -22,9 +22,5 @@ class NumericalError(SvSchemesError, ArithmeticError):
     """A runtime numerical guard tripped (domain error, degeneracy, ...)."""
 
 
-class FlowDomainError(NumericalError):
-    """An ODE flow inverse was evaluated outside its range."""
-
-
 class BudgetExceededError(NumericalError):
     """MLMC reached its maximum level without meeting the bias criterion."""

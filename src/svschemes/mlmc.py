@@ -288,6 +288,6 @@ def lookback_level_sampler(spec: VolModelSpec, kind: SchemeKind,
         if level == 0:
             return lookback_single_level(spec, kind, BASE_STEPS, rng, n, cutoff)
         pair = coupled_lookback_levels(spec, kind, BASE_STEPS * 2 ** (level - 1), rng, n, cutoff)
-        return pair.fine - pair.coarse
+        return pair[0] - pair[1]
 
     return sampler

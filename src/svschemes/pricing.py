@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_blocks
-from .coupling import coupling_start, level_sums
+from .coupling import coupling_start, level_sums, level_variances
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream, block_chunks
@@ -98,10 +98,9 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                           coupling_start(spec, kind, npaths, levels=depth + 1),
                           lambda _, draws, carry: level_sums(spec, kind, draws, cutoff, carry),
                           reads=(), multiple=2 ** max(depth, 1), first=first)
-    scale = spec.T / n_steps * 2.0 ** np.arange(depth + 1)[:, None]
 
     def values(cols):
-        total_var = scale * sums[:, 2, cols]
+        total_var = level_variances(spec.T / n_steps, sums[..., cols])
         spot_eff = spec.s0 * np.exp(sums[:, 0, cols] + 0.5 * total_var - spec.r * spec.T)
         return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
 

@@ -561,19 +561,17 @@ def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
                     m=m, v=v)
 
 
-def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int | None = None):
+def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int):
     """Terminal draw of the second-order weak scheme.
 
-    Returns (xT, yT, m_bar, v_bar); scalars when npaths is None, arrays
-    of length npaths otherwise. The factor path uses the exact OU
-    transition when available, the NV scheme otherwise, a step block at a
-    time (``advance_blocks``); one independent normal G (stream "b", one
-    row) closes the conditional Gaussian.
+    Returns (xT, yT, m_bar, v_bar), arrays of length npaths. The factor
+    path uses the exact OU transition when available, the NV scheme
+    otherwise, a step block at a time (``advance_blocks``); one
+    independent normal G (stream "b", one row) closes the conditional
+    Gaussian.
     """
     if not -1.0 < spec.rho < 1.0:
         raise InvalidParameterError(f"weak2_terminal requires rho in (-1, 1), got {spec.rho}")
-    squeeze = npaths is None
-    npaths = 1 if squeeze else npaths
 
     def advance(_, draws, carry):
         carry[0] = draws.y[-1]
@@ -590,6 +588,4 @@ def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int
         + m_bar
         + np.sqrt((1.0 - spec.rho**2) * v_bar) * g
     )
-    if squeeze:
-        return float(x_terminal[0]), float(y_terminal[0]), float(m_bar[0]), float(v_bar[0])
     return x_terminal, y_terminal, m_bar, v_bar

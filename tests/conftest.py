@@ -37,7 +37,7 @@ def vol_flow_from_zeta(zeta, zeta_inv):
     """Flow of the ODE eta' = V(eta) from a primitive zeta of 1/V.
 
     Returns flow_vol(y, s) = zeta_inv(s + zeta(y)); the caller's
-    zeta_inv is expected to raise FlowDomainError outside its range.
+    zeta_inv is expected to raise NumericalError outside its range.
     """
 
     def flow_vol(y, s):

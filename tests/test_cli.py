@@ -86,6 +86,28 @@ class TestConvCommands:
         assert a.read_text() != c.read_text()
 
 
+class TestStdout:
+    """Without --out, the CSV commands write to sys.stdout as it is open."""
+
+    def test_rows_go_to_sys_stdout(self, capsys):
+        assert main(["strong-conv", "--steps", "4", "--paths", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "experiment,scheme,N,metric,value,stderr"
+        assert len(lines) > 1
+
+    def test_appending_redirect_keeps_earlier_lines(self, tmp_path):
+        log = tmp_path / "log"
+        log.write_text("earlier line\n")
+        with open(log, "a") as fh:  # a shell's >>
+            done = subprocess.run(
+                [sys.executable, "-m", "svschemes.cli", "strong-conv", "--steps", "4",
+                 "--paths", "10"], cwd=tmp_path, stdout=fh, stderr=subprocess.PIPE,
+                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        lines = log.read_text().splitlines()
+        assert lines[:2] == ["earlier line", "experiment,scheme,N,metric,value,stderr"]
+
+
 class TestWeakCall:
     def test_reference_rows_for_default_config(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -22,7 +22,7 @@ from svschemes.coupling import (
 from svschemes.errors import InvalidParameterError
 from svschemes.analysis import ExperimentConfig, run_strong_conv
 from svschemes.pricing import conditional_call_values, romano_touzi_call
-from svschemes.rng import BlockStreams, RngStream
+from svschemes.rng import PATH_BLOCK, BlockStreams, RngStream
 from svschemes.schemes import (
     FactorDraws,
     SchemeKind,
@@ -161,13 +161,13 @@ class TestTerminalCoupling:
         spec = const_vol_ou_spec(rho=0.0)
         for kind in (SchemeKind.EULER, SchemeKind.WEAK2):
             t = terminal_pair(spec, kind, 4, RngStream(6), 50)
-            assert np.allclose(t.x_fine, t.x_coarse, atol=1e-12), kind
+            assert np.allclose(t[0], t[1], atol=1e-12), kind
 
     def test_shared_g(self):
         spec = scott_spec()
         t = terminal_pair(spec, SchemeKind.WEAK2, 4, RngStream(7), 1000)
         # both levels move together with the closing normal
-        corr = np.corrcoef(t.x_fine, t.x_coarse)[0, 1]
+        corr = np.corrcoef(t[0], t[1])[0, 1]
         assert corr > 0.99
 
     def test_second_moment_decreases_with_n(self):
@@ -175,7 +175,7 @@ class TestTerminalCoupling:
         errs = []
         for n_coarse in (2, 8, 32):
             t = terminal_pair(spec, SchemeKind.WEAK2, n_coarse, RngStream(8), 20_000)
-            errs.append(np.mean((t.x_fine - t.x_coarse) ** 2))
+            errs.append(np.mean((t[0] - t[1]) ** 2))
         assert errs[0] > errs[1] > errs[2]
 
     def test_marginal_law_matches_path_simulation(self):
@@ -183,7 +183,7 @@ class TestTerminalCoupling:
         n = 50_000
         t = terminal_pair(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(9), n)
         direct = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 8, RngStream(13), n)
-        a, b = t.x_fine, direct.x[-1]
+        a, b = t[0], direct.x[-1]
         se = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se
 
@@ -230,8 +230,8 @@ class TestStepBlocks:
         carry = coupling_start(spec, kind, 9)
         for block, in step_blocks(fine):
             part = terminal_coupling_from_draws(spec, kind, block, g, carry=carry)
-        assert part.x_fine.tobytes() == whole.x_fine.tobytes()
-        assert part.x_coarse.tobytes() == whole.x_coarse.tobytes()
+        assert part[0].tobytes() == whole[0].tobytes()
+        assert part[1].tobytes() == whole[1].tobytes()
 
     def test_estimators_need_a_path(self):
         # the carry is the batch: a path count below one fails when it is made
@@ -254,8 +254,8 @@ class TestStepBlocks:
         carry = coupling_start(spec, kind, 9, np.inf)
         for block, db_k, u_k in step_blocks(fine, db, u):
             part = lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry=carry)
-        assert part.fine.tobytes() == whole.fine.tobytes()
-        assert part.coarse.tobytes() == whole.coarse.tobytes()
+        assert part[0].tobytes() == whole[0].tobytes()
+        assert part[1].tobytes() == whole[1].tobytes()
 
 
 class TestDriverStreams:
@@ -378,17 +378,17 @@ class TestLookback:
     def test_coupled_levels_consistent(self):
         spec = scott_spec()
         sample = coupled_lookback_levels(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(16), 20_000)
-        diff = sample.fine - sample.coarse
+        diff = sample[0] - sample[1]
         # the level correction is small compared to either level's spread
         assert abs(diff.mean()) < 1.0
-        assert diff.var() < 0.25 * sample.fine.var()
+        assert diff.var() < 0.25 * sample[0].var()
 
     def test_level_variance_decays(self):
         spec = scott_spec()
         variances = []
         for n_coarse in (2, 8, 32):
             s = coupled_lookback_levels(spec, SchemeKind.WEAKTRAJ1, n_coarse, RngStream(17), 20_000)
-            variances.append((s.fine - s.coarse).var())
+            variances.append((s[0] - s[1]).var())
         assert variances[0] > variances[1] > variances[2]
 
     def test_coarse_marginal_matches_single_level(self):
@@ -396,7 +396,7 @@ class TestLookback:
         n = 40_000
         s = coupled_lookback_levels(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(18), n)
         solo = lookback_single_level(spec, SchemeKind.WEAKTRAJ1, 16, RngStream(19), n)
-        a, b = s.fine, solo
+        a, b = s[0], solo
         se = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se
 
@@ -404,5 +404,29 @@ class TestLookback:
         spec = scott_spec()
         a = coupled_lookback_levels(spec, SchemeKind.WEAK2, 4, RngStream(20), 8)
         b = coupled_lookback_levels(spec, SchemeKind.WEAK2, 4, RngStream(20), 8)
-        assert np.array_equal(a.fine, b.fine)
-        assert np.array_equal(a.coarse, b.coarse)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
+
+
+class TestLevelsAxis:
+    """The finest row of a multi-level estimate is the single-level estimate
+    of the same grid and draws, byte for byte."""
+
+    NPATHS = 2 * PATH_BLOCK + 300  # three path blocks, the last one narrow
+
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.IJK, SchemeKind.EULER])
+    def test_lookback_fine_row_is_single_level(self, kind):
+        spec = scott_spec()
+        levels = coupled_lookback_levels(spec, kind, 4, RngStream(21), self.NPATHS)
+        single = lookback_single_level(spec, kind, 8, RngStream(21), self.NPATHS)
+        assert levels.shape == (2, self.NPATHS)
+        assert levels[0].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.IJK, SchemeKind.EULER])
+    def test_call_fine_row_is_single_level(self, kind):
+        spec = scott_spec()
+        levels = conditional_call_values(spec, kind, 8, 100.0, RngStream(22), self.NPATHS,
+                                         depth=2)
+        single = conditional_call_values(spec, kind, 8, 100.0, RngStream(22), self.NPATHS)
+        assert levels.shape == (3, self.NPATHS)
+        assert levels[0].tobytes() == single.tobytes()

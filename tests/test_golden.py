@@ -71,7 +71,7 @@ def weak2_path_digest():
 
 def lookback_levels_digest(kind):
     pair = coupled_lookback_levels(scott_spec(), kind, 4, RngStream(27), 500)
-    return digest(pair.fine, pair.coarse)
+    return digest(pair[0], pair[1])
 
 
 LADDER = ExperimentConfig(n_ladder=(2, 4, 16), npaths=700, chunk_paths=400)

@@ -57,8 +57,7 @@ WIDE = 2 * PATH_BLOCK + 300
 
 
 def wide_lookback_levels():
-    level = coupled_lookback_levels(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(20), WIDE)
-    return np.stack([level.fine, level.coarse])
+    return coupled_lookback_levels(scott_spec(), SchemeKind.WEAKTRAJ1, 4, RngStream(20), WIDE)
 
 
 def wide_strong_cell():

@@ -598,18 +598,18 @@ class TestWeak2Terminal:
     def test_rho_domain(self):
         spec = const_vol_ou_spec(rho=1.0)
         with pytest.raises(InvalidParameterError):
-            weak2_terminal(spec, 4, RngStream(0))
+            weak2_terminal(spec, 4, RngStream(0), npaths=1)
 
     def test_constant_f_vbar_exact(self):
         spec = const_vol_ou_spec(rho=-0.2)
         for n in (1, 2, 8):
-            _, _, _, v_bar = weak2_terminal(spec, n, RngStream(3))
-            assert v_bar == pytest.approx(0.25**2 * spec.T, rel=1e-14)
+            _, _, _, v_bar = weak2_terminal(spec, n, RngStream(3), npaths=1)
+            assert v_bar[0] == pytest.approx(0.25**2 * spec.T, rel=1e-14)
 
     def test_affine_in_closing_normal(self):
         spec = scott_spec()
         seed_rng = RngStream(17)
-        x, y_t, m_bar, v_bar = weak2_terminal(spec, 4, seed_rng)
+        x, y_t, m_bar, v_bar = (a[0] for a in weak2_terminal(spec, 4, seed_rng, npaths=1))
         g = BlockStreams(RngStream(17), 1).draw(1, ("b",))["b"][0, 0]
         expect = (
             spec.x0 + spec.rho * (spec.F(y_t) - spec.F(spec.y0)) + m_bar
