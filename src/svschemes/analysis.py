@@ -94,7 +94,6 @@ class ExperimentConfig:
 
     n_ladder: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256)
     npaths: int = 10_000
-    cutoff: str = "floor"
     chunk_paths: int = 10_000
     kinds: tuple[SchemeKind, ...] = DEFAULT_KINDS
 
@@ -131,7 +130,7 @@ def loglog_slope(ns, values) -> RegressionResult:
 
 
 def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: FactorDraws,
-                  db: np.ndarray, cutoff: str, carry: np.ndarray):
+                  db: np.ndarray, carry: np.ndarray):
     """Advance one kind's coupled pair (``coupling_start``) over one step block;
     outside the terminal mode, the values of the carry's fine and coarse
     level keep the running sups of the log and asset errors over the
@@ -139,10 +138,10 @@ def _advance_pair(spec: VolModelSpec, kind: SchemeKind, mode: str, draws: Factor
     if kind is SchemeKind.CMT:
         pair = cmt_coupling_from_draws(spec, draws, db, carry)
     elif mode == "terminal":
-        return level_sums(spec, kind, draws, cutoff, carry)
+        return level_sums(spec, kind, draws, carry)
     else:
         coupling = {"strong": plain_coupling_from_draws, "traj": traj_coupling_from_draws}[mode]
-        pair = coupling(spec, kind, draws, db, cutoff, carry)
+        pair = coupling(spec, kind, draws, db, carry)
     if mode != "terminal":
         x_f, x_c = pair.x_fine[::2], pair.x_coarse
         np.maximum(carry[0, 2], np.abs(x_f - x_c).max(axis=0), out=carry[0, 2])
@@ -161,7 +160,7 @@ def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndar
 
 
 def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine: int,
-                 size: int, cutoff: str, first: int = 0) -> dict:
+                 size: int, first: int = 0) -> dict:
     """Per-path (log_err, asset_err) of every kind for the ``size`` paths of
     a cell (one ladder point) from path block ``first`` on.
 
@@ -177,7 +176,7 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
     for group in groups:
         def advance(_, draws, db, carry):
             for kind, pair in zip(group, carry):
-                _advance_pair(spec, kind, mode, draws, db, cutoff, pair)
+                _advance_pair(spec, kind, mode, draws, db, pair)
 
         carry = advance_blocks(spec, group, n_fine, cell,
                                np.stack([coupling_start(spec, kind, size) for kind in group]),
@@ -205,8 +204,7 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
         acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         cell = rng.child(experiment, n_coarse)
         for first, size in block_chunks(config.npaths, config.chunk_paths):
-            errors = _cell_errors(spec, groups.values(), mode, cell, 2 * n_coarse, size,
-                                  config.cutoff, first)
+            errors = _cell_errors(spec, groups.values(), mode, cell, 2 * n_coarse, size, first)
             for kind in kinds:
                 log_err, asset_err = errors[kind]
                 acc[kind, "log_sq_err"].add(log_err)
@@ -255,7 +253,7 @@ def run_weak_call(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
             est = romano_touzi_call(
                 spec, kind, n_steps, strike,
                 rng.child("weak-call", kind.value, n_steps),
-                config.npaths, config.cutoff, chunk_paths=config.chunk_paths,
+                config.npaths, chunk_paths=config.chunk_paths,
             )
             rows.append(ExperimentRow(
                 "weak-call", kind.value, n_steps, "call_price", est.value, est.stderr,
@@ -270,7 +268,6 @@ def run_weak_call(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
 
 def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[int, ...],
                           fine_steps: int, strike: float, rng: RngStream, npaths: int,
-                          cutoff: str = "floor",
                           chunk_paths: int = 250_000) -> list[ExperimentRow]:
     """Weak call errors measured against a nested fine grid.
 
@@ -293,7 +290,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
     acc = {n: LevelStats() for n in n_ladder}
     for first, size in block_chunks(npaths, chunk_paths):
         values = conditional_call_values(spec, kind, fine_steps, strike,
-                                         rng.child("weak-refine"), size, cutoff,
+                                         rng.child("weak-refine"), size,
                                          depth=len(grids) - 1, first=first)
         for n in n_ladder:
             acc[n].add(values[grids.index(n)] - values[0])
@@ -303,8 +300,7 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
 
 def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,
                   epsilons: tuple[float, ...], rng: RngStream,
-                  max_level: int = 10, strike: float = 100.0,
-                  cutoff: str = "floor", initial_samples: int = 10_000,
+                  max_level: int = 10, strike: float = 100.0, initial_samples: int = 10_000,
                   reference: float | None = None) -> list[ExperimentRow]:
     """Multilevel cost-versus-accuracy sweep for one scheme and payoff.
 
@@ -314,9 +310,9 @@ def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,
     rows carry the finest step count in the N column.
     """
     if payoff == "call":
-        sampler = call_level_sampler(spec, kind, strike, cutoff)
+        sampler = call_level_sampler(spec, kind, strike)
     elif payoff == "lookback":
-        sampler = lookback_level_sampler(spec, kind, cutoff)
+        sampler = lookback_level_sampler(spec, kind)
     else:
         raise InvalidParameterError(f"unknown payoff {payoff!r}; expected 'call' or 'lookback'")
     rows: list[ExperimentRow] = []

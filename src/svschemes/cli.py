@@ -7,6 +7,7 @@ model config), 3 when a numerical guard trips.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -158,7 +159,7 @@ def _emit_json(payload, out):
 
 
 def _run(args) -> int:
-    spec = _load_spec(args)
+    spec = dataclasses.replace(_load_spec(args), cutoff=args.cutoff)
     if args.out:
         _check_out(args.out)
     rng = RngStream(args.seed)
@@ -168,18 +169,16 @@ def _run(args) -> int:
         payload = {"payoff": args.payoff, "scheme": kind.value, "steps": args.steps}
         if args.payoff == "call":
             payload["strike"] = args.strike
-            est = romano_touzi_call(spec, kind, args.steps, args.strike, rng, args.paths,
-                                    cutoff=args.cutoff)
+            est = romano_touzi_call(spec, kind, args.steps, args.strike, rng, args.paths)
         else:
             est = chunked_estimate(lambda first, size: lookback_single_level(
-                spec, kind, args.steps, rng, size, args.cutoff, first), args.paths)
+                spec, kind, args.steps, rng, size, first), args.paths)
         _emit_json({**payload, "paths": est.npaths, "value": est.value, "stderr": est.stderr},
                    args.out)
         return 0
 
     if args.command in ("strong-conv", "traj-conv", "terminal-conv"):
-        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths,
-                                  cutoff=args.cutoff)
+        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths)
         runner = {
             "strong-conv": run_strong_conv,
             "traj-conv": run_traj_conv,
@@ -188,12 +187,12 @@ def _run(args) -> int:
         rows = runner(spec, config, rng)
     elif args.command == "weak-call":
         config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths,
-                                  cutoff=args.cutoff, chunk_paths=250_000)
+                                  chunk_paths=250_000)
         rows = run_weak_call(spec, config, rng, args.strike, _reference_price(args))
     elif args.command == "mlmc":
         rows = run_mlmc_cost(
             spec, SchemeKind(args.scheme), args.payoff, (args.epsilon,), rng,
-            max_level=args.max_level, strike=args.strike, cutoff=args.cutoff,
+            max_level=args.max_level, strike=args.strike,
             initial_samples=args.probe_samples, reference=_reference_price(args),
         )
     else:

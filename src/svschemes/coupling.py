@@ -120,35 +120,33 @@ def lookback_db_mid(db1, db2, v1, v2):
 
 
 def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                       db_fine: np.ndarray, cutoff: str, carry, traj: bool):
+                       db_fine: np.ndarray, carry, traj: bool):
     """Plain or trajectorial coupling; returns the paths, the coarse draws
     with their node table, the coarse B-increments and the fine multipliers."""
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
-    drift_f, mult_f = drift_and_mult(spec, kind, fine, cutoff)
+    drift_f, mult_f = drift_and_mult(spec, kind, fine)
     x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0, 0])
     if traj:
         db_c = coupled_db_tilde(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
     else:
         db_c = plain_coarse_db(db_fine)
     coarse = with_coeffs(spec, coarsen_factor_draws(spec, kind, fine, carry[1, 1]), (kind,))
-    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse, cutoff), db_c, carry[1, 0])
+    x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse), db_c, carry[1, 0])
     carry[:, 1] = fine.y[-1], coarse.y[-1]
     return CoupledPaths(x_f, fine.y, x_c, coarse.y), coarse, db_c, mult_f
 
 
 def plain_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                              db_fine: np.ndarray, cutoff: str = "floor",
-                              carry=None) -> CoupledPaths:
+                              db_fine: np.ndarray, carry=None) -> CoupledPaths:
     """Fine and coarse paths driven by the same Brownian motions."""
-    return _template_coupling(spec, kind, fine, db_fine, cutoff, carry, traj=False)[0]
+    return _template_coupling(spec, kind, fine, db_fine, carry, traj=False)[0]
 
 
 def traj_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                             db_fine: np.ndarray, cutoff: str = "floor",
-                             carry=None) -> CoupledPaths:
+                             db_fine: np.ndarray, carry=None) -> CoupledPaths:
     """Trajectorial coupling: coarse increments reweighted by fine multipliers."""
-    return _template_coupling(spec, kind, fine, db_fine, cutoff, carry, traj=True)[0]
+    return _template_coupling(spec, kind, fine, db_fine, carry, traj=True)[0]
 
 
 def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.ndarray,
@@ -163,8 +161,7 @@ def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.n
     return CoupledPaths(x_f, y_f, x_c, y_c)
 
 
-def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, cutoff: str,
-               carry: np.ndarray):
+def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, carry: np.ndarray):
     """Add each level's drifts and squared multipliers into its carry's
     log-asset and value rows, a step at a time: numpy's order for an axis-0
     sum over two or more paths, here for any number of paths. Level j of the
@@ -174,7 +171,7 @@ def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, cutoff: 
     for j, level in enumerate(carry):
         if j:
             draws = coarsen_factor_draws(spec, kind, draws, level[1])
-        for drift, mult in zip(*drift_and_mult(spec, kind, draws, cutoff)):
+        for drift, mult in zip(*drift_and_mult(spec, kind, draws)):
             level[0] += drift
             level[2] += mult**2
         level[1] = draws.y[-1]
@@ -187,15 +184,14 @@ def level_variances(delta: float, carry: np.ndarray) -> np.ndarray:
 
 
 def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                                 g: np.ndarray, cutoff: str = "floor",
-                                 carry=None) -> np.ndarray:
+                                 g: np.ndarray, carry=None) -> np.ndarray:
     """Shared-G terminal log-assets x0 + D + sqrt(V)*G of each level of the
     carry, shape (levels, paths), finest first; the carry sums each level's
     drifts D and squared multipliers (``level_sums``)."""
     require_template(kind)
     if carry is None:
         carry = coupling_start(spec, kind, fine.dW.shape[-1])
-    level_sums(spec, kind, fine, cutoff, carry)
+    level_sums(spec, kind, fine, carry)
     return spec.x0 + carry[:, 0] + np.sqrt(level_variances(fine.delta, carry)) * g
 
 
@@ -243,10 +239,10 @@ def _bridge_low(spec: VolModelSpec, draws: FactorDraws, x: np.ndarray, db: np.nd
 
 
 def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                                db_fine: np.ndarray, uniforms: np.ndarray,
-                                cutoff: str = "floor", carry=None) -> np.ndarray:
-    """Coupled discounted lookback payoffs at the fine and coarse level,
-    shape (2, paths), fine first.
+                                db_fine: np.ndarray, uniforms: np.ndarray, carry: np.ndarray):
+    """Advance the carry of a coupled lookback pair (``coupling_start`` with
+    ``extra`` inf) over the draws; ``_lookback_payoffs`` reads its fine and
+    coarse discounted payoffs at T.
 
     Fine level: for each substep, an exponential-Euler spot endpoint and
     a Brownian-bridge minimum drawn from the substep uniform. Coarse
@@ -254,13 +250,11 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     coarse step spends its two substep uniforms on two bridge minima via
     a mid endpoint built from the reweighted increments; the bridge
     anchor stays frozen at the left coarse node. The carry's values hold
-    the fine and coarse spot minima (``extra`` inf).
+    the fine and coarse spot minima.
     """
-    if carry is None:
-        carry = coupling_start(spec, kind, fine.dW.shape[-1], np.inf)
     fine = with_coeffs(spec, fine, (kind,))
-    pair, coarse, db_tilde, mult_f = _template_coupling(spec, kind, fine, db_fine, cutoff,
-                                                        carry, traj=True)
+    pair, coarse, db_tilde, mult_f = _template_coupling(spec, kind, fine, db_fine, carry,
+                                                        traj=True)
     db_mid = lookback_db_mid(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
     _bridge_low(spec, fine, pair.x_fine, db_fine, uniforms, carry[0, 2])
 
@@ -273,31 +267,27 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     m1 = bridge_min(left, s_mid, psi_c, fine.delta, uniforms[0::2], anchor=left)
     m2 = bridge_min(s_mid, s_end, psi_c, fine.delta, uniforms[1::2], anchor=left)
     np.minimum(carry[1, 2], np.minimum(m1, m2).min(axis=0), out=carry[1, 2])
-    return _lookback_payoffs(spec, carry)
 
 
 def coupled_lookback_levels(spec: VolModelSpec, kind: SchemeKind, n_coarse: int,
-                            rng: RngStream, npaths: int,
-                            cutoff: str = "floor") -> np.ndarray:
+                            rng: RngStream, npaths: int) -> np.ndarray:
     """Draw coupled lookback payoffs at resolutions 2*n_coarse and n_coarse,
     shape (2, paths), fine first."""
     require_template(kind)
     return _lookback_payoffs(spec, advance_blocks(
         spec, (kind,), 2 * n_coarse, rng, coupling_start(spec, kind, npaths, np.inf),
-        lambda _, fine, db, u, carry: lookback_payoffs_from_draws(spec, kind, fine, db, u,
-                                                                  cutoff, carry),
+        lambda _, *block: lookback_payoffs_from_draws(spec, kind, *block),
         reads=("dW", "b", "u")))
 
 
 def lookback_single_level(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
-                          rng: RngStream, npaths: int, cutoff: str = "floor",
-                          first: int = 0) -> np.ndarray:
+                          rng: RngStream, npaths: int, first: int = 0) -> np.ndarray:
     """Discounted lookback payoffs on a single grid (MLMC base level), for
     the ``npaths`` paths from path block ``first`` on."""
     require_template(kind)
 
     def advance(_, draws, db, uniforms, carry):
-        x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws, cutoff), db, carry[0, 0])
+        x = _assemble_x(spec.x0, *drift_and_mult(spec, kind, draws), db, carry[0, 0])
         _bridge_low(spec, draws, x, db, uniforms, carry[0, 2])
 
     carry = advance_blocks(spec, (kind,), n_steps, rng,

@@ -261,8 +261,7 @@ def mlmc_estimate(sampler: LevelSampler, config: MlmcConfig, rng: RngStream) -> 
     )
 
 
-def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
-                       cutoff: str = "floor") -> LevelSampler:
+def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float) -> LevelSampler:
     """Level sampler for the call under terminal coupling with conditioning.
 
     Both levels share the factor draws and each contributes its
@@ -273,21 +272,20 @@ def call_level_sampler(spec: VolModelSpec, kind: SchemeKind, strike: float,
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
         values = conditional_call_values(spec, kind, BASE_STEPS * 2**level, strike, rng, n,
-                                         cutoff, depth=min(level, 1))
+                                         depth=min(level, 1))
         return values[0] - values[1] if level else values
 
     return sampler
 
 
-def lookback_level_sampler(spec: VolModelSpec, kind: SchemeKind,
-                           cutoff: str = "floor") -> LevelSampler:
+def lookback_level_sampler(spec: VolModelSpec, kind: SchemeKind) -> LevelSampler:
     """Level sampler for the lookback with bridge-interpolated minima."""
     require_template(kind)
 
     def sampler(level: int, rng: RngStream, n: int) -> np.ndarray:
         if level == 0:
-            return lookback_single_level(spec, kind, BASE_STEPS, rng, n, cutoff)
-        pair = coupled_lookback_levels(spec, kind, BASE_STEPS * 2 ** (level - 1), rng, n, cutoff)
+            return lookback_single_level(spec, kind, BASE_STEPS, rng, n)
+        pair = coupled_lookback_levels(spec, kind, BASE_STEPS * 2 ** (level - 1), rng, n)
         return pair[0] - pair[1]
 
     return sampler

@@ -217,11 +217,13 @@ class VolModelSpec:
     ``node_table(spec, y, both_ends)``, a ``NodeCoeffs`` unless the model
     supplies its own (Scott); a spec that replaces a function of such a
     model must replace the table too. The keyword-only constructor checks
-    s0, T and rho and defaults F to the quadrature primitive of f/sigma
+    s0, T, rho and cutoff and defaults F to the quadrature primitive of f/sigma
     (``QuadPrimitive``, which loads scipy's quadrature and spline modules
     on first use; a spec with F in closed form, as Scott's, never does).
     ``psi_lower`` floors the variance radicand; a finite ``psi_upper``
-    replaces the band cap 1.5*f^2. h1 and h2 (h' and h'') serve the
+    replaces the band cap 1.5*f^2. ``cutoff`` applies to the
+    weak-trajectorial radicand only: "floor" (the default) floors it,
+    "band" caps it at psi_hat first. h1 and h2 (h' and h'') serve the
     ou-improved scheme. ``ou`` is set for an OU factor, which unlocks exact
     factor simulation. ``flow_drift(y, t)`` and ``flow_vol(y, s)`` are the
     ODE flows of V0 = b - sigma*sigma'/2 and V = sigma for the
@@ -245,6 +247,7 @@ class VolModelSpec:
     h2: Fn | None = None
     psi_lower: float = 0.0
     psi_upper: float | None = None
+    cutoff: str = "floor"
     ou: OUParams | None = None
     node_table: Callable[..., NodeCoeffs] = NodeCoeffs
     flow_drift: Callable[[float | np.ndarray, float], float | np.ndarray] | None = None
@@ -257,6 +260,8 @@ class VolModelSpec:
             raise InvalidParameterError(f"T must be positive, got {self.T}")
         if not -1.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        if self.cutoff not in ("floor", "band"):
+            raise InvalidParameterError(f"unknown cutoff {self.cutoff!r}; expected 'floor' or 'band'")
         if self.F is None:
             f, sigma = self.f, self.sigma
             object.__setattr__(self, "F", QuadPrimitive(lambda y: f(y) / sigma(y)))

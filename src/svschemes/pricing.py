@@ -80,8 +80,7 @@ def discounted_call_payoff(spec: VolModelSpec, x_terminal, strike: float):
 
 def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
                             strike: float, rng: RngStream, npaths: int,
-                            cutoff: str = "floor", depth: int = 0,
-                            first: int = 0) -> np.ndarray:
+                            depth: int = 0, first: int = 0) -> np.ndarray:
     """Per-path conditional call prices given factor draws from ``rng``, for
     the ``npaths`` paths from path block ``first`` on.
 
@@ -96,7 +95,7 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     require_template(kind)
     sums = advance_blocks(spec, (kind,), n_steps, rng,
                           coupling_start(spec, kind, npaths, levels=depth + 1),
-                          lambda _, draws, carry: level_sums(spec, kind, draws, cutoff, carry),
+                          lambda _, draws, carry: level_sums(spec, kind, draws, carry),
                           reads=(), multiple=2 ** max(depth, 1), first=first)
 
     def values(cols):
@@ -142,7 +141,7 @@ def chunked_estimate(values, npaths: int, chunk_paths: int = 250_000) -> PriceEs
 
 
 def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
-                      rng: RngStream, npaths: int, cutoff: str = "floor",
+                      rng: RngStream, npaths: int,
                       chunk_paths: int = 250_000) -> PriceEstimate:
     """Conditioning-based call price (plain Monte Carlo for CMT), simulated
     in chunks of about ``chunk_paths`` paths (``chunked_estimate``)."""
@@ -150,18 +149,17 @@ def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike
         if kind is SchemeKind.CMT:
             return discounted_call_payoff(spec, _cmt_terminal(spec, n_steps, rng, size, first),
                                           strike)
-        return conditional_call_values(spec, kind, n_steps, strike, rng, size, cutoff,
-                                       first=first)
+        return conditional_call_values(spec, kind, n_steps, strike, rng, size, first=first)
 
     return chunked_estimate(values, npaths, chunk_paths)
 
 
 def plain_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
-               rng: RngStream, npaths: int, cutoff: str = "floor",
+               rng: RngStream, npaths: int,
                chunk_paths: int = 250_000) -> PriceEstimate:
     """Unconditioned call price from simulated terminal values."""
     def values(first, size):
-        path = simulate_paths(kind, spec, n_steps, rng, size, cutoff, first)
+        path = simulate_paths(kind, spec, n_steps, rng, size, first)
         return discounted_call_payoff(spec, path.x[-1], strike)
 
     return chunked_estimate(values, npaths, chunk_paths)

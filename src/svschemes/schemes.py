@@ -203,23 +203,22 @@ def _check_finite(values, what: str):
         raise NumericalError(f"{what} is not finite (NaN or inf)")
 
 
-def cutoff_radicand(spec: VolModelSpec, y, correction, cutoff: str = "floor"):
-    """Variance radicand psi(y) + correction with the configured cutoff.
+def cutoff_radicand(spec: VolModelSpec, y, correction):
+    """Variance radicand psi(y) + correction under the cutoff ``spec.cutoff``.
 
     ``floor`` keeps only the lower cutoff (max with psi_lower); ``band``
     first caps at psi_hat(y), then floors, matching the left-to-right
     reading of the band cutoff.
     """
     coeffs = spec.node_table(spec, y)
-    return _cutoff(spec, coeffs.all("psi") + correction, lambda: coeffs.all("psi_hat"), cutoff)
+    return _cutoff(spec, coeffs.all("psi") + correction, lambda: coeffs.all("psi_hat"))
 
 
-def _cutoff(spec: VolModelSpec, rad, psi_hat, cutoff: str):
-    """``rad`` under the cutoff; ``psi_hat()`` gives the band cap (``band`` only)."""
-    if cutoff == "band":
+def _cutoff(spec: VolModelSpec, rad, psi_hat=None):
+    """``rad`` under the floor, and first under the band cap ``psi_hat()``
+    when one is given and the spec's cutoff is ``band``."""
+    if psi_hat is not None and spec.cutoff == "band":
         rad = np.minimum(rad, psi_hat())
-    elif cutoff != "floor":
-        raise InvalidParameterError(f"unknown cutoff {cutoff!r}; expected 'floor' or 'band'")
     rad = np.maximum(rad, max(spec.psi_lower, 0.0))
     _check_finite(rad, "variance radicand")
     return rad
@@ -413,8 +412,7 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
 
 
-def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
-                   cutoff: str = "floor"):
+def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws):
     """Per-step drift and B-multiplier arrays for template schemes.
 
     Conditionally on the factor draws, the log-asset path is
@@ -431,7 +429,7 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
     if kind is SchemeKind.WEAKTRAJ1:
         drift = spec.rho * (nxt("F") - prev("F")) + delta * prev("h")
         correction = prev("sigma") * prev("psi1") * draws.iW / delta
-        rad = _cutoff(spec, prev("psi") + correction, lambda: prev("psi_hat"), cutoff)
+        rad = _cutoff(spec, prev("psi") + correction, lambda: prev("psi_hat"))
         mult = sqrt1m * np.sqrt(rad)
     elif kind is SchemeKind.OU_IMPROVED:
         if spec.h1 is None or spec.h2 is None:
@@ -449,7 +447,7 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws,
             + ou.nu * prev("psi1") * draws.iW / delta
             + (pull * prev("psi1") + 0.5 * ou.nu**2 * prev("psi2")) * delta / 2.0
         )
-        mult = sqrt1m * np.sqrt(_cutoff(spec, psi_tilde, None, "floor"))
+        mult = sqrt1m * np.sqrt(_cutoff(spec, psi_tilde))
     elif kind is SchemeKind.EULER:
         drift = (spec.r - 0.5 * prev("psi")) * delta + spec.rho * prev("f") * draws.dW
         mult = sqrt1m * prev("f")
@@ -520,8 +518,7 @@ def _weak2_increments(draws: FactorDraws):
 
 
 def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
-                   rng: RngStream, npaths: int, cutoff: str = "floor",
-                   first: int = 0) -> GridPath:
+                   rng: RngStream, npaths: int, first: int = 0) -> GridPath:
     """Simulate a batch of paths on the uniform grid.
 
     Draws the factor normals of ``kind`` and the B-increments "b" of the
@@ -546,7 +543,7 @@ def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
             x, y = cmt_paths(spec, draws.delta, draws.dW, db, block[:2, 0])
             block[0, 1:], block[1, 1:] = x[1:], y[1:]
             return
-        drift, mult = drift_and_mult(spec, kind, draws, cutoff)
+        drift, mult = drift_and_mult(spec, kind, draws)
         _running_sum(block[0], drift + mult * db)
         block[1, 1:] = draws.y[1:]
         if weak2:

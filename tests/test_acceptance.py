@@ -4,6 +4,7 @@ Every configuration (seeds, ladders, path counts) is frozen; the checks
 run end to end in roughly ten minutes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestAcceptance:
         # (the same assert also fires inside every scheme step)
         corr = -10.0 + 20.0 * rng.child("cutoff").uniform(10_000)
         for cutoff in ("floor", "band"):
-            rad = cutoff_radicand(spec, 0.0, corr, cutoff)
+            rad = cutoff_radicand(dataclasses.replace(spec, cutoff=cutoff), 0.0, corr)
             if not np.all(rad >= max(spec.psi_lower, 0.0)):
                 failures.append(f"cutoff radicand below floor under {cutoff!r}")
 

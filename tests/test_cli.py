@@ -72,10 +72,18 @@ class TestConvCommands:
         assert read_rows(out)
 
     def test_band_cutoff_accepted(self, tmp_path):
-        out = tmp_path / "rows.csv"
-        rc = main(["strong-conv", "--steps", "4", "--paths", "500",
-                   "--cutoff", "band", "--out", str(out)])
-        assert rc == 0
+        # the band cap binds at this size: it moves the weaktraj1 rows, and
+        # every other scheme's rows keep their bytes
+        rows = {}
+        for cutoff in ("floor", "band"):
+            out = tmp_path / f"{cutoff}.csv"
+            assert main(["strong-conv", "--steps", "4", "--paths", "500",
+                         "--cutoff", cutoff, "--out", str(out)]) == 0
+            rows[cutoff] = out.read_text().splitlines()
+        floor, band = rows["floor"], rows["band"]
+        assert len(floor) == len(band)
+        assert [f != b for f, b in zip(floor, band)] == [
+            f.split(",")[1] == "weaktraj1" for f in floor]
 
     def test_seed_changes_values(self, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

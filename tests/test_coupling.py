@@ -6,6 +6,7 @@ import pytest
 from conftest import const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes.coupling import (
+    _lookback_payoffs,
     bridge_min,
     cmt_coupling_from_draws,
     coupled_db_tilde,
@@ -250,10 +251,13 @@ class TestStepBlocks:
     def test_lookback_payoffs(self, spec, kind):
         fine, db = fine_draws(spec, kind, 6, RngStream(5), 9)
         u = RngStream(5).child("u").uniform_open((12, 9))
-        whole = lookback_payoffs_from_draws(spec, kind, fine, db, u)
+        whole = coupling_start(spec, kind, 9, np.inf)
+        lookback_payoffs_from_draws(spec, kind, fine, db, u, whole)
+        whole = _lookback_payoffs(spec, whole)
         carry = coupling_start(spec, kind, 9, np.inf)
         for block, db_k, u_k in step_blocks(fine, db, u):
-            part = lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry=carry)
+            lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry)
+        part = _lookback_payoffs(spec, carry)
         assert part[0].tobytes() == whole[0].tobytes()
         assert part[1].tobytes() == whole[1].tobytes()
 

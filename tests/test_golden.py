@@ -88,7 +88,7 @@ CASES = {
                  "829d8410:80227cf82d701368"),
     "terminal-band": (
         lambda: rows_digest(run_terminal_conv(
-            scott_spec(), dataclasses.replace(LADDER, cutoff="band"), RngStream(23))),
+            dataclasses.replace(scott_spec(), cutoff="band"), LADDER, RngStream(23))),
         "829d8410:831f34c7c8779602"),
     "strong-generic": (
         lambda: rows_digest(run_strong_conv(gbm_factor_spec(rho=-0.3), GENERIC, RngStream(24))),
@@ -159,13 +159,14 @@ def fixed_draws(spec, n_steps=8, npaths=40):
 
 
 def drift_mult_digest(kind, cutoff="floor"):
-    return digest(*drift_and_mult(scott_spec(), kind, fixed_draws(scott_spec()), cutoff))
+    spec = dataclasses.replace(scott_spec(), cutoff=cutoff)
+    return digest(*drift_and_mult(spec, kind, fixed_draws(spec)))
 
 
 def level_sums_digest(spec, kind):
     draws = fixed_draws(spec)
     carry = coupling_start(spec, kind, draws.dW.shape[1], levels=3)
-    level_sums(spec, kind, draws, "floor", carry)
+    level_sums(spec, kind, draws, carry)
     return digest(carry)
 
 
@@ -209,3 +210,17 @@ for spec, name, expected in [
 def test_kernel_bytes(name):
     run, expected = KERNEL_CASES[name]
     assert run() == expected
+
+
+def test_band_moves_only_weaktraj1():
+    # the band cap binds on the fixed draws: it moves the weak-trajectorial
+    # radicand, and every other template kind (ou-improved's fixed floor
+    # too) keeps its bytes
+    floor = scott_spec()
+    band = dataclasses.replace(floor, cutoff="band")
+    for kind in SchemeKind:
+        if kind is SchemeKind.CMT:
+            continue
+        digests = [digest(*drift_and_mult(spec, kind, fixed_draws(spec)))
+                   for spec in (floor, band)]
+        assert (digests[0] != digests[1]) == (kind is SchemeKind.WEAKTRAJ1), kind

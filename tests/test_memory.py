@@ -26,7 +26,7 @@ RUNS = {
     "conditional-call": lambda n: conditional_call_values(
         scott_spec(), SchemeKind.WEAK2, n, 100.0, RngStream(3), PATHS),
     "strong-conv-cell": lambda n: _cell_errors(
-        scott_spec(), [list(DEFAULT_KINDS)], "strong", RngStream(4), n, PATHS, "floor"),
+        scott_spec(), [list(DEFAULT_KINDS)], "strong", RngStream(4), n, PATHS),
 }
 
 

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -11,6 +14,7 @@ from scipy.integrate import quad
 
 from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
 
+import svschemes
 from svschemes import schemes
 from svschemes.errors import ConfigError, InvalidParameterError, NumericalError
 from svschemes.models import (
@@ -434,11 +438,35 @@ class TestNodeCoeffs:
 
         fields = ("F", "f", "f1", "f2", "b", "sigma", "sigma1", "h1", "h2")
         spec = VolModelSpec(r=base.r, s0=base.s0, y0=base.y0, T=base.T, rho=base.rho,
-                            ou=base.ou, **{n: counted(n, getattr(base, n)) for n in fields})
+                            ou=base.ou, cutoff=cutoff,
+                            **{n: counted(n, getattr(base, n)) for n in fields})
         n_steps, npaths = 8, 50
         draws = factor_draws(spec, kind, n_steps, RngStream(1).child("y"), npaths)
         calls.clear()  # the factor path of a generic spec calls b and sigma
-        schemes.drift_and_mult(spec, kind, draws, cutoff)
+        schemes.drift_and_mult(spec, kind, draws)
         names = [name for name, _ in calls]
         assert sorted(names) == sorted(set(names)), calls
         assert all(size <= (n_steps + 1) * npaths for _, size in calls), calls
+
+
+def test_cutoff_is_a_spec_field_alone():
+    # the radicand cutoff is set on the spec, so no function, method or
+    # config object of the package takes it as a parameter
+    found = []
+    for info in pkgutil.iter_modules(svschemes.__path__):
+        module = importlib.import_module(f"svschemes.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__ or obj is VolModelSpec:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                            if inspect.isfunction(fn)]
+            for label, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "cutoff" in params:
+                    found.append(f"{module.__name__}.{label}")
+    assert found == []

@@ -62,7 +62,7 @@ def wide_lookback_levels():
 
 def wide_strong_cell():
     errors = analysis._cell_errors(scott_spec(), [list(DEFAULT_KINDS)], "strong",
-                                   RngStream(21), 8, WIDE, "floor")
+                                   RngStream(21), 8, WIDE)
     return np.stack([np.stack(pair) for pair in errors.values()])
 
 

@@ -134,12 +134,12 @@ class TestConditionalValues:
         spec = scott_spec()
         draws = factor_draws(spec, kind, 8, RngStream(42, "y"), 64)
         batch = coupling_start(spec, kind, 64)
-        level_sums(spec, kind, draws, "floor", batch)
+        level_sums(spec, kind, draws, batch)
         for j in range(64):
             alone = coupling_start(spec, kind, 1)
             path = FactorDraws(draws.delta, draws.y[:, j:j + 1], draws.dW[:, j:j + 1],
                                draws.iW[:, j:j + 1])
-            level_sums(spec, kind, path, "floor", alone)
+            level_sums(spec, kind, path, alone)
             assert alone.tobytes() == batch[..., j:j + 1].tobytes(), j
 
 
@@ -239,7 +239,7 @@ class TestChunkSizeInvariance:
 
         def price(chunk):
             est = chunked_estimate(lambda first, size: lookback_single_level(
-                spec, SchemeKind.WEAKTRAJ1, 4, RngStream(8), size, "floor", first), 9000, chunk)
+                spec, SchemeKind.WEAKTRAJ1, 4, RngStream(8), size, first), 9000, chunk)
             return est.value, est.stderr
 
         assert price(4096) == price(250_000)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,11 +29,11 @@ from svschemes.schemes import (
 )
 
 
-def one_step(spec, kind, x, y_prev, y_next, delta, dB, dW=0.0, iW=0.0, cutoff="floor"):
+def one_step(spec, kind, x, y_prev, y_next, delta, dB, dW=0.0, iW=0.0):
     """x after one template step: drift_and_mult on a one-step, one-path FactorDraws."""
     draws = FactorDraws(delta, np.array([[y_prev], [y_next]], dtype=float),
                         np.array([[dW]], dtype=float), np.array([[iW]], dtype=float))
-    drift, mult = drift_and_mult(spec, kind, draws, cutoff)
+    drift, mult = drift_and_mult(spec, kind, draws)
     return float(x + drift[0, 0] + mult[0, 0] * dB)
 
 
@@ -110,19 +111,25 @@ class TestCutoffRadicand:
     def test_band_caps_then_floors(self):
         spec = scott_spec()
         hat = float(coeff(spec, "psi_hat", 0.0))
-        assert cutoff_radicand(spec, 0.0, 10.0, "band") == pytest.approx(hat)
-        assert cutoff_radicand(spec, 0.0, -10.0, "band") == pytest.approx(0.0)
+        band = dataclasses.replace(spec, cutoff="band")
+        assert cutoff_radicand(band, 0.0, 10.0) == pytest.approx(hat)
+        assert cutoff_radicand(band, 0.0, -10.0) == pytest.approx(0.0)
 
     def test_unknown_cutoff(self):
-        with pytest.raises(InvalidParameterError):
-            cutoff_radicand(scott_spec(), 0.0, 0.0, "clip")
+        # the spec rejects the value when it is built, before anything is drawn
+        base = scott_spec()
+        with pytest.raises(InvalidParameterError, match="unknown cutoff 'clip'"):
+            VolModelSpec(**{**vars(base), "cutoff": "clip"})
+        with pytest.raises(InvalidParameterError, match="unknown cutoff 'clip'"):
+            dataclasses.replace(base, cutoff="clip")
 
     @pytest.mark.parametrize("cutoff", ["floor", "band"])
     def test_non_finite_raises(self, cutoff):
+        spec = dataclasses.replace(scott_spec(), cutoff=cutoff)
         with pytest.raises(NumericalError):
-            cutoff_radicand(scott_spec(), np.array([0.0, 0.1]), np.array([0.0, np.nan]), cutoff)
+            cutoff_radicand(spec, np.array([0.0, 0.1]), np.array([0.0, np.nan]))
         with pytest.raises(NumericalError):
-            cutoff_radicand(scott_spec(), 400.0, -np.inf, cutoff)
+            cutoff_radicand(spec, 400.0, -np.inf)
 
 
 class TestWeakTraj1Step:
@@ -152,11 +159,10 @@ class TestWeakTraj1Step:
         assert got == pytest.approx(x + 0.25 * coeff(spec, "h", 0.0))
 
     def test_band_cutoff_limits_variance(self):
-        spec = scott_spec()
+        spec = dataclasses.replace(scott_spec(), cutoff="band")
         x = 4.6
         base = x + 0.25 * coeff(spec, "h", 0.0)
-        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 1.0, iW=10.0,
-                       cutoff="band")
+        got = one_step(spec, SchemeKind.WEAKTRAJ1, x, 0.0, 0.0, 0.25, 1.0, iW=10.0)
         cap = math.sqrt(1 - spec.rho**2) * math.sqrt(coeff(spec, "psi_hat", 0.0))
         assert got == pytest.approx(base + cap)
 
