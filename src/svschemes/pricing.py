@@ -9,7 +9,7 @@ scheme leaves the terminal log-asset Gaussian:
 The expected call payoff given the factor path is therefore a closed
 Black-Scholes formula, which removes all the B-noise from the
 estimator (Romano-Touzi conditioning). CMT admits no such form and is
-priced by plain Monte Carlo on the simulated paths.
+priced by ``plain_call``, plain Monte Carlo on its terminal values.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .coupling import coupling_start, level_sums, level_variances
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
 from .rng import RngStream, block_chunks
-from .schemes import SchemeKind, advance_blocks, cmt_paths, require_template, simulate_paths
+from .schemes import SchemeKind, advance_blocks, require_template, simulate_terminal
 
 
 @dataclass
@@ -107,18 +107,6 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     return out if depth else out[0]
 
 
-def _cmt_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int,
-                  first: int = 0) -> np.ndarray:
-    """Terminal log-asset values of the CMT paths from path block ``first`` on."""
-    def advance(_, draws, db, carry):
-        x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry[0, :2])
-        carry[0, :2] = x[-1], y[-1]
-
-    return advance_blocks(spec, (SchemeKind.CMT,), n_steps, rng,
-                          coupling_start(spec, SchemeKind.CMT, npaths, levels=1),
-                          advance, first=first)[0, 0]
-
-
 def _mc_estimate(values: np.ndarray) -> PriceEstimate:
     n = values.size
     if n < 2:
@@ -143,12 +131,12 @@ def chunked_estimate(values, npaths: int, chunk_paths: int = 250_000) -> PriceEs
 def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
                       rng: RngStream, npaths: int,
                       chunk_paths: int = 250_000) -> PriceEstimate:
-    """Conditioning-based call price (plain Monte Carlo for CMT), simulated
-    in chunks of about ``chunk_paths`` paths (``chunked_estimate``)."""
+    """Conditioning-based call price (``plain_call`` for CMT), simulated in
+    chunks of about ``chunk_paths`` paths (``chunked_estimate``)."""
+    if kind is SchemeKind.CMT:
+        return plain_call(spec, kind, n_steps, strike, rng, npaths, chunk_paths)
+
     def values(first, size):
-        if kind is SchemeKind.CMT:
-            return discounted_call_payoff(spec, _cmt_terminal(spec, n_steps, rng, size, first),
-                                          strike)
         return conditional_call_values(spec, kind, n_steps, strike, rng, size, first=first)
 
     return chunked_estimate(values, npaths, chunk_paths)
@@ -157,9 +145,9 @@ def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike
 def plain_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
                rng: RngStream, npaths: int,
                chunk_paths: int = 250_000) -> PriceEstimate:
-    """Unconditioned call price from simulated terminal values."""
+    """Unconditioned call price from the terminal values of ``simulate_terminal``."""
     def values(first, size):
-        path = simulate_paths(kind, spec, n_steps, rng, size, first)
-        return discounted_call_payoff(spec, path.x[-1], strike)
+        x_terminal = simulate_terminal(kind, spec, n_steps, rng, size, first)
+        return discounted_call_payoff(spec, x_terminal, strike)
 
     return chunked_estimate(values, npaths, chunk_paths)

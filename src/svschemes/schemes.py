@@ -31,10 +31,10 @@ path blocks, cut once per batch for a full step block, so a short grid's
 blocks are no wider than a long one's. Each column block draws the next
 steps of its own path blocks' streams, the only taker to draw them, then
 builds its factor path and runs the estimator on it, so no array of a step
-block spans the batch. The whole-path simulators are consumers too:
-``simulate_paths`` writes each step block's node rows into its output, and
-``weak2_terminal`` carries the terminal sums, so every path builder works
-in O(paths x B) memory beside its output.
+block spans the batch. The path builders are consumers too: ``simulate_paths``
+writes each step block's node rows into its output, ``simulate_terminal`` (the
+one sampler of x_T for every kind) and ``weak2_terminal`` carry per-path
+state, so each works in O(paths x B) memory beside its output.
 """
 
 from __future__ import annotations
@@ -469,16 +469,15 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws):
     return drift, mult
 
 
-def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, start=None):
-    """CMT recursion over a batch of paths from the nodes ``start`` = (x, y)
-    (x0 and y0 by default); returns (x, y) node arrays.
+def cmt_paths(spec: VolModelSpec, delta: float, dW: np.ndarray, dB: np.ndarray, start):
+    """CMT recursion of a batch of paths from their nodes ``start`` = (x, y).
 
-    Raises NumericalError if a node of x or y is not finite.
+    Returns the (x, y) node arrays; raises NumericalError on a node that is not finite.
     """
     n_steps = dW.shape[0]
     x = np.empty((n_steps + 1,) + dW.shape[1:])
     y = np.empty_like(x)
-    x[0], y[0] = (spec.x0, spec.y0) if start is None else start
+    x[0], y[0] = start
     for k in range(n_steps):
         x[k + 1], y[k + 1] = cmt_step(spec, x[k], y[k], delta, dW[k], dB[k])
     _check_finite(x, "CMT log-asset path")
@@ -518,15 +517,14 @@ def _weak2_increments(draws: FactorDraws):
 
 
 def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
-                   rng: RngStream, npaths: int, first: int = 0) -> GridPath:
+                   rng: RngStream, npaths: int) -> GridPath:
     """Simulate a batch of paths on the uniform grid.
 
     Draws the factor normals of ``kind`` and the B-increments "b" of the
-    ``npaths`` paths from path block ``first`` on (``rng.BlockStreams``) a
-    step block at a time (``advance_blocks``), and writes each block's
-    nodes into the output, so that the memory beside the output is that of
-    a step block. CMT runs its own recursion (``cmt_paths``); weak2 also
-    returns the running integrals m and v.
+    ``npaths`` paths a step block at a time (``advance_blocks``), and
+    writes each block's nodes into the output, so that the memory beside
+    the output is that of a step block. CMT runs its own recursion
+    (``cmt_paths``); weak2 also returns the running integrals m and v.
     """
     _check_batch(n_steps, npaths)
     weak2 = kind is SchemeKind.WEAK2
@@ -550,12 +548,34 @@ def simulate_paths(kind: SchemeKind, spec: VolModelSpec, n_steps: int,
             for row, increments in zip(block[2:], _weak2_increments(draws)):
                 _running_sum(row, increments)
 
-    advance_blocks(spec, (kind,), n_steps, rng, nodes, advance, first=first)
+    advance_blocks(spec, (kind,), n_steps, rng, nodes, advance)
     if kind is not SchemeKind.CMT:
         nodes[0] += spec.x0
     m, v = nodes[2:] if weak2 else (None, None)
     return GridPath(times=np.linspace(0.0, spec.T, n_steps + 1), x=nodes[0], y=nodes[1],
                     m=m, v=v)
+
+
+def simulate_terminal(kind: SchemeKind, spec: VolModelSpec, n_steps: int, rng: RngStream,
+                      npaths: int, first: int = 0) -> np.ndarray:
+    """Terminal log-assets of the ``npaths`` paths from path block ``first``
+    on: the bytes of the last x row of ``simulate_paths``, from an O(paths)
+    carry of (x, y) advanced as ``simulate_paths`` advances its nodes."""
+    _check_batch(n_steps, npaths)
+    cmt = kind is SchemeKind.CMT
+    carry = np.array([[spec.x0 if cmt else 0.0], [spec.y0]]).repeat(npaths, axis=1)
+
+    def advance(_, draws, db, carry):
+        if cmt:
+            x, y = cmt_paths(spec, draws.delta, draws.dW, db, carry)
+            carry[0], carry[1] = x[-1], y[-1]
+            return
+        drift, mult = drift_and_mult(spec, kind, draws)
+        for row in drift + mult * db:
+            carry[0] += row
+
+    x = advance_blocks(spec, (kind,), n_steps, rng, carry, advance, first=first)[0]
+    return x if cmt else x + spec.x0
 
 
 def weak2_terminal(spec: VolModelSpec, n_steps: int, rng: RngStream, npaths: int):

@@ -37,6 +37,7 @@ from svschemes.schemes import (
     SchemeKind,
     cutoff_radicand,
     simulate_paths,
+    simulate_terminal,
     weak2_terminal,
 )
 
@@ -148,7 +149,7 @@ class TestAcceptance:
             i = 0
             while count < npaths:
                 size = min(chunk, npaths - count)
-                x = simulate_paths(kind, spec, n_steps, rng.child("chunk", i), size).x[-1]
+                x = simulate_terminal(kind, spec, n_steps, rng.child("chunk", i), size)
                 for p in range(1, 5):
                     sums[p - 1] += (x**p).sum()
                     sums_sq[p - 1] += (x ** (2 * p)).sum()

@@ -30,7 +30,7 @@ from svschemes.schemes import (
     draw_brownian_increments,
     draw_factor_paths,
     factor_normals,
-    simulate_paths,
+    simulate_terminal,
 )
 
 
@@ -128,8 +128,8 @@ class TestTrajCoupling:
         n = 50_000
         coupled = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1,
                                            *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(10), n))
-        direct = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(11), n)
-        a, b = coupled.x_coarse[-1], direct.x[-1]
+        direct = simulate_terminal(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(11), n)
+        a, b = coupled.x_coarse[-1], direct
         se_mean = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se_mean
         se_var = math.sqrt(2.0 / n) * max(a.var(), b.var())
@@ -183,8 +183,8 @@ class TestTerminalCoupling:
         spec = scott_spec()
         n = 50_000
         t = terminal_pair(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(9), n)
-        direct = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 8, RngStream(13), n)
-        a, b = t[0], direct.x[-1]
+        direct = simulate_terminal(SchemeKind.WEAKTRAJ1, spec, 8, RngStream(13), n)
+        a, b = t[0], direct
         se = math.sqrt(a.var() / n + b.var() / n)
         assert abs(a.mean() - b.mean()) < 4 * se
 

@@ -12,7 +12,7 @@ import numpy as np
 from svschemes import _parallel, schemes
 from svschemes.analysis import DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
-from svschemes.pricing import conditional_call_values
+from svschemes.pricing import conditional_call_values, plain_call
 from svschemes.rng import PATH_BLOCK, RngStream
 from svschemes.schemes import SchemeKind
 
@@ -27,6 +27,10 @@ RUNS = {
         scott_spec(), SchemeKind.WEAK2, n, 100.0, RngStream(3), PATHS),
     "strong-conv-cell": lambda n: _cell_errors(
         scott_spec(), [list(DEFAULT_KINDS)], "strong", RngStream(4), n, PATHS),
+    "terminal": lambda n: schemes.simulate_terminal(
+        SchemeKind.WEAKTRAJ1, scott_spec(), n, RngStream(7), PATHS),
+    "plain-call": lambda n: plain_call(
+        scott_spec(), SchemeKind.WEAK2, n, 100.0, RngStream(8), PATHS),
 }
 
 

@@ -25,6 +25,7 @@ from svschemes.schemes import (
     milstein_step_y,
     nv_step_y,
     simulate_paths,
+    simulate_terminal,
     weak2_terminal,
 )
 
@@ -600,6 +601,21 @@ class TestSimulatePath:
         assert stats.kstest(z, "norm").pvalue > 0.01, kind
 
 
+class TestSimulateTerminal:
+    SPECS = {"scott": scott_spec, "gbm": lambda: gbm_factor_spec(rho=-0.3)}
+
+    @pytest.mark.parametrize("spec_name, kind", [("scott", kind) for kind in SchemeKind] + [
+        ("gbm", kind) for kind in (
+            SchemeKind.EULER, SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.CMT)])
+    @pytest.mark.parametrize("n_steps, npaths", [(1, 3), (37, 5000)])
+    def test_last_node_of_simulate_paths(self, spec_name, kind, n_steps, npaths):
+        # 37 steps over 5,000 paths are two step blocks, the last one partial
+        spec = self.SPECS[spec_name]()
+        x = simulate_terminal(kind, spec, n_steps, RngStream(9), npaths)
+        path = simulate_paths(kind, spec, n_steps, RngStream(9), npaths)
+        assert x.tobytes() == path.x[-1].tobytes()
+
+
 class TestWeak2Terminal:
     def test_rho_domain(self):
         spec = const_vol_ou_spec(rho=1.0)
@@ -638,9 +654,8 @@ class TestWeak2Terminal:
     def test_matches_template_distribution(self):
         # the terminal form and the path form share m/v accumulators
         spec = scott_spec()
-        path = simulate_paths(SchemeKind.WEAK2, spec, 8, RngStream(40), 50_000)
-        x_term, _, _, _ = weak2_terminal(spec, 8, RngStream(41), npaths=50_000)
-        a, b = path.x[-1], x_term
+        a = simulate_terminal(SchemeKind.WEAK2, spec, 8, RngStream(40), 50_000)
+        b, _, _, _ = weak2_terminal(spec, 8, RngStream(41), npaths=50_000)
         se = math.sqrt(a.var() / a.size + b.var() / b.size)
         assert abs(a.mean() - b.mean()) < 4 * se
 
@@ -649,8 +664,8 @@ class TestTerminalLawEquality:
     def test_first_four_moments_match(self):
         # fine WeakTraj1 vs much finer Euler: same limiting law
         spec = scott_spec()
-        a = simulate_paths(SchemeKind.WEAKTRAJ1, spec, 64, RngStream(50), 50_000).x[-1]
-        b = simulate_paths(SchemeKind.EULER, spec, 256, RngStream(51), 50_000).x[-1]
+        a = simulate_terminal(SchemeKind.WEAKTRAJ1, spec, 64, RngStream(50), 50_000)
+        b = simulate_terminal(SchemeKind.EULER, spec, 256, RngStream(51), 50_000)
         for p in (1, 2, 3, 4):
             ma, mb = (a**p).mean(), (b**p).mean()
             se = math.sqrt((a**p).var() / a.size + (b**p).var() / b.size)
