@@ -46,14 +46,13 @@ from .coupling import (
 from .errors import InvalidParameterError
 from .mlmc import (
     BASE_STEPS,
-    LevelStats,
     MlmcConfig,
     call_level_sampler,
     lookback_level_sampler,
     mlmc_estimate,
 )
 from .models import VolModelSpec
-from .pricing import conditional_call_values, romano_touzi_call
+from .pricing import LevelStats, conditional_call_values, romano_touzi_call
 from .rng import BlockStreams, RngStream, block_chunks
 from .schemes import FactorDraws, SchemeKind, advance_blocks, is_template, uses_nv
 

@@ -9,7 +9,8 @@ scheme leaves the terminal log-asset Gaussian:
 The expected call payoff given the factor path is therefore a closed
 Black-Scholes formula, which removes all the B-noise from the
 estimator (Romano-Touzi conditioning). CMT admits no such form and is
-priced by ``plain_call``, plain Monte Carlo on its terminal values.
+priced by ``plain_call``, plain Monte Carlo on its terminal values. Each
+price streams its per-path values, chunk by chunk, into ``LevelStats``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._parallel import map_blocks
 from .coupling import coupling_start, level_sums, level_variances
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
-from .rng import RngStream, block_chunks
+from .rng import PATH_BLOCK, RngStream, block_chunks
 from .schemes import SchemeKind, advance_blocks, require_template, simulate_terminal
 
 
@@ -38,6 +39,47 @@ class PriceEstimate:
 
     def ci(self, z: float = 1.96) -> tuple[float, float]:
         return self.value - z * self.stderr, self.value + z * self.stderr
+
+
+@dataclass
+class LevelStats:
+    """Running moments of a sample stream: per-path prices or level corrections.
+
+    Samples are merged one path block (``rng.PATH_BLOCK`` samples) at a
+    time by the pairwise update of Chan, Golub and LeVeque: each block's
+    mean and sum of squared deviations (M2) are combined with the running
+    ones, so the variance takes no difference of large sums, and samples
+    added in whole path blocks give the same bytes however the calls split
+    them.
+    """
+
+    level: int = 0
+    n: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    batches: int = 0
+
+    def add(self, samples: np.ndarray):
+        for start in range(0, samples.size, PATH_BLOCK):
+            block = samples[start:start + PATH_BLOCK]
+            count = block.size
+            block_mean = float(block.mean())
+            block_m2 = float(np.square(block - block_mean).sum())
+            total = self.n + count
+            delta = block_mean - self.mean
+            self.mean += delta * count / total
+            self.m2 += block_m2 + delta * delta * self.n * count / total
+            self.n = total
+
+    @property
+    def variance(self) -> float:
+        if self.n < 2:
+            raise InvalidParameterError("need at least two samples for a variance")
+        return self.m2 / (self.n - 1)
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.variance / self.n)
 
 
 def bs_call(s, total_var, r: float, maturity: float, strike: float):
@@ -107,25 +149,25 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     return out if depth else out[0]
 
 
-def _mc_estimate(values: np.ndarray) -> PriceEstimate:
-    n = values.size
-    if n < 2:
-        raise InvalidParameterError("need at least two samples for a standard error")
-    value = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n))
+def _mc_estimate(stats: LevelStats) -> PriceEstimate:
+    """The price of a stream's running moments; it needs two samples or more."""
+    value, stderr = stats.mean, stats.stderr
     if not (math.isfinite(value) and math.isfinite(stderr)):
         raise NumericalError(f"estimate {value} with stderr {stderr} is not finite")
-    return PriceEstimate(value=value, stderr=stderr, npaths=n)
+    return PriceEstimate(value=value, stderr=stderr, npaths=stats.n)
 
 
 def chunked_estimate(values, npaths: int, chunk_paths: int = 250_000) -> PriceEstimate:
     """Monte Carlo estimate from the per-path ``values(first, size)`` of the
-    chunks of whole path blocks (``rng.block_chunks``); the chunk size
-    bounds memory and does not change the result."""
+    chunks of whole path blocks (``rng.block_chunks``), each merged into one
+    ``LevelStats`` before the next is drawn: the chunk size bounds memory and
+    does not change the result."""
     if npaths < 1:
         raise InvalidParameterError(f"need at least one path, got {npaths}")
-    return _mc_estimate(np.concatenate([values(first, size)
-                                        for first, size in block_chunks(npaths, chunk_paths)]))
+    stats = LevelStats()
+    for first, size in block_chunks(npaths, chunk_paths):
+        stats.add(values(first, size))
+    return _mc_estimate(stats)
 
 
 def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,

@@ -1,8 +1,9 @@
 """Golden bytes: small fixed-seed runs whose outputs must not move by a bit.
 
 The run digests (``CASES``) were last re-pinned when every normal got its
-own stream per path block. Each run is repeated with 2-step blocks and
-small parallel blocks, so the digests pin the step blocks, the parallel
+own stream per path block; the call prices' bits, when prices moved to the
+path-block merge of ``LevelStats``. Each run is repeated with 2-step blocks
+and small parallel blocks, so the digests pin the step blocks, the parallel
 blocks and the node table to the bytes of one whole-path computation.
 
 The kernel digests (``KERNEL_CASES``) run the per-step kernels on factor
@@ -96,9 +97,9 @@ CASES = {
     "call-weak2": (lambda: call_bits(SchemeKind.WEAK2),
                    ("0x1.9a1fb627d3986p+3", "0x1.e861bda65b6b0p-6")),
     "call-ou-improved": (lambda: call_bits(SchemeKind.OU_IMPROVED),
-                         ("0x1.9a2f4d5dd2000p+3", "0x1.e8889eb0482aep-6")),
+                         ("0x1.9a2f4d5dd2000p+3", "0x1.e8889eb0482afp-6")),
     "call-cmt": (lambda: call_bits(SchemeKind.CMT),
-                 ("0x1.a4238db65676ap+3", "0x1.6796e439e3141p-2")),
+                 ("0x1.a4238db65676ap+3", "0x1.6796e439e3140p-2")),
     "mlmc-call-level3": (
         lambda: digest(call_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1, 100.0)(
             3, RngStream(30), 500)),

@@ -11,6 +11,7 @@ from svschemes.errors import InvalidParameterError
 from svschemes.mlmc import call_level_sampler
 from svschemes.coupling import lookback_single_level
 from svschemes.pricing import (
+    LevelStats,
     PriceEstimate,
     _mc_estimate,
     bs_call,
@@ -92,13 +93,19 @@ class TestPriceEstimate:
         assert hi99 - lo99 > hi - lo
 
 
+def stats_of(samples) -> LevelStats:
+    stats = LevelStats()
+    stats.add(np.array(samples))
+    return stats
+
+
 class TestMcEstimate:
     def test_constant_samples(self):
-        est = _mc_estimate(np.array([1.0, 1.0, 1.0]))
+        est = _mc_estimate(stats_of([1.0, 1.0, 1.0]))
         assert est.value == 1.0 and est.stderr == 0.0 and est.ci() == (1.0, 1.0)
 
     def test_two_point_example(self):
-        est = _mc_estimate(np.array([0.0, 2.0]))
+        est = _mc_estimate(stats_of([0.0, 2.0]))
         assert est.value == 1.0
         assert est.stderr == pytest.approx(1.0)  # std(ddof=1)=sqrt(2), /sqrt(2)
         lo, hi = est.ci()
@@ -107,7 +114,7 @@ class TestMcEstimate:
 
     def test_needs_two(self):
         with pytest.raises(InvalidParameterError):
-            _mc_estimate(np.array([1.0]))
+            _mc_estimate(stats_of([1.0]))
 
 
 class TestConditionalValues:
