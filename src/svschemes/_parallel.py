@@ -9,7 +9,7 @@ own counter-based stream (``rng.BlockStreams``), so a value does not
 depend on which worker draws it: a column block of whole path blocks
 draws its own streams, and a draw of a whole batch is shared out one
 stream at a time. Whole tasks, such as the cells of a convergence
-ladder, are shared out the same way, and all of these run in one taker
+ladder or the items of a price, are shared out the same way, and all of these run in one taker
 loop (``map_tasks``), the caller beside the pool. Work nested in an item
 runs inline, and the values of a step block are a budget summed over all
 takers (``step_values``). Callers join results in item order before any

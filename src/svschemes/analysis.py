@@ -93,7 +93,7 @@ class ExperimentConfig:
 
     n_ladder: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256)
     npaths: int = 10_000
-    chunk_paths: int = 10_000
+    chunk_paths: int = 10_000  # paths per chunk of a convergence cell
     kinds: tuple[SchemeKind, ...] = DEFAULT_KINDS
 
     def __post_init__(self):
@@ -249,11 +249,8 @@ def run_weak_call(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
     rows: list[ExperimentRow] = []
     for n_steps in config.n_ladder:
         for kind in config.kinds:
-            est = romano_touzi_call(
-                spec, kind, n_steps, strike,
-                rng.child("weak-call", kind.value, n_steps),
-                config.npaths, chunk_paths=config.chunk_paths,
-            )
+            est = romano_touzi_call(spec, kind, n_steps, strike,
+                                    rng.child("weak-call", kind.value, n_steps), config.npaths)
             rows.append(ExperimentRow(
                 "weak-call", kind.value, n_steps, "call_price", est.value, est.stderr,
             ))

@@ -186,8 +186,7 @@ def _run(args) -> int:
         }[args.command]
         rows = runner(spec, config, rng)
     elif args.command == "weak-call":
-        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths,
-                                  chunk_paths=250_000)
+        config = ExperimentConfig(n_ladder=_ladder(args.steps), npaths=args.paths)
         rows = run_weak_call(spec, config, rng, args.strike, _reference_price(args))
     elif args.command == "mlmc":
         rows = run_mlmc_cost(

@@ -10,7 +10,9 @@ The expected call payoff given the factor path is therefore a closed
 Black-Scholes formula, which removes all the B-noise from the
 estimator (Romano-Touzi conditioning). CMT admits no such form and is
 priced by ``plain_call``, plain Monte Carlo on its terminal values. Each
-price streams its per-path values, chunk by chunk, into ``LevelStats``.
+price is one pass over the path-parallel pool (``chunked_estimate``): every
+item carries its own paths from their first draw to the moments of their
+path blocks, which are merged into one ``LevelStats``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ._parallel import map_blocks
+from ._parallel import column_blocks, map_blocks, map_tasks
 from .coupling import coupling_start, level_sums, level_variances
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
-from .rng import PATH_BLOCK, RngStream, block_chunks
-from .schemes import SchemeKind, advance_blocks, require_template, simulate_terminal
+from .rng import PATH_BLOCK, RngStream
+from .schemes import (SchemeKind, advance_blocks, block_steps, require_template,
+                      simulate_terminal)
 
 
 @dataclass
@@ -47,10 +50,12 @@ class LevelStats:
 
     Samples are merged one path block (``rng.PATH_BLOCK`` samples) at a
     time by the pairwise update of Chan, Golub and LeVeque: each block's
-    mean and sum of squared deviations (M2) are combined with the running
-    ones, so the variance takes no difference of large sums, and samples
-    added in whole path blocks give the same bytes however the calls split
-    them.
+    count, mean and sum of squared deviations (M2, ``block_moments``) are
+    combined with the running ones (``merge``), so the variance takes no
+    difference of large sums, and samples added in whole path blocks give
+    the same bytes however the calls split them. The moments of a block
+    can be taken where its samples are computed, and merged later in path
+    order (``chunked_estimate``).
     """
 
     level: int = 0
@@ -59,17 +64,27 @@ class LevelStats:
     m2: float = 0.0
     batches: int = 0
 
-    def add(self, samples: np.ndarray):
+    @staticmethod
+    def block_moments(samples: np.ndarray) -> list[tuple[int, float, float]]:
+        """(count, mean, M2) of each path block of ``samples``, in order."""
+        moments = []
         for start in range(0, samples.size, PATH_BLOCK):
             block = samples[start:start + PATH_BLOCK]
-            count = block.size
             block_mean = float(block.mean())
-            block_m2 = float(np.square(block - block_mean).sum())
+            moments.append((block.size, block_mean, float(np.square(block - block_mean).sum())))
+        return moments
+
+    def merge(self, moments):
+        """Merge the (count, mean, M2) of ``block_moments``, in order."""
+        for count, block_mean, block_m2 in moments:
             total = self.n + count
             delta = block_mean - self.mean
             self.mean += delta * count / total
             self.m2 += block_m2 + delta * delta * self.n * count / total
             self.n = total
+
+    def add(self, samples: np.ndarray):
+        self.merge(self.block_moments(samples))
 
     @property
     def variance(self) -> float:
@@ -157,39 +172,50 @@ def _mc_estimate(stats: LevelStats) -> PriceEstimate:
     return PriceEstimate(value=value, stderr=stderr, npaths=stats.n)
 
 
-def chunked_estimate(values, npaths: int, chunk_paths: int = 250_000) -> PriceEstimate:
-    """Monte Carlo estimate from the per-path ``values(first, size)`` of the
-    chunks of whole path blocks (``rng.block_chunks``), each merged into one
-    ``LevelStats`` before the next is drawn: the chunk size bounds memory and
-    does not change the result."""
+def chunked_estimate(values, npaths: int) -> PriceEstimate:
+    """Monte Carlo estimate of the per-path ``values(first, size)`` of a run
+    of ``npaths`` paths, in one pass over the path-parallel pool.
+
+    The items are the column blocks of whole path blocks that
+    ``schemes.advance_blocks`` cuts for a full step block of the run
+    (``_parallel.column_blocks``). Each item computes the values of its
+    ``size`` paths from path block ``first`` on, its nested work inline,
+    and returns their ``LevelStats.block_moments``; the caller merges them
+    in item order. Memory is that of the items in flight plus three floats
+    per path block, and the result is the same bytes however the run is
+    cut into items.
+    """
     if npaths < 1:
         raise InvalidParameterError(f"need at least one path, got {npaths}")
+    rows = block_steps(npaths)
+
+    def moments(cols):
+        return LevelStats.block_moments(values(cols.start // PATH_BLOCK, cols.stop - cols.start))
+
     stats = LevelStats()
-    for first, size in block_chunks(npaths, chunk_paths):
-        stats.add(values(first, size))
+    for item in map_tasks(moments, column_blocks(npaths, rows, PATH_BLOCK), rows * npaths):
+        stats.merge(item)
     return _mc_estimate(stats)
 
 
 def romano_touzi_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
-                      rng: RngStream, npaths: int,
-                      chunk_paths: int = 250_000) -> PriceEstimate:
-    """Conditioning-based call price (``plain_call`` for CMT), simulated in
-    chunks of about ``chunk_paths`` paths (``chunked_estimate``)."""
+                      rng: RngStream, npaths: int) -> PriceEstimate:
+    """Conditioning-based call price (``plain_call`` for CMT), in one pool
+    pass (``chunked_estimate``)."""
     if kind is SchemeKind.CMT:
-        return plain_call(spec, kind, n_steps, strike, rng, npaths, chunk_paths)
+        return plain_call(spec, kind, n_steps, strike, rng, npaths)
 
     def values(first, size):
         return conditional_call_values(spec, kind, n_steps, strike, rng, size, first=first)
 
-    return chunked_estimate(values, npaths, chunk_paths)
+    return chunked_estimate(values, npaths)
 
 
 def plain_call(spec: VolModelSpec, kind: SchemeKind, n_steps: int, strike: float,
-               rng: RngStream, npaths: int,
-               chunk_paths: int = 250_000) -> PriceEstimate:
+               rng: RngStream, npaths: int) -> PriceEstimate:
     """Unconditioned call price from the terminal values of ``simulate_terminal``."""
     def values(first, size):
         x_terminal = simulate_terminal(kind, spec, n_steps, rng, size, first)
         return discounted_call_payoff(spec, x_terminal, strike)
 
-    return chunked_estimate(values, npaths, chunk_paths)
+    return chunked_estimate(values, npaths)

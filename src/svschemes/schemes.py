@@ -360,7 +360,9 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     ``kinds``) from its paths' last node of the step block before, and runs
     ``advance(k0, draws, *streams, carry)`` with k0 the block's first step
     in the grid, its streams in ``reads`` order, and a view of the carry's
-    last axis. Every stream is created before the first pass.
+    last axis. Every stream is created before the first pass. Once an item
+    has built its factor draws, it keeps only the arrays that ``advance``
+    reads: on an OU-backed spec, the spent dY normals are freed first.
     """
     npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
@@ -379,6 +381,7 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
             y_last[cols] = draws.y[-1]
             arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
                       else drawn[name] for name in streams]
+            del drawn  # spent normals go now; draws and arrays hold what is read
             advance(k0, with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
 
         _parallel.map_tasks(block, items, steps * npaths)

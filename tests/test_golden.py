@@ -61,7 +61,7 @@ def rows_digest(rows) -> str:
 
 
 def call_bits(kind):
-    est = romano_touzi_call(scott_spec(), kind, 8, 100.0, RngStream(25), 3000, chunk_paths=2000)
+    est = romano_touzi_call(scott_spec(), kind, 8, 100.0, RngStream(25), 3000)
     return est.value.hex(), est.stderr.hex()
 
 

@@ -12,7 +12,8 @@ import numpy as np
 from svschemes import _parallel, schemes
 from svschemes.analysis import DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
-from svschemes.pricing import conditional_call_values, plain_call, romano_touzi_call
+from svschemes.pricing import (chunked_estimate, conditional_call_values, plain_call,
+                                romano_touzi_call)
 from svschemes.rng import PATH_BLOCK, RngStream
 from svschemes.schemes import SchemeKind
 
@@ -53,17 +54,31 @@ def test_peak_does_not_grow_with_steps(monkeypatch, name):
     assert long <= 1.1 * short, f"peak {long} B at 512 steps, {short} B at 64"
 
 
-def test_price_peak_does_not_grow_with_paths(monkeypatch):
-    # one worker, one path block a chunk: each chunk is merged into the
-    # running moments and dropped, so no chunk's values outlive the next
+def price_peaks(monkeypatch, price) -> tuple[int, int]:
+    """Peaks of ``price(npaths)`` at 8 and 32 path blocks, on one worker:
+    each item's values are reduced to their moments and dropped, so no
+    item's values outlive the next."""
     monkeypatch.setattr(_parallel, "WORKERS", 1)
 
     def run(blocks):
-        romano_touzi_call(scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(9),
-                          blocks * PATH_BLOCK, chunk_paths=PATH_BLOCK)
+        price(blocks * PATH_BLOCK)
 
     run(1)  # warm caches and the pool outside the measurement
-    short, long = peak_bytes(run, 8), peak_bytes(run, 32)
+    return peak_bytes(run, 8), peak_bytes(run, 32)
+
+
+def test_price_peak_does_not_grow_with_paths(monkeypatch):
+    spec = scott_spec()
+    short, long = price_peaks(monkeypatch, lambda npaths: romano_touzi_call(
+        spec, SchemeKind.WEAK2, 8, 100.0, RngStream(9), npaths))
+    assert long <= 1.1 * short, f"peak {long} B at 32 path blocks, {short} B at 8"
+
+
+def test_lookback_price_peak_does_not_grow_with_paths(monkeypatch):
+    spec = scott_spec()
+    short, long = price_peaks(monkeypatch, lambda npaths: chunked_estimate(
+        lambda first, size: lookback_single_level(spec, SchemeKind.WEAKTRAJ1, 16,
+                                                  RngStream(10), size, first), npaths))
     assert long <= 1.1 * short, f"peak {long} B at 32 path blocks, {short} B at 8"
 
 

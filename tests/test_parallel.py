@@ -292,7 +292,7 @@ class TestWorkerCountInvariance:
     def test_romano_touzi_call(self, monkeypatch, kind):
         spec = scott_spec()
         results = across_workers(monkeypatch, lambda: romano_touzi_call(
-            spec, kind, 4, 100.0, RngStream(14), 700, chunk_paths=300))
+            spec, kind, 4, 100.0, RngStream(14), 700))
         assert_same_bytes([(r.value, r.stderr) for r in results])
 
     @pytest.mark.parametrize("run", [run_strong_conv, run_traj_conv, run_terminal_conv])

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import const_vol_ou_spec, factor_draws, scott_spec
 
-from svschemes import models
+from svschemes import _parallel, models
 from svschemes.coupling import coupling_start, level_sums
 from svschemes.errors import InvalidParameterError
 from svschemes.mlmc import call_level_sampler
@@ -187,10 +188,8 @@ class TestRomanoTouzi:
 
     def test_chunking_invariance(self):
         spec = scott_spec()
-        a = romano_touzi_call(spec, SchemeKind.WEAKTRAJ1, 4, 100.0, RngStream(6), 900,
-                              chunk_paths=300)
-        b = romano_touzi_call(spec, SchemeKind.WEAKTRAJ1, 4, 100.0, RngStream(6), 900,
-                              chunk_paths=300)
+        a = romano_touzi_call(spec, SchemeKind.WEAKTRAJ1, 4, 100.0, RngStream(6), 900)
+        b = romano_touzi_call(spec, SchemeKind.WEAKTRAJ1, 4, 100.0, RngStream(6), 900)
         assert a.value == b.value
         assert a.npaths == 900
 
@@ -204,6 +203,25 @@ class TestRomanoTouzi:
         with pytest.raises(InvalidParameterError):
             romano_touzi_call(scott_spec(), SchemeKind.WEAK2, 4, 100.0, RngStream(0), 1)
 
+    def test_one_pool_pass(self, monkeypatch):
+        # weak2, 8 steps, 2^18 paths on two workers: the draws, step blocks
+        # and Black-Scholes values of every path run inside the items of
+        # one map_tasks call, and every other call is nested in an item
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        map_tasks, top_level = _parallel.map_tasks, []
+
+        def counted(fn, items, values):
+            if not getattr(_parallel._in_block, "flag", False):
+                top_level.append(values)
+            return map_tasks(fn, items, values)
+
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("svschemes")
+                    and getattr(module, "map_tasks", None) is map_tasks):
+                monkeypatch.setattr(module, "map_tasks", counted)
+        romano_touzi_call(scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(8), 2**18)
+        assert len(top_level) == 1, top_level
+
     def test_benchmark_price_in_range(self):
         spec = scott_spec()
         est = romano_touzi_call(spec, SchemeKind.WEAK2, 8, 100.0, RngStream(8), 100_000)
@@ -211,45 +229,68 @@ class TestRomanoTouzi:
         assert est.stderr < 0.05
 
 
-class TestChunkSizeInvariance:
-    """A chunk is a union of whole path blocks, so the chunk size sets memory
-    only: different chunk sizes give the same bytes."""
+def across_layouts(monkeypatch, compute) -> set:
+    """The distinct results of compute() on 1, 2 and 3 workers, at the
+    default BLOCK_VALUES and at one so small that every item is one path
+    block (the last one narrower)."""
+    monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
+    results = set()
+    for block_values in (_parallel.BLOCK_VALUES, 64):
+        monkeypatch.setattr(_parallel, "BLOCK_VALUES", block_values)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "WORKERS", workers)
+            results.add(compute())
+    return results
 
-    CHUNKS = (4096, 8192, 250_000)
+
+class TestChunkSizeInvariance:
+    """A price's pool items are unions of whole path blocks, so how a run is
+    cut into items sets memory only: any number of workers, and items of
+    one path block, give the same bytes."""
 
     @pytest.mark.parametrize("kind", [SchemeKind.WEAK2, SchemeKind.WEAKTRAJ1, SchemeKind.CMT])
-    def test_romano_touzi_call(self, kind):
-        # 10,000 paths: chunks of 4096 + 4096 + 1808, 8192 + 1808, or one
-        results = {(est.value, est.stderr) for est in (
-            romano_touzi_call(scott_spec(), kind, 4, 100.0, RngStream(5), 10_000,
-                              chunk_paths=chunk) for chunk in self.CHUNKS)}
-        assert len(results) == 1
+    def test_romano_touzi_call(self, monkeypatch, kind):
+        # 10,000 paths: one item, two, or items of 4096 + 4096 + 1808
+        def price():
+            est = romano_touzi_call(scott_spec(), kind, 4, 100.0, RngStream(5), 10_000)
+            return est.value, est.stderr
+
+        assert len(across_layouts(monkeypatch, price)) == 1
 
     @pytest.mark.parametrize("kind", [SchemeKind.EULER, SchemeKind.WEAK2, SchemeKind.CMT])
-    def test_plain_call(self, kind):
-        results = {(est.value, est.stderr) for est in (
-            plain_call(scott_spec(), kind, 4, 100.0, RngStream(6), 9000,
-                       chunk_paths=chunk) for chunk in self.CHUNKS)}
-        assert len(results) == 1
-
-    def test_chunk_rounds_up_to_whole_blocks(self):
-        # 5,000 paths a chunk means two blocks: the same bytes as 8192
-        def values(chunk):
-            est = romano_touzi_call(scott_spec(), SchemeKind.WEAK2, 4, 100.0, RngStream(7),
-                                    9000, chunk_paths=chunk)
+    def test_plain_call(self, monkeypatch, kind):
+        def price():
+            est = plain_call(scott_spec(), kind, 4, 100.0, RngStream(6), 9000)
             return est.value, est.stderr
 
-        assert values(5000) == values(8192) == values(1)
+        assert len(across_layouts(monkeypatch, price)) == 1
 
-    def test_lookback_price_is_chunked(self):
+    def test_chunk_rounds_up_to_whole_blocks(self, monkeypatch):
+        # items of 64 values would be 16 paths wide: they round up to whole
+        # path blocks, and give the bytes of a default run
+        spec = scott_spec()
+        items = []
+
+        def values(first, size):
+            items.append((first, size))
+            return conditional_call_values(spec, SchemeKind.WEAK2, 4, 100.0, RngStream(7),
+                                           size, first=first)
+
+        whole = romano_touzi_call(spec, SchemeKind.WEAK2, 4, 100.0, RngStream(7), 9000)
+        monkeypatch.setattr(_parallel, "BLOCK_VALUES", 64)
+        est = chunked_estimate(values, 9000)
+        assert (est.value, est.stderr) == (whole.value, whole.stderr)
+        assert sorted(items) == [(0, 4096), (1, 4096), (2, 808)]
+
+    def test_lookback_price_is_chunked(self, monkeypatch):
         spec = scott_spec()
 
-        def price(chunk):
+        def price():
             est = chunked_estimate(lambda first, size: lookback_single_level(
-                spec, SchemeKind.WEAKTRAJ1, 4, RngStream(8), size, first), 9000, chunk)
+                spec, SchemeKind.WEAKTRAJ1, 4, RngStream(8), size, first), 9000)
             return est.value, est.stderr
 
-        assert price(4096) == price(250_000)
+        assert len(across_layouts(monkeypatch, price)) == 1
 
     def test_needs_a_path(self):
         with pytest.raises(InvalidParameterError, match="at least one path"):
