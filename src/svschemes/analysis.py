@@ -14,14 +14,14 @@ so a scheme of strong order p shows a log-log slope near -2p.
 
 Within one (experiment, N) cell all schemes consume the same streams,
 which shares the factor normals and B-increments across schemes and
-removes cross-scheme Monte Carlo noise from slope comparisons. Paths are
-processed in chunks of whole path blocks (``rng.block_chunks``), so
-results depend neither on available memory nor on the chunk size. The
-cells of a ladder run as pool tasks, each on one thread. A chunk is
-coupled one step block at a time (``schemes.advance_blocks``): one node
-table per column block serves both levels of every scheme that shares
-the draws, and each scheme carries its coupled pair and running errors
-from one block to the next.
+removes cross-scheme Monte Carlo noise from slope comparisons. The
+cells of a ladder run as pool tasks, each on one thread, and each cell is
+one pass of path items (``pricing.path_moments``), so every output is the
+same bytes for any item cut and any number of CPUs. An item is coupled one
+step block at a time (``schemes.advance_blocks``): one node table per
+column block serves both levels of every scheme that shares the draws,
+and each scheme carries its coupled pair and running errors from one
+block to the next.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .mlmc import (
     mlmc_estimate,
 )
 from .models import VolModelSpec
-from .pricing import LevelStats, conditional_call_values, romano_touzi_call
-from .rng import BlockStreams, RngStream, block_chunks
+from .pricing import conditional_call_values, path_moments, romano_touzi_call
+from .rng import BlockStreams, RngStream
 from .schemes import FactorDraws, SchemeKind, advance_blocks, is_template, uses_nv
 
 # Converged at-the-money call price under the benchmark Scott parameters
@@ -93,7 +93,6 @@ class ExperimentConfig:
 
     n_ladder: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256)
     npaths: int = 10_000
-    chunk_paths: int = 10_000  # paths per chunk of a convergence cell
     kinds: tuple[SchemeKind, ...] = DEFAULT_KINDS
 
     def __post_init__(self):
@@ -106,8 +105,6 @@ class ExperimentConfig:
             raise InvalidParameterError("ladder must be strictly increasing")
         if self.npaths < 2:
             raise InvalidParameterError("need at least two paths")
-        if self.chunk_paths < 1:
-            raise InvalidParameterError("chunk_paths must be positive")
 
 
 def loglog_slope(ns, values) -> RegressionResult:
@@ -190,8 +187,8 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
     """Rows of one convergence experiment, in ladder order.
 
     The cells (ladder points) are the items of one ``map_tasks`` call,
-    finest first, so the draws and column blocks of a cell run inline at
-    its full chunk width; when several cells fail, the finest one's
+    finest first, so the path items, draws and column blocks of a cell run
+    inline in its taker; when several cells fail, the finest one's
     exception is raised.
     """
     kinds = [k for k in config.kinds if mode != "traj" or is_template(k)]
@@ -200,28 +197,22 @@ def _conv_experiment(spec: VolModelSpec, config: ExperimentConfig, rng: RngStrea
         groups.setdefault(spec.ou is None and uses_nv(kind), []).append(kind)
 
     def cell_stats(n_coarse):
-        acc = {(k, m): LevelStats() for k in kinds for m in ("log_sq_err", "asset_sq_err")}
         cell = rng.child(experiment, n_coarse)
-        for first, size in block_chunks(config.npaths, config.chunk_paths):
+
+        def values(first, size):
             errors = _cell_errors(spec, groups.values(), mode, cell, 2 * n_coarse, size, first)
-            for kind in kinds:
-                log_err, asset_err = errors[kind]
-                acc[kind, "log_sq_err"].add(log_err)
-                acc[kind, "asset_sq_err"].add(asset_err)
-        return acc
+            return [err for kind in kinds for err in errors[kind]]
+
+        return path_moments(values, config.npaths)
 
     # a cell's cost grows with its steps: the other takers share out the
     # coarser cells while one runs the finest
     ladder = sorted(config.n_ladder, reverse=True)
-    accs = dict(zip(ladder, map_tasks(cell_stats, ladder, config.npaths * 2 * sum(ladder))))
-    rows: list[ExperimentRow] = []
-    for n_coarse in config.n_ladder:
-        for kind in kinds:
-            for metric in ("log_sq_err", "asset_sq_err"):
-                stats = accs[n_coarse][kind, metric]
-                rows.append(ExperimentRow(experiment, kind.value, n_coarse, metric,
-                                          stats.mean, stats.stderr))
-    return rows
+    cells = dict(zip(ladder, map_tasks(cell_stats, ladder, config.npaths * 2 * sum(ladder))))
+    metrics = [(kind, m) for kind in kinds for m in ("log_sq_err", "asset_sq_err")]
+    return [ExperimentRow(experiment, kind.value, n_coarse, metric, stats.mean, stats.stderr)
+            for n_coarse in config.n_ladder
+            for (kind, metric), stats in zip(metrics, cells[n_coarse])]
 
 
 def run_strong_conv(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream):
@@ -263,8 +254,8 @@ def run_weak_call(spec: VolModelSpec, config: ExperimentConfig, rng: RngStream,
 
 
 def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[int, ...],
-                          fine_steps: int, strike: float, rng: RngStream, npaths: int,
-                          chunk_paths: int = 250_000) -> list[ExperimentRow]:
+                          fine_steps: int, strike: float, rng: RngStream,
+                          npaths: int) -> list[ExperimentRow]:
     """Weak call errors measured against a nested fine grid.
 
     The direct error |price_N - reference| drowns in Monte Carlo noise
@@ -273,8 +264,10 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
     random numbers: one fine factor draw per path is coarsened down the
     ladder and each resolution contributes its conditional call value.
     The per-path differences are tiny, which makes small biases
-    measurable at practical path counts. Rows carry the metric
-    ``weak_error`` with |E[P_N - P_fine]| and its standard error.
+    measurable at practical path counts. The paths are one pool pass
+    (``pricing.path_moments``) with a row of differences per ladder entry.
+    Rows carry the metric ``weak_error`` with |E[P_N - P_fine]| and its
+    standard error.
     """
     grids = [fine_steps]  # the fine grid and each of its halvings down the ladder
     while grids[-1] % 2 == 0 and grids[-1] // 2 >= max(min(n_ladder), 1):
@@ -283,15 +276,15 @@ def weak_error_refinement(spec: VolModelSpec, kind: SchemeKind, n_ladder: tuple[
         if n not in grids[1:]:
             raise InvalidParameterError(
                 f"ladder entry {n} must be fine_steps={fine_steps} halved once or more")
-    acc = {n: LevelStats() for n in n_ladder}
-    for first, size in block_chunks(npaths, chunk_paths):
-        values = conditional_call_values(spec, kind, fine_steps, strike,
-                                         rng.child("weak-refine"), size,
+    refine = rng.child("weak-refine")
+
+    def values(first, size):
+        prices = conditional_call_values(spec, kind, fine_steps, strike, refine, size,
                                          depth=len(grids) - 1, first=first)
-        for n in n_ladder:
-            acc[n].add(values[grids.index(n)] - values[0])
-    return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(acc[n].mean),
-                          acc[n].stderr) for n in n_ladder]
+        return [prices[grids.index(n)] - prices[0] for n in n_ladder]
+
+    return [ExperimentRow("weak-refine", kind.value, n, "weak_error", abs(stats.mean),
+                          stats.stderr) for n, stats in zip(n_ladder, path_moments(values, npaths))]
 
 
 def run_mlmc_cost(spec: VolModelSpec, kind: SchemeKind, payoff: str,

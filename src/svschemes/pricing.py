@@ -55,7 +55,7 @@ class LevelStats:
     difference of large sums, and samples added in whole path blocks give
     the same bytes however the calls split them. The moments of a block
     can be taken where its samples are computed, and merged later in path
-    order (``chunked_estimate``).
+    order (``path_moments``).
     """
 
     level: int = 0
@@ -172,29 +172,39 @@ def _mc_estimate(stats: LevelStats) -> PriceEstimate:
     return PriceEstimate(value=value, stderr=stderr, npaths=stats.n)
 
 
-def chunked_estimate(values, npaths: int) -> PriceEstimate:
-    """Monte Carlo estimate of the per-path ``values(first, size)`` of a run
-    of ``npaths`` paths, in one pass over the path-parallel pool.
+def path_moments(values, npaths: int) -> list[LevelStats]:
+    """Running moments of each per-path row of ``values(first, size)`` over
+    a run of ``npaths`` paths, in one pass over the path-parallel pool.
 
     The items are the column blocks of whole path blocks that
     ``schemes.advance_blocks`` cuts for a full step block of the run
-    (``_parallel.column_blocks``). Each item computes the values of its
+    (``_parallel.column_blocks``). Each item computes the rows of its
     ``size`` paths from path block ``first`` on, its nested work inline,
-    and returns their ``LevelStats.block_moments``; the caller merges them
+    and returns each row's ``LevelStats.block_moments``, merged row by row
     in item order. Memory is that of the items in flight plus three floats
-    per path block, and the result is the same bytes however the run is
-    cut into items.
+    per path block and row, and the result is the same bytes for any item
+    cut and any number of CPUs.
     """
     if npaths < 1:
         raise InvalidParameterError(f"need at least one path, got {npaths}")
-    rows = block_steps(npaths)
+    steps = block_steps(npaths)
 
     def moments(cols):
-        return LevelStats.block_moments(values(cols.start // PATH_BLOCK, cols.stop - cols.start))
+        return [LevelStats.block_moments(row)
+                for row in values(cols.start // PATH_BLOCK, cols.stop - cols.start)]
 
-    stats = LevelStats()
-    for item in map_tasks(moments, column_blocks(npaths, rows, PATH_BLOCK), rows * npaths):
-        stats.merge(item)
+    items = map_tasks(moments, column_blocks(npaths, steps, PATH_BLOCK), steps * npaths)
+    stats = [LevelStats() for _ in items[0]]
+    for item in items:
+        for row_stats, row_moments in zip(stats, item):
+            row_stats.merge(row_moments)
+    return stats
+
+
+def chunked_estimate(values, npaths: int) -> PriceEstimate:
+    """Monte Carlo estimate of the per-path ``values(first, size)`` of a run
+    of ``npaths`` paths: the one-row case of ``path_moments``."""
+    (stats,) = path_moments(lambda first, size: (values(first, size),), npaths)
     return _mc_estimate(stats)
 
 

@@ -7,9 +7,10 @@ of the standard normal CDF, so a fixed draw index always maps to the
 same variate.
 
 A batch of paths draws from one stream per path block and per name
-(``BlockStreams``): path p of a run reads block p // PATH_BLOCK, so a
-chunk of whole blocks draws what it would draw inside a larger batch,
-and a scheme pays only for the normals it reads.
+(``BlockStreams``): path p of a run reads block p // PATH_BLOCK, so an
+item of whole blocks draws what it would draw inside a larger batch,
+whatever the item cut and the number of CPUs, and a scheme pays only for
+the normals it reads.
 
 Each joint law mixes independent standard normals by the lower Cholesky
 factor of its covariance (``mix``). The laws implemented here:
@@ -168,15 +169,6 @@ class BlockStreams:
 
         map_tasks(fill, tasks, steps * (stop - start) * len(out))
         return out
-
-
-def block_chunks(npaths: int, chunk_paths: int) -> list[tuple[int, int]]:
-    """(first path block, paths) of each chunk of a run of ``npaths`` paths:
-    chunks of ``chunk_paths`` rounded up to whole path blocks, the last one
-    what is left. The draws do not depend on the chunk size, which only
-    bounds memory."""
-    per = PATH_BLOCK * max(1, -(-chunk_paths // PATH_BLOCK))
-    return [(start // PATH_BLOCK, min(per, npaths - start)) for start in range(0, npaths, per)]
 
 
 def mix(chol: np.ndarray, normals: list) -> list:

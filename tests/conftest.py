@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from svschemes import _parallel
 from svschemes.models import (
     OUParams,
     VolModelSpec,
@@ -26,6 +27,20 @@ def factor_draws(spec, kind, n_steps, rng, npaths, reads=()):
     with the factor normals that ``kind`` and ``reads`` read."""
     normals = BlockStreams(rng, npaths).draw(n_steps, factor_normals(spec, (kind,), reads))
     return draw_factor_paths(spec, kind, n_steps, normals)
+
+
+def across_layouts(monkeypatch, compute) -> set:
+    """The distinct results of compute() on 1, 2 and 3 workers, at the
+    default BLOCK_VALUES and at one so small that every item is one path
+    block (the last one narrower)."""
+    monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
+    results = set()
+    for block_values in (_parallel.BLOCK_VALUES, 64):
+        monkeypatch.setattr(_parallel, "BLOCK_VALUES", block_values)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "WORKERS", workers)
+            results.add(compute())
+    return results
 
 
 def coeff(spec, name, y):

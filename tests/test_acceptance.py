@@ -107,8 +107,7 @@ class TestAcceptance:
         # weak-error slope via the common-random-number nested-grid
         # estimator; the direct |price - reference| ladder is noise-bound
         rows = weak_error_refinement(spec, SchemeKind.WEAK2, (4, 8, 16, 32), 128,
-                                     100.0, RngStream(SEED), 4_000_000,
-                                     chunk_paths=250_000)
+                                     100.0, RngStream(SEED), 4_000_000)
         slope = loglog_slope([r.n_steps for r in rows], [r.value for r in rows]).slope
         if abs(slope + 2.0) > 0.3:
             failures.append(f"weak-error slope {slope:.3f} vs -2 +/- 0.3")

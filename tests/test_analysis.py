@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import scott_spec
+from conftest import across_layouts, scott_spec
 
 from svschemes import analysis
 from svschemes.analysis import (
@@ -61,12 +61,10 @@ class TestExperimentConfig:
             ExperimentConfig(n_ladder=(4, 2))
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(npaths=1)
-        with pytest.raises(InvalidParameterError):
-            ExperimentConfig(chunk_paths=0)
 
 
 def small_config(**kw):
-    defaults = dict(n_ladder=(2, 4, 8), npaths=2000, chunk_paths=1000)
+    defaults = dict(n_ladder=(2, 4, 8), npaths=2000)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -98,19 +96,14 @@ class TestConvExperiments:
                 if r.scheme == "weaktraj1" and r.metric == "log_sq_err"]
         assert vals[0] > vals[-1]
 
-    def test_chunking_invariance(self):
-        spec = scott_spec()
-        a = run_strong_conv(spec, small_config(chunk_paths=500), RngStream(7))
-        b = run_strong_conv(spec, small_config(chunk_paths=500), RngStream(7))
-        assert [(r.value, r.stderr) for r in a] == [(r.value, r.stderr) for r in b]
+    @pytest.mark.parametrize("run", [run_strong_conv, run_traj_conv, run_terminal_conv])
+    def test_chunk_size_invariance(self, monkeypatch, run):
+        # 9,000 paths a cell: one item, or items of 4096 + 4096 + 808
+        def rows():
+            config = ExperimentConfig(n_ladder=(2, 4), npaths=9000)
+            return tuple((r.value, r.stderr) for r in run(scott_spec(), config, RngStream(7)))
 
-    @pytest.mark.parametrize("run", [run_strong_conv, run_terminal_conv])
-    def test_chunk_size_invariance(self, run):
-        # 9,000 paths a cell: chunks of 4096 + 4096 + 808, 8192 + 808, or one
-        spec = scott_spec()
-        results = [run(spec, ExperimentConfig(n_ladder=(2, 4), npaths=9000, chunk_paths=chunk),
-                       RngStream(7)) for chunk in (4096, 8192, 10_000)]
-        assert results[1:] == results[:1] * 2
+        assert len(across_layouts(monkeypatch, rows)) == 1
 
     def test_rows_slope_selector(self):
         rows = [
@@ -127,8 +120,7 @@ class TestConvExperiments:
 class TestWeakCall:
     def test_rows_and_reference(self):
         spec = scott_spec()
-        cfg = ExperimentConfig(n_ladder=(2, 4), npaths=5000, chunk_paths=5000,
-                               kinds=(SchemeKind.WEAK2,))
+        cfg = ExperimentConfig(n_ladder=(2, 4), npaths=5000, kinds=(SchemeKind.WEAK2,))
         rows = run_weak_call(spec, cfg, RngStream(1), 100.0,
                              reference=BENCHMARK_CALL_PRICE)
         metrics = [r.metric for r in rows]
@@ -162,11 +154,13 @@ class TestWeakCall:
             weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2,), 4, 100.0,
                                   RngStream(0), 1)
 
-    def test_refinement_chunk_size_invariance(self):
-        spec = scott_spec()
-        rows = [weak_error_refinement(spec, SchemeKind.WEAK2, (2, 4), 8, 100.0, RngStream(3),
-                                      9000, chunk_paths=chunk) for chunk in (4096, 8192, 250_000)]
-        assert rows[1:] == rows[:1] * 2
+    def test_refinement_chunk_size_invariance(self, monkeypatch):
+        # 9,000 paths: one item, two, or items of 4096 + 4096 + 808
+        def rows():
+            return tuple((r.value, r.stderr) for r in weak_error_refinement(
+                scott_spec(), SchemeKind.WEAK2, (2, 4), 8, 100.0, RngStream(3), 9000))
+
+        assert len(across_layouts(monkeypatch, rows)) == 1
 
     def test_refinement_rows(self):
         spec = scott_spec()
@@ -196,7 +190,7 @@ class TestMlmcCost:
 class TestCsv:
     def test_schema_and_reproducible_bytes(self, tmp_path):
         spec = scott_spec()
-        cfg = ExperimentConfig(n_ladder=(2, 4), npaths=500, chunk_paths=500,
+        cfg = ExperimentConfig(n_ladder=(2, 4), npaths=500,
                                kinds=(SchemeKind.WEAKTRAJ1, SchemeKind.EULER))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"

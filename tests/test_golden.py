@@ -75,8 +75,8 @@ def lookback_levels_digest(kind):
     return digest(pair[0], pair[1])
 
 
-LADDER = ExperimentConfig(n_ladder=(2, 4, 16), npaths=700, chunk_paths=400)
-GENERIC = ExperimentConfig(n_ladder=(2, 8), npaths=500, chunk_paths=500,
+LADDER = ExperimentConfig(n_ladder=(2, 4, 16), npaths=700)
+GENERIC = ExperimentConfig(n_ladder=(2, 8), npaths=500,
                            kinds=(SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.EULER,
                                   SchemeKind.CMT))
 
@@ -106,7 +106,7 @@ CASES = {
         "6791dcbce54a648e"),
     "weak-refine": (
         lambda: rows_digest(weak_error_refinement(scott_spec(), SchemeKind.WEAK2, (2, 4), 16,
-                                                  100.0, RngStream(31), 600, chunk_paths=400)),
+                                                  100.0, RngStream(31), 600)),
         "a9dd2a01:cdc9950001e43388"),
     # the factor recursions with a nonzero OU mean shift (theta != 0) and
     # of a generic spec (NV), which the Scott cases above do not reach

@@ -10,7 +10,8 @@ from conftest import scott_spec
 import numpy as np
 
 from svschemes import _parallel, schemes
-from svschemes.analysis import DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv
+from svschemes.analysis import (DEFAULT_KINDS, ExperimentConfig, _cell_errors, run_strong_conv,
+                                weak_error_refinement)
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
 from svschemes.pricing import (chunked_estimate, conditional_call_values, plain_call,
                                 romano_touzi_call)
@@ -67,18 +68,22 @@ def price_peaks(monkeypatch, price) -> tuple[int, int]:
     return peak_bytes(run, 8), peak_bytes(run, 32)
 
 
-def test_price_peak_does_not_grow_with_paths(monkeypatch):
-    spec = scott_spec()
-    short, long = price_peaks(monkeypatch, lambda npaths: romano_touzi_call(
-        spec, SchemeKind.WEAK2, 8, 100.0, RngStream(9), npaths))
-    assert long <= 1.1 * short, f"peak {long} B at 32 path blocks, {short} B at 8"
+PRICES = {
+    "weak2-call": lambda npaths: romano_touzi_call(
+        scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(9), npaths),
+    "lookback": lambda npaths: chunked_estimate(
+        lambda first, size: lookback_single_level(scott_spec(), SchemeKind.WEAKTRAJ1, 16,
+                                                  RngStream(10), size, first), npaths),
+    "strong-conv": lambda npaths: run_strong_conv(
+        scott_spec(), ExperimentConfig(n_ladder=(2, 4), npaths=npaths), RngStream(11)),
+    "weak-refine": lambda npaths: weak_error_refinement(
+        scott_spec(), SchemeKind.WEAK2, (2, 4), 8, 100.0, RngStream(12), npaths),
+}
 
 
-def test_lookback_price_peak_does_not_grow_with_paths(monkeypatch):
-    spec = scott_spec()
-    short, long = price_peaks(monkeypatch, lambda npaths: chunked_estimate(
-        lambda first, size: lookback_single_level(spec, SchemeKind.WEAKTRAJ1, 16,
-                                                  RngStream(10), size, first), npaths))
+@pytest.mark.parametrize("name", list(PRICES))
+def test_price_peak_does_not_grow_with_paths(monkeypatch, name):
+    short, long = price_peaks(monkeypatch, PRICES[name])
     assert long <= 1.1 * short, f"peak {long} B at 32 path blocks, {short} B at 8"
 
 

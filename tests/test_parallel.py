@@ -297,7 +297,7 @@ class TestWorkerCountInvariance:
 
     @pytest.mark.parametrize("run", [run_strong_conv, run_traj_conv, run_terminal_conv])
     def test_conv_experiments(self, monkeypatch, run):
-        config = ExperimentConfig(n_ladder=(2, 4), npaths=500, chunk_paths=300)
+        config = ExperimentConfig(n_ladder=(2, 4), npaths=500)
         spec = scott_spec()
         whole = run(spec, config, RngStream(15))
         two_step_blocks(monkeypatch)
@@ -308,7 +308,7 @@ class TestWorkerCountInvariance:
         assert len(threads[1]) == 1 and len(threads[2]) >= 2 and len(threads[3]) >= 2
 
     def test_conv_experiment_generic_spec(self, monkeypatch):
-        config = ExperimentConfig(n_ladder=(2, 4), npaths=400, chunk_paths=400,
+        config = ExperimentConfig(n_ladder=(2, 4), npaths=400,
                                   kinds=(SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.EULER))
         spec = gbm_factor_spec(rho=-0.3)
         whole = run_strong_conv(spec, config, RngStream(16))

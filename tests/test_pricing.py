@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import const_vol_ou_spec, factor_draws, scott_spec
+from conftest import across_layouts, const_vol_ou_spec, factor_draws, scott_spec
 
 from svschemes import _parallel, models
 from svschemes.coupling import coupling_start, level_sums
@@ -227,20 +227,6 @@ class TestRomanoTouzi:
         est = romano_touzi_call(spec, SchemeKind.WEAK2, 8, 100.0, RngStream(8), 100_000)
         assert abs(est.value - 12.82603) < 0.05
         assert est.stderr < 0.05
-
-
-def across_layouts(monkeypatch, compute) -> set:
-    """The distinct results of compute() on 1, 2 and 3 workers, at the
-    default BLOCK_VALUES and at one so small that every item is one path
-    block (the last one narrower)."""
-    monkeypatch.setattr(_parallel, "MIN_BLOCK", 64)
-    results = set()
-    for block_values in (_parallel.BLOCK_VALUES, 64):
-        monkeypatch.setattr(_parallel, "BLOCK_VALUES", block_values)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_parallel, "WORKERS", workers)
-            results.add(compute())
-    return results
 
 
 class TestChunkSizeInvariance:

@@ -14,7 +14,6 @@ from svschemes.rng import (
     PATH_BLOCK,
     BlockStreams,
     RngStream,
-    block_chunks,
     joint_chol,
     joint_w_integral,
     mix,
@@ -345,9 +344,3 @@ class TestBlockStreams:
     def test_needs_a_path(self):
         with pytest.raises(InvalidParameterError, match="at least one path"):
             BlockStreams(RngStream(0), 0)
-
-    def test_block_chunks(self):
-        assert block_chunks(10_000, 4096) == [(0, 4096), (1, 4096), (2, 1808)]
-        assert block_chunks(10_000, 5000) == [(0, 8192), (2, 1808)]
-        assert block_chunks(10_000, 250_000) == [(0, 10_000)]
-        assert block_chunks(3, 1) == [(0, 3)]
