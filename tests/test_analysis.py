@@ -96,6 +96,12 @@ class TestConvExperiments:
                 if r.scheme == "weaktraj1" and r.metric == "log_sq_err"]
         assert vals[0] > vals[-1]
 
+    def test_chunking_invariance(self):
+        spec = scott_spec()
+        a = run_strong_conv(spec, small_config(), RngStream(7))
+        b = run_strong_conv(spec, small_config(), RngStream(7))
+        assert [(r.value, r.stderr) for r in a] == [(r.value, r.stderr) for r in b]
+
     @pytest.mark.parametrize("run", [run_strong_conv, run_traj_conv, run_terminal_conv])
     def test_chunk_size_invariance(self, monkeypatch, run):
         # 9,000 paths a cell: one item, or items of 4096 + 4096 + 808
