@@ -7,14 +7,14 @@ a thread pool: numpy and scipy's special functions release the
 interpreter lock inside their loops. Each path block of a batch has its
 own counter-based stream (``rng.BlockStreams``), so a value does not
 depend on which worker draws it: a column block of whole path blocks
-draws its own streams, and a draw of a whole batch is shared out one
-stream at a time. Whole tasks, such as the cells of a convergence
-ladder or the items of a price, are shared out the same way, and all of these run in one taker
-loop (``map_tasks``), the caller beside the pool. Work nested in an item
-runs inline, and the values of a step block are a budget summed over all
-takers (``step_values``). Callers join results in item order before any
-reduction across paths, so every output is the same bytes for any number
-of workers.
+opens and draws its own streams, and a one-row draw of a whole batch is
+shared out one stream at a time. Whole tasks, such as the cells of a
+convergence ladder or the items of a price, are shared out the same way,
+and all of these run in one taker loop (``map_tasks``), the caller beside
+the pool. Work nested in an item runs inline, and the values of a step
+block are a budget summed over all takers (``step_values``). Callers join
+results in item order before any reduction across paths, so every output
+is the same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ def column_blocks(n: int, rows: int = 1, unit: int = 1) -> list[slice]:
     more; never into more blocks than there are units of ``unit`` columns
     (the last one may be narrower), which the blocks share out evenly.
     ``schemes.advance_blocks`` cuts a batch once, with ``rows`` the steps
-    of a full step block, and keeps that cut for every step block, so a
-    pass of fewer steps holds narrower blocks, never wider ones.
+    of a full step block, and each block carries its columns through every
+    step block, so a grid of fewer steps gets narrower blocks, never wider
+    ones.
     """
     count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
     if _parallel_here():

@@ -161,8 +161,8 @@ def _cell_errors(spec: VolModelSpec, groups, mode: str, cell: RngStream, n_fine:
     a cell (one ladder point) from path block ``first`` on.
 
     Each group of kinds shares one factor draw, and all the B-increments:
-    a group is one pass over the cell's step blocks, and every pass draws
-    the same "b" values from the cell's block streams; the terminal
+    a group is one ``advance_blocks`` batch, and every batch draws the
+    same "b" values from the cell's block streams; the terminal
     coupling's closing normal is the stream "g".
     """
     g = None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -64,6 +65,7 @@ def _add_ladder(parser: argparse.ArgumentParser):
                         help="largest coarse step count of the ladder 2, 4, ..., steps")
 
 
+@functools.cache  # one build per process: each parse_args fills a namespace of its own
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svschemes",

@@ -112,15 +112,13 @@ class BlockStreams:
     The batch's paths are the run's paths from ``first * PATH_BLOCK`` on.
     The values named ``name`` of the block b of the run come from the
     stream ``rng.child(name, "block", b)``, step-major: each ``draw`` of
-    ``steps`` rows continues every drawn block's stream where its previous
-    draw ended. So a batch of whole blocks draws the bytes it would draw as
-    part of a larger one, in any number of draws of any row counts, and so
-    does a column range of whole blocks (``draw(steps, names, cols)``).
+    ``steps`` rows continues every block's stream where its previous draw
+    ended. So a batch of whole blocks draws the bytes it would draw as part
+    of a larger one, in any number of draws of any row counts.
 
-    Each stream is owned by the pool item that holds its columns: a batch
-    drawn by column ranges in several takers creates its streams in one
-    thread first (``open``), and gives each block's columns to one taker
-    per draw, so no stream is created or drawn by two takers at once.
+    A name's streams are created on its first draw. A batch is drawn by one
+    thread at a time: ``schemes.advance_blocks`` gives each of its pool
+    items a batch of its own, that item's path blocks.
     """
 
     def __init__(self, rng: RngStream, npaths: int, first: int = 0):
@@ -131,43 +129,27 @@ class BlockStreams:
         self.first = first
         self._streams: dict[str, list[RngStream]] = {}
 
-    def open(self, names) -> "BlockStreams":
-        """Create the streams of the names in ``names`` not yet created, every
-        path block's, and return the batch."""
+    def draw(self, steps: int, names) -> dict[str, np.ndarray]:
+        """The next ``steps`` rows, shape (steps, npaths), of each name in
+        ``names``: uniforms on (0, 1] for the names in UNIFORMS, standard
+        normals for every other, a block of a name at a time on the
+        path-parallel pool (``map_tasks``)."""
+        starts = range(0, self.npaths, PATH_BLOCK)
+        out, tasks = {}, []
         for name in names:
             if name not in self._streams:
                 self._streams[name] = [self.rng.child(name, "block", self.first + i)
-                                       for i in range(-(-self.npaths // PATH_BLOCK))]
-        return self
-
-    def draw(self, steps: int, names, cols: slice | None = None) -> dict[str, np.ndarray]:
-        """The next ``steps`` rows, shape (steps, paths), of each name in
-        ``names`` for the paths ``cols`` of the batch (all by default):
-        uniforms on (0, 1] for the names in UNIFORMS, standard normals for
-        every other, a block of a name at a time on the path-parallel pool
-        (``map_tasks``). ``cols`` starts at a path block and ends at one or
-        at the batch's last path; only its blocks' streams advance."""
-        cols = slice(0, self.npaths) if cols is None else cols
-        start, stop = cols.start, cols.stop
-        if not (cols.step in (None, 1) and 0 <= start < stop <= self.npaths
-                and start % PATH_BLOCK == 0 and (stop % PATH_BLOCK == 0 or stop == self.npaths)):
-            raise InvalidParameterError(
-                f"columns {cols} of a batch of {self.npaths} paths are not whole path blocks")
-        self.open(names)
-        views = [slice(p - start, min(p + PATH_BLOCK, stop) - start)
-                 for p in range(start, stop, PATH_BLOCK)]
-        out, tasks = {}, []
-        for name in names:
+                                       for i in range(len(starts))]
             method = RngStream.uniform_open if name in UNIFORMS else RngStream.normal
-            out[name] = np.empty((steps, stop - start))
-            tasks += [(method, stream, out[name][:, view]) for stream, view
-                      in zip(self._streams[name][start // PATH_BLOCK:], views)]
+            out[name] = np.empty((steps, self.npaths))
+            tasks += [(method, stream, out[name][:, p:p + PATH_BLOCK])
+                      for stream, p in zip(self._streams[name], starts)]
 
         def fill(task):
             method, stream, view = task
             method(stream, view.shape, out=view)
 
-        map_tasks(fill, tasks, steps * (stop - start) * len(out))
+        map_tasks(fill, tasks, steps * self.npaths * len(out))
         return out
 
 

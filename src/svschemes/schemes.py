@@ -26,12 +26,13 @@ per step, which ``draw_factor_paths`` mixes in place (``rng.mix``), as it
 does every law's normals. Streams are step-major, so estimators draw and
 consume a grid a step block at a time (``advance_blocks``), carrying
 per-path state from block to block: memory is O(paths), and the bytes are
-those of one draw. A step block is one pass over column blocks of whole
-path blocks, cut once per batch for a full step block, so a short grid's
-blocks are no wider than a long one's. Each column block draws the next
-steps of its own path blocks' streams, the only taker to draw them, then
-builds its factor path and runs the estimator on it, so no array of a step
-block spans the batch. The path builders are consumers too: ``simulate_paths``
+those of one draw. A batch is one pass over column blocks of whole path
+blocks, cut once for a full step block, so a short grid's blocks are no
+wider than a long one's. Each column block opens its own path blocks'
+streams and carries its paths through every step block: it draws the
+block's steps, builds its factor path from its last node and runs the
+estimator on it, so no array of a step block spans the batch. The path
+builders are consumers too: ``simulate_paths``
 writes each step block's node rows into its output, ``simulate_terminal`` (the
 one sampler of x_T for every kind) and ``weak2_terminal`` carry per-path
 state, so each works in O(paths x B) memory beside its output.
@@ -349,42 +350,42 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     ``first`` on (``rng.BlockStreams``). Step blocks hold ``block_steps``
     steps (the last one what is left). ``reads`` names what the consumer
     reads besides the factor nodes: factor increments ("dW", "iW") and
-    streams, "b" (B-increments) or "u" (bridge uniforms). Each step block
-    is one pass over the pool, whose items are column blocks of whole path
-    blocks (``_parallel.column_blocks``), cut once per batch for a full
-    step block: every pass, a short grid's too, has the same items, and no
-    item holds more paths than an item of a full step block. Each item
-    draws the next steps of its own path blocks' streams: the factor
-    normals that ``kinds`` and ``reads`` need, and the streams. It builds
-    its factor draws (those of ``kinds[0]``, with one node table for
-    ``kinds``) from its paths' last node of the step block before, and runs
-    ``advance(k0, draws, *streams, carry)`` with k0 the block's first step
-    in the grid, its streams in ``reads`` order, and a view of the carry's
-    last axis. Every stream is created before the first pass. Once an item
-    has built its factor draws, it keeps only the arrays that ``advance``
-    reads: on an OU-backed spec, the spent dY normals are freed first.
+    streams, "b" (B-increments) or "u" (bridge uniforms). The batch is one
+    pass over the pool, gated on the values of its first step block, whose
+    items are column blocks of whole path blocks (``_parallel.column_blocks``)
+    cut for a full step block, so no item of a short grid holds more paths
+    than an item of a full step block. Each item opens its own path blocks'
+    streams and carries its columns through every step block: it draws the
+    block's factor normals that ``kinds`` and ``reads`` need and the
+    streams, builds its factor draws (those of ``kinds[0]``, with one node
+    table for ``kinds``) from its paths' last node of the step block before,
+    and runs ``advance(k0, draws, *streams, carry)`` with k0 the block's
+    first step in the grid, its streams in ``reads`` order, and a view of
+    the carry's last axis. Once an item has built its factor draws, it keeps
+    only the arrays that ``advance`` reads: on an OU-backed spec, the spent
+    dY normals are freed first.
     """
     npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
-    factor = factor_normals(spec, kinds, reads)
     streams = tuple(name for name in reads if name not in _FACTOR)
-    batch = BlockStreams(rng, npaths, first).open(factor + streams)
+    names = factor_normals(spec, kinds, reads) + streams
     size = block_steps(npaths, multiple)
-    items = _parallel.column_blocks(npaths, size, PATH_BLOCK)
-    y_last = np.full(npaths, spec.y0)
-    for k0 in range(0, n_steps, size):
-        steps = min(size, n_steps - k0)
 
-        def block(cols):
-            drawn = batch.draw(steps, factor + streams, cols)
-            draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, y_last[cols])
-            y_last[cols] = draws.y[-1]
+    def item(cols):
+        batch = BlockStreams(rng, cols.stop - cols.start, first + cols.start // PATH_BLOCK)
+        last = spec.y0  # the paths' factor node at the end of the step block before
+        for k0 in range(0, n_steps, size):
+            drawn = batch.draw(min(size, n_steps - k0), names)
+            draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, last)
+            last = draws.y[-1].copy()
             arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
                       else drawn[name] for name in streams]
             del drawn  # spent normals go now; draws and arrays hold what is read
             advance(k0, with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
+            del draws, arrays  # before the next step block is drawn
 
-        _parallel.map_tasks(block, items, steps * npaths)
+    _parallel.map_tasks(item, _parallel.column_blocks(npaths, size, PATH_BLOCK),
+                        min(size, n_steps) * npaths)
     return carry
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from svschemes import _parallel
+from svschemes import _parallel, cli
 from svschemes.cli import main
 from svschemes.rng import RngStream
 
@@ -44,6 +44,27 @@ def write_cfg(tmp_path, cfg):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+class TestParser:
+    def test_calls_share_no_state(self, monkeypatch):
+        # the parser is built once per process: a call's flags do not reach
+        # the next call, which gets its own namespace and the defaults
+        seen = []
+        monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or 0)
+        assert main(["price", "--payoff", "lookback", "--steps", "8", "--strike", "90",
+                     "--seed", "4", "--cutoff", "band"]) == 0
+        assert main(["mlmc", "--epsilon", "0.5"]) == 0
+        assert main(["price"]) == 0
+        lookback, mlmc, price = seen
+        assert cli.build_parser() is cli.build_parser()
+        assert (lookback.payoff, lookback.steps, lookback.strike, lookback.seed,
+                lookback.cutoff) == ("lookback", 8, 90.0, 4, "band")
+        assert (mlmc.epsilon, mlmc.payoff, mlmc.seed) == (0.5, "call", 0)
+        assert not hasattr(mlmc, "paths")
+        assert vars(price) == dict(
+            command="price", config=None, seed=0, paths=10_000, out=None, cutoff="floor",
+            scheme="weaktraj1", payoff="call", steps=64, strike=100.0)
 
 
 class TestConvCommands:

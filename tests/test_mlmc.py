@@ -231,3 +231,26 @@ class TestLookbackSampler:
         res = mlmc_estimate(sampler, cfg, RngStream(14))
         assert 15.0 < res.value < 30.0
         assert res.total_cost > 0
+
+
+class TestBlackScholesReference:
+    """On ``const_vol_ou_spec`` f is the constant 0.25, so S is a geometric
+    Brownian motion for every rho, while the factor still moves and enters
+    the schemes: the call's price is bs_call with total variance 0.25^2."""
+
+    EPSILON = 0.01
+    EXACT = bs_call(100.0, 0.0625, 0.05, 1.0, 100.0)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.6])
+    @pytest.mark.parametrize("kind", [SchemeKind.WEAKTRAJ1, SchemeKind.WEAK2, SchemeKind.EULER])
+    def test_call_within_the_mlmc_contract(self, kind, rho):
+        sampler = call_level_sampler(const_vol_ou_spec(rho), kind, 100.0)
+        res = mlmc_estimate(sampler, MlmcConfig(epsilon=self.EPSILON, max_level=10), RngStream(1))
+        # mean-square error at most epsilon^2: a bias of at most
+        # epsilon/sqrt(2), and the statistical error within three stderrs
+        error = abs(res.value - self.EXACT)
+        assert error <= self.EPSILON / math.sqrt(2.0) + 3.0 * res.stderr
+        if rho == 0.0:
+            # every path's conditioned call is the exact price, up to
+            # rounding: the stderr is near zero, so the floor is absolute
+            assert error <= 1e-10

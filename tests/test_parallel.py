@@ -7,13 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import factor_draws, gbm_factor_spec, scott_spec
+from conftest import across_layouts, factor_draws, gbm_factor_spec, scott_spec
 
 from svschemes import _parallel, analysis, schemes
 from svschemes.analysis import (DEFAULT_KINDS, ExperimentConfig, run_strong_conv,
                                 run_terminal_conv, run_traj_conv)
 from svschemes.coupling import coupled_lookback_levels, lookback_single_level
-from svschemes.mlmc import call_level_sampler
+from svschemes.mlmc import call_level_sampler, lookback_level_sampler
 from svschemes.pricing import conditional_call_values, romano_touzi_call
 from svschemes.rng import PATH_BLOCK, RngStream
 from svschemes.schemes import SchemeKind
@@ -346,6 +346,30 @@ class TestWorkerCountInvariance:
             assert carry[1, :-1].tobytes() == whole.dW.tobytes()
             assert carry[2, :-1].tobytes() == whole.iW.tobytes()
 
+    def test_a_batch_is_one_pool_pass(self, monkeypatch):
+        # three two-step blocks over three path blocks: one pass over the
+        # pool, whose items open their own streams and carry their paths
+        # through every step block
+        two_step_blocks(monkeypatch)
+        monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        passes, executor = [], _parallel._executor
+        monkeypatch.setattr(_parallel, "_executor", lambda: passes.append(1) or executor())
+        openers, child = set(), RngStream.child
+        monkeypatch.setattr(RngStream, "child", lambda rng, *ids: openers.add(
+            threading.current_thread().name) or child(rng, *ids))
+        steps = []
+
+        def advance(k0, draws, db, carry):
+            steps.append((k0, carry.shape[-1]))
+            time.sleep(0.05)  # long enough for the pool thread to take an item
+
+        schemes.advance_blocks(scott_spec(), (SchemeKind.EULER,), 6, RngStream(23),
+                               np.zeros(WIDE), advance)
+        assert len(passes) == 1 and len(openers) == 2
+        widths = [PATH_BLOCK, PATH_BLOCK, WIDE - 2 * PATH_BLOCK]
+        assert sorted(steps) == sorted((k0, w) for k0 in (0, 2, 4) for w in widths)
+
     def test_small_blocks_split_every_cell(self, monkeypatch):
         # the convergence tests above: cells of 200 to 400 paths, 4 or 8
         # fine steps, so each cell runs in two or more step blocks of one
@@ -366,8 +390,16 @@ class TestWorkerCountInvariance:
             slice(0, PATH_BLOCK), slice(PATH_BLOCK, 2 * PATH_BLOCK), slice(2 * PATH_BLOCK, WIDE)]
         assert_same_bytes([whole] + across_workers(monkeypatch, compute))
 
-    @pytest.mark.parametrize("level", [0, 2])
+    # Level 3 is 16 fine steps: two step blocks at both BLOCK_VALUES of
+    # across_layouts, over three path blocks, the last one narrow.
+    @pytest.mark.parametrize("level", [0, 2, 3])
     def test_mlmc_call_sampler(self, monkeypatch, level):
         sampler = call_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1, 100.0)
-        results = across_workers(monkeypatch, lambda: sampler(level, RngStream(17), 500))
-        assert_same_bytes(results)
+        assert len(across_layouts(monkeypatch, lambda: sampler(
+            level, RngStream(17), WIDE).tobytes())) == 1
+
+    @pytest.mark.parametrize("level", [0, 2, 3])
+    def test_mlmc_lookback_sampler(self, monkeypatch, level):
+        sampler = lookback_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1)
+        assert len(across_layouts(monkeypatch, lambda: sampler(
+            level, RngStream(24), WIDE).tobytes())) == 1

@@ -307,39 +307,17 @@ class TestBlockStreams:
     @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_a_chunk_of_whole_blocks_draws_its_columns_of_the_run(self, monkeypatch, workers):
         monkeypatch.setattr(_parallel, "WORKERS", workers)
+        # the run and the chunk draw the same rows in different successive
+        # draws: the chunk's streams continue where its previous draw ended
         npaths = 3 * PATH_BLOCK + 17
         run = BlockStreams(RngStream(9), npaths)
-        whole = np.concatenate([run.draw(2, ("x",))["x"],
-                                run.draw(3, ("x",))["x"]])
         chunk = BlockStreams(RngStream(9), PATH_BLOCK + 17, first=2)
-        part = chunk.draw(5, ("x",))["x"]
-        assert part.tobytes() == np.ascontiguousarray(whole[:, 2 * PATH_BLOCK:]).tobytes()
-
-    def test_column_ranges_draw_their_columns_of_the_batch(self):
-        # whole path blocks, the last one narrow, drawn in any order over
-        # successive draws: each range gets its columns of the full-width draw
-        npaths = 3 * PATH_BLOCK + 17
-        full = BlockStreams(RngStream(10), npaths)
-        ranges = BlockStreams(RngStream(10), npaths).open(("x", "u"))
-        cuts = [slice(2 * PATH_BLOCK, npaths), slice(0, PATH_BLOCK),
-                slice(PATH_BLOCK, 2 * PATH_BLOCK)]
-        for steps in (2, 3, 1):
-            want = full.draw(steps, ("x", "u"))
-            for cols in cuts:
-                got = ranges.draw(steps, ("x", "u"), cols)
-                for name in ("x", "u"):
-                    assert got[name].shape == (steps, cols.stop - cols.start)
-                    assert got[name].tobytes() == np.ascontiguousarray(
-                        want[name][:, cols]).tobytes()
-
-    @pytest.mark.parametrize("cols", [
-        slice(1, PATH_BLOCK), slice(0, PATH_BLOCK - 1), slice(0, PATH_BLOCK + 18),
-        slice(PATH_BLOCK, PATH_BLOCK), slice(0, PATH_BLOCK + 17, 2),
-    ])
-    def test_column_ranges_are_whole_path_blocks(self, cols):
-        batch = BlockStreams(RngStream(0), PATH_BLOCK + 17)
-        with pytest.raises(InvalidParameterError, match="not whole path blocks"):
-            batch.draw(1, ("x",), cols)
+        draws = [(run.draw(2, ("x", "u")), chunk.draw(1, ("x", "u"))),
+                 (run.draw(3, ("x", "u")), chunk.draw(4, ("x", "u")))]
+        for name in ("x", "u"):
+            whole = np.concatenate([run_rows[name] for run_rows, _ in draws])
+            part = np.concatenate([chunk_rows[name] for _, chunk_rows in draws])
+            assert part.tobytes() == np.ascontiguousarray(whole[:, 2 * PATH_BLOCK:]).tobytes()
 
     def test_needs_a_path(self):
         with pytest.raises(InvalidParameterError, match="at least one path"):
