@@ -7,14 +7,15 @@ a thread pool: numpy and scipy's special functions release the
 interpreter lock inside their loops. Each path block of a batch has its
 own counter-based stream (``rng.BlockStreams``), so a value does not
 depend on which worker draws it: a column block of whole path blocks
-opens and draws its own streams, and a one-row draw of a whole batch is
-shared out one stream at a time. Whole tasks, such as the cells of a
-convergence ladder or the items of a price, are shared out the same way,
-and all of these run in one taker loop (``map_tasks``), the caller beside
-the pool. Work nested in an item runs inline, and the values of a step
-block are a budget summed over all takers (``step_values``). Callers join
-results in item order before any reduction across paths, so every output
-is the same bytes for any number of workers.
+opens and draws its own streams and carries its paths through every step
+block to their values, and a one-row draw of a whole batch is shared out
+one stream at a time. Whole tasks, such as the cells of a convergence
+ladder or the items of a price, are shared out the same way, and all of
+these run in one taker loop (``map_tasks``), the caller beside the pool.
+Work nested in an item runs inline, and the values of a step block are a
+budget summed over all takers (``step_values``). Callers join results in
+item order before any reduction across paths, so every output is the
+same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -111,30 +112,23 @@ def map_tasks(fn, items, values: int) -> list:
     return results
 
 
-def column_blocks(n: int, rows: int = 1, unit: int = 1) -> list[slice]:
+def column_blocks(n: int, rows: int, unit: int = 1) -> list[slice]:
     """Contiguous slices covering range(n), cut at multiples of ``unit``.
 
-    ``n`` counts paths (columns) and ``rows`` the values per path. Work of
-    several rows is cut into blocks of at most BLOCK_VALUES values (work of
-    one row, such as the Black-Scholes values, streams through memory), and
-    into one block per worker when each then holds MIN_BLOCK values or
-    more; never into more blocks than there are units of ``unit`` columns
-    (the last one may be narrower), which the blocks share out evenly.
-    ``schemes.advance_blocks`` cuts a batch once, with ``rows`` the steps
+    ``n`` counts paths (columns) and ``rows`` the values per path. The work
+    is cut into blocks of at most BLOCK_VALUES values, and into one block
+    per worker when each then holds MIN_BLOCK values or more; never into
+    more blocks than there are units of ``unit`` columns (the last one may
+    be narrower), which the blocks share out evenly. ``schemes.advance_blocks``
+    and ``pricing.path_moments`` cut a batch once, with ``rows`` the steps
     of a full step block, and each block carries its columns through every
     step block, so a grid of fewer steps gets narrower blocks, never wider
     ones.
     """
-    count = -(-rows * n // BLOCK_VALUES) if rows > 1 else 1
+    count = -(-rows * n // BLOCK_VALUES)
     if _parallel_here():
         count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
     units = -(-n // unit)
     count = max(1, min(units, count))
     edges = [min(n, unit * (units * i // count)) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def map_blocks(fn, n: int, rows: int = 1) -> list:
-    """Results of ``fn(cols)`` for the slices ``cols`` of ``column_blocks(n,
-    rows)``, run as the items of ``map_tasks``, in block order."""
-    return map_tasks(fn, column_blocks(n, rows), rows * n)

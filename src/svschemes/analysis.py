@@ -39,8 +39,8 @@ from .coupling import (
     cmt_coupling_from_draws,
     coupling_start,
     level_sums,
-    level_variances,
     plain_coupling_from_draws,
+    terminal_values,
     traj_coupling_from_draws,
 )
 from .errors import InvalidParameterError
@@ -149,9 +149,8 @@ def _pair_errors(spec: VolModelSpec, kind: SchemeKind, mode: str, carry: np.ndar
     """Per-path squared log and asset errors of a coupled pair advanced to T."""
     if mode != "terminal":
         return carry[:, 2] ** 2
-    x = carry[:, 0]
-    if kind is not SchemeKind.CMT:
-        x = spec.x0 + x + np.sqrt(level_variances(spec.T / n_fine, carry)) * g
+    x = (carry[:, 0] if kind is SchemeKind.CMT
+         else terminal_values(spec, spec.T / n_fine, carry, g))
     return (x[0] - x[1]) ** 2, (np.exp(x[0]) - np.exp(x[1])) ** 2
 
 

@@ -19,19 +19,18 @@ The lookback machinery follows the same trajectorial coupling for the
 log-asset nodes and adds Brownian-bridge minima over each fine substep,
 reusing one uniform per fine substep at both levels.
 
-The ``*_from_draws`` kernels consume pre-drawn randomness (so
-experiment harnesses can share draws, and their node table, across
-schemes) one step block at a time, advancing a per-path carry
-(``coupling_start``) from the block's first node to its last. The
-lookback estimators draw the factor normals up to "dW" (the spot
-endpoints of the bridge read dW), the B-increments "b" and the bridge
-uniforms "u" through ``schemes.advance_blocks``.
-
-Every multi-level estimate is read off the carry once, as a (levels,
-paths) array, finest first: the terminal log-assets, the lookback
-payoffs, and ``pricing.conditional_call_values``. Row l of a carry has
-the step 2^l * delta; ``level_variances`` is the one place that scales
-its summed squared multipliers by it.
+The carry contract: the ``*_from_draws`` kernels and ``level_sums`` consume
+pre-drawn randomness (so experiment harnesses can share draws, and their
+node table, across schemes) one step block at a time, each advancing the
+per-path carry its caller passes in (``coupling_start``) from the block's
+first node to its last. The caller reads the carry once, in the pass that
+advanced it, as a (levels, paths) array, finest first: the terminal
+log-assets (``terminal_values``), the lookback payoffs, and the call values
+of ``pricing.conditional_call_values``. Row l of a carry has the step
+2^l * delta; ``level_variances`` is the one place that scales its summed
+squared multipliers by it. The lookback estimators draw the factor normals
+up to "dW" (the spot endpoints of the bridge read dW), the B-increments "b"
+and the bridge uniforms "u" through ``schemes.advance_blocks``.
 """
 
 from __future__ import annotations
@@ -120,11 +119,9 @@ def lookback_db_mid(db1, db2, v1, v2):
 
 
 def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                       db_fine: np.ndarray, carry, traj: bool):
+                       db_fine: np.ndarray, carry: np.ndarray, traj: bool):
     """Plain or trajectorial coupling; returns the paths, the coarse draws
     with their node table, the coarse B-increments and the fine multipliers."""
-    if carry is None:
-        carry = coupling_start(spec, kind, fine.dW.shape[-1])
     drift_f, mult_f = drift_and_mult(spec, kind, fine)
     x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0, 0])
     if traj:
@@ -138,22 +135,20 @@ def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
 
 
 def plain_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                              db_fine: np.ndarray, carry=None) -> CoupledPaths:
+                              db_fine: np.ndarray, carry: np.ndarray) -> CoupledPaths:
     """Fine and coarse paths driven by the same Brownian motions."""
     return _template_coupling(spec, kind, fine, db_fine, carry, traj=False)[0]
 
 
 def traj_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                             db_fine: np.ndarray, carry=None) -> CoupledPaths:
+                             db_fine: np.ndarray, carry: np.ndarray) -> CoupledPaths:
     """Trajectorial coupling: coarse increments reweighted by fine multipliers."""
     return _template_coupling(spec, kind, fine, db_fine, carry, traj=True)[0]
 
 
 def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.ndarray,
-                            carry=None) -> CoupledPaths:
+                            carry: np.ndarray) -> CoupledPaths:
     """CMT levels coupled by summed (dW, dB) increments."""
-    if carry is None:
-        carry = coupling_start(spec, SchemeKind.CMT, fine.dW.shape[-1])
     x_f, y_f = cmt_paths(spec, fine.delta, fine.dW, db_fine, carry[0, :2])
     dw_c = fine.dW[0::2] + fine.dW[1::2]
     x_c, y_c = cmt_paths(spec, 2.0 * fine.delta, dw_c, plain_coarse_db(db_fine), carry[1, :2])
@@ -183,16 +178,21 @@ def level_variances(delta: float, carry: np.ndarray) -> np.ndarray:
     return delta * 2.0 ** np.arange(len(carry))[:, None] * carry[:, 2]
 
 
+def terminal_values(spec: VolModelSpec, delta: float, carry: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """Shared-G terminal log-assets x0 + D + sqrt(V)*G of each level of a
+    ``level_sums`` carry on a grid of step ``delta``, shape (levels, paths),
+    finest first."""
+    return spec.x0 + carry[:, 0] + np.sqrt(level_variances(delta, carry)) * g
+
+
 def terminal_coupling_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
-                                 g: np.ndarray, carry=None) -> np.ndarray:
-    """Shared-G terminal log-assets x0 + D + sqrt(V)*G of each level of the
-    carry, shape (levels, paths), finest first; the carry sums each level's
-    drifts D and squared multipliers (``level_sums``)."""
+                                 g: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """The ``terminal_values`` of the carry, once ``level_sums`` has added
+    each level's drifts D and squared multipliers over the draws ``fine``."""
     require_template(kind)
-    if carry is None:
-        carry = coupling_start(spec, kind, fine.dW.shape[-1])
     level_sums(spec, kind, fine, carry)
-    return spec.x0 + carry[:, 0] + np.sqrt(level_variances(fine.delta, carry)) * g
+    return terminal_values(spec, fine.delta, carry, g)
 
 
 # ---------------------------------------------------------------------------

@@ -100,16 +100,20 @@ def _draw_into(stats: LevelStats, sampler: LevelSampler, rng: RngStream, target:
         stats.batches += 1
 
 
+def _check_cost(cost: float, what: str):
+    """Raise BudgetExceededError if ``cost`` path-steps exceed MAX_COST."""
+    if cost > MAX_COST:
+        raise BudgetExceededError(f"{what}: {cost:.3g} path-steps, above {MAX_COST:.3g}")
+
+
 def _probe(sampler: LevelSampler, config: MlmcConfig, stats: list[LevelStats],
            rng: RngStream, level: int) -> LevelStats:
     """Level ``level`` with its config.initial_samples probe samples drawn.
     Raises BudgetExceededError first if they would take the cost of the
     samples drawn so far above MAX_COST."""
-    cost = (sum(s.n * config.cost_per_sample(s.level) for s in stats)
-            + config.initial_samples * config.cost_per_sample(level))
-    if cost > MAX_COST:
-        raise BudgetExceededError(f"probe samples of level {level} take the cost to "
-                                  f"{cost:.3g} path-steps, above {MAX_COST:.3g}")
+    _check_cost(sum(s.n * config.cost_per_sample(s.level) for s in stats)
+                + config.initial_samples * config.cost_per_sample(level),
+                f"cost with the probe samples of level {level}")
     probed = LevelStats(level=level)
     _draw_into(probed, sampler, rng, config.initial_samples)
     return probed
@@ -171,9 +175,8 @@ def _allocate(sampler: LevelSampler, config: MlmcConfig, stats: list[LevelStats]
     total_work = sum(math.sqrt(v * config.cost_per_sample(s.level))
                      for s, v in zip(stats, variances))
     targets = [_sample_target(config, s.level, v, total_work) for s, v in zip(stats, variances)]
-    cost = sum(max(t, s.n) * config.cost_per_sample(s.level) for s, t in zip(stats, targets))
-    if cost > MAX_COST:
-        raise BudgetExceededError(f"projected cost {cost:.3g} path-steps exceeds {MAX_COST:.3g}")
+    _check_cost(sum(max(t, s.n) * config.cost_per_sample(s.level)
+                    for s, t in zip(stats, targets)), "projected cost")
     short = [(s, t) for s, t in zip(stats, targets) if t > 1.01 * s.n]
     for s, target in short:
         _draw_into(s, sampler, rng, target)

@@ -12,7 +12,8 @@ estimator (Romano-Touzi conditioning). CMT admits no such form and is
 priced by ``plain_call``, plain Monte Carlo on its terminal values. Each
 price is one pass over the path-parallel pool (``chunked_estimate``): every
 item carries its own paths from their first draw to the moments of their
-path blocks, which are merged into one ``LevelStats``.
+path blocks, which are merged into one ``LevelStats``; a batch of conditional
+call values is priced in its items' last step block, in the same pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ._parallel import column_blocks, map_blocks, map_tasks
+from ._parallel import column_blocks, map_tasks
 from .coupling import coupling_start, level_sums, level_variances
 from .errors import InvalidParameterError, NumericalError
 from .models import VolModelSpec
@@ -144,24 +145,26 @@ def conditional_call_values(spec: VolModelSpec, kind: SchemeKind, n_steps: int,
     Each value is bs_call(s0*e^{D + V/2 - rT}, V) with (D, V) the
     accumulated drift and conditional variance of the scheme
     (``coupling.level_sums``), so the spread across paths carries only the
-    factor-side noise. With ``depth`` > 0 the draws are priced on the
-    n_steps grid and on each of its first ``depth`` halvings, one row per
-    grid, finest first; the halvings of an OU-backed spec read the node
+    factor-side noise. The batch is one ``advance_blocks`` pass: each item
+    prices its paths in its last step block, writing the values over the
+    log-asset row of its carry. With ``depth`` > 0 the draws are priced on
+    the n_steps grid and on each of its first ``depth`` halvings, one row
+    per grid, finest first; the halvings of an OU-backed spec read the node
     table of the n_steps grid.
     """
     require_template(kind)
-    sums = advance_blocks(spec, (kind,), n_steps, rng,
-                          coupling_start(spec, kind, npaths, levels=depth + 1),
-                          lambda _, draws, carry: level_sums(spec, kind, draws, carry),
-                          reads=(), multiple=2 ** max(depth, 1), first=first)
 
-    def values(cols):
-        total_var = level_variances(spec.T / n_steps, sums[..., cols])
-        spot_eff = spec.s0 * np.exp(sums[:, 0, cols] + 0.5 * total_var - spec.r * spec.T)
-        return bs_call(spot_eff, total_var, spec.r, spec.T, strike)
+    def advance(k0, draws, carry):
+        level_sums(spec, kind, draws, carry)
+        if k0 + draws.dW.shape[0] == n_steps:
+            total_var = level_variances(draws.delta, carry)
+            spot_eff = spec.s0 * np.exp(carry[:, 0] + 0.5 * total_var - spec.r * spec.T)
+            carry[:, 0] = bs_call(spot_eff, total_var, spec.r, spec.T, strike)
 
-    out = np.concatenate(map_blocks(values, npaths, rows=depth + 1), axis=1)
-    return out if depth else out[0]
+    values = advance_blocks(spec, (kind,), n_steps, rng,
+                            coupling_start(spec, kind, npaths, levels=depth + 1), advance,
+                            reads=(), multiple=2 ** max(depth, 1), first=first)[:, 0]
+    return values if depth else values[0]
 
 
 def _mc_estimate(stats: LevelStats) -> PriceEstimate:

@@ -306,10 +306,10 @@ def draw_brownian_increments(normals: np.ndarray, delta: float) -> np.ndarray:
 
 
 def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normals: dict,
-                      start=None) -> FactorDraws:
+                      start) -> FactorDraws:
     """The factor draws of a step block of an n_steps grid from its drawn
-    normals, each of shape (steps, paths), from the values ``start`` (y0 by
-    default).
+    normals, each of shape (steps, paths), from the values ``start`` (y0 at
+    the grid's first node).
 
     ``normals`` holds the factor normals of ``factor_normals`` by name (and
     may hold other streams' draws). They are mixed in place (``rng.mix``)
@@ -323,7 +323,6 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
     _check_batch(n_steps, g[0].shape[1])
     _require_ou(spec, kind)
     delta = spec.T / n_steps
-    start = spec.y0 if start is None else start
     if spec.ou is None:
         dW, iW = mix(joint_chol(delta), g)
         y = _recursive_factor_path(spec, delta, dW, kind, start)
@@ -363,7 +362,9 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     first step in the grid, its streams in ``reads`` order, and a view of
     the carry's last axis. Once an item has built its factor draws, it keeps
     only the arrays that ``advance`` reads: on an OU-backed spec, the spent
-    dY normals are freed first.
+    dY normals are freed first. The block with k0 + its steps == n_steps is
+    the item's last, where ``advance`` may read its paths' values off the
+    carry (``pricing.conditional_call_values``).
     """
     npaths = carry.shape[-1]
     _check_batch(n_steps, npaths)
@@ -390,7 +391,7 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
 
 
 def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
-                         fine: FactorDraws, start=None) -> FactorDraws:
+                         fine: FactorDraws, start) -> FactorDraws:
     """Halve the resolution of factor draws consistently with the fine grid.
 
     Coarse dW sums the two fine increments; the coarse time integral
@@ -398,8 +399,8 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     specs the coarse factor values are the fine even nodes (the exact
     solution restricted to the coarse grid), and the coarse node table
     reads the fine one; generic specs re-run their factor recursion on
-    the summed increments, from the coarse values ``start`` (y0 by
-    default). Undrawn increments stay undrawn.
+    the summed increments, from the coarse values ``start``, which OU-backed
+    specs do not read. Undrawn increments stay undrawn.
     """
     if fine.dW.shape[0] % 2 != 0:
         raise InvalidParameterError("fine draws must have an even number of steps")
@@ -411,8 +412,7 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     if spec.ou is not None:
         coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
         return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
-    y_c = _recursive_factor_path(spec, delta_c, dW_c, kind,
-                                 spec.y0 if start is None else start)
+    y_c = _recursive_factor_path(spec, delta_c, dW_c, kind, start)
     return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
 
 
@@ -501,14 +501,14 @@ def _running_sum(nodes: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray, total=None):
+def _assemble_x(x0: float, drift: np.ndarray, mult: np.ndarray, dB: np.ndarray,
+                total: np.ndarray):
     """Log-asset nodes x0 + the running sum of drift + mult*dB; ``total``, the
-    sum at the first node (zero by default), is advanced in place to the last."""
+    sum at the first node, is advanced in place to the last."""
     x = np.empty((drift.shape[0] + 1,) + drift.shape[1:])
-    x[0] = 0.0 if total is None else total
+    x[0] = total
     _running_sum(x, drift + mult * dB)
-    if total is not None:
-        total[...] = x[-1]
+    total[...] = x[-1]
     x += x0
     return x
 

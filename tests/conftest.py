@@ -26,7 +26,7 @@ def factor_draws(spec, kind, n_steps, rng, npaths, reads=()):
     """Factor draws of ``kind`` on an n_steps grid for the paths of ``rng``,
     with the factor normals that ``kind`` and ``reads`` read."""
     normals = BlockStreams(rng, npaths).draw(n_steps, factor_normals(spec, (kind,), reads))
-    return draw_factor_paths(spec, kind, n_steps, normals)
+    return draw_factor_paths(spec, kind, n_steps, normals, spec.y0)
 
 
 def across_layouts(monkeypatch, compute) -> set:

@@ -38,7 +38,7 @@ def fine_draws(spec, kind, n_coarse, rng, npaths):
     """Factor draws (every normal) and B-increments of 2*n_coarse fine steps."""
     normals = BlockStreams(rng, npaths).draw(
         2 * n_coarse, factor_normals(spec, (kind,), reads=("iW",)) + ("b",))
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, normals)
+    fine = draw_factor_paths(spec, kind, 2 * n_coarse, normals, spec.y0)
     return fine, draw_brownian_increments(normals["b"], fine.delta)
 
 
@@ -46,7 +46,7 @@ def terminal_pair(spec, kind, n_coarse, rng, npaths):
     """Shared-G terminal coupling of 2*n_coarse fine steps, G from the stream "g"."""
     fine = factor_draws(spec, kind, 2 * n_coarse, rng, npaths)
     g = BlockStreams(rng, npaths).draw(1, ("g",))["g"][0]
-    return terminal_coupling_from_draws(spec, kind, fine, g)
+    return terminal_coupling_from_draws(spec, kind, fine, g, coupling_start(spec, kind, npaths))
 
 
 class TestCoarseIncrements:
@@ -107,7 +107,8 @@ class TestTrajCoupling:
     def test_shapes_and_grids(self):
         spec = scott_spec()
         pair = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1,
-                                        *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(1), 10))
+                                        *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(1), 10),
+                                        coupling_start(spec, SchemeKind.WEAKTRAJ1, 10))
         assert pair.x_fine.shape == (9, 10)
         assert pair.x_coarse.shape == (5, 10)
         assert np.array_equal(pair.y_fine[::2], pair.y_coarse)
@@ -117,8 +118,10 @@ class TestTrajCoupling:
         # reweighted increment collapses to the plain sum
         spec = const_vol_ou_spec(rho=0.0)
         draws = fine_draws(spec, SchemeKind.EULER, 4, RngStream(2), 8)
-        a = traj_coupling_from_draws(spec, SchemeKind.EULER, *draws)
-        b = plain_coupling_from_draws(spec, SchemeKind.EULER, *draws)
+        a = traj_coupling_from_draws(spec, SchemeKind.EULER, *draws,
+                                     coupling_start(spec, SchemeKind.EULER, 8))
+        b = plain_coupling_from_draws(spec, SchemeKind.EULER, *draws,
+                                      coupling_start(spec, SchemeKind.EULER, 8))
         assert np.allclose(a.x_coarse, b.x_coarse)
         assert np.array_equal(a.x_fine, b.x_fine)
 
@@ -127,7 +130,8 @@ class TestTrajCoupling:
         spec = scott_spec()
         n = 50_000
         coupled = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1,
-                                           *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(10), n))
+                                           *fine_draws(spec, SchemeKind.WEAKTRAJ1, 4, RngStream(10), n),
+                                           coupling_start(spec, SchemeKind.WEAKTRAJ1, n))
         direct = simulate_terminal(SchemeKind.WEAKTRAJ1, spec, 4, RngStream(11), n)
         a, b = coupled.x_coarse[-1], direct
         se_mean = math.sqrt(a.var() / n + b.var() / n)
@@ -140,13 +144,15 @@ class TestTrajCoupling:
         errs = []
         for n_coarse in (4, 16):
             pair = traj_coupling_from_draws(spec, SchemeKind.WEAKTRAJ1, *fine_draws(
-                spec, SchemeKind.WEAKTRAJ1, n_coarse, RngStream(12), 20_000))
+                spec, SchemeKind.WEAKTRAJ1, n_coarse, RngStream(12), 20_000),
+                coupling_start(spec, SchemeKind.WEAKTRAJ1, 20_000))
             errs.append(np.mean((pair.x_fine[-1] - pair.x_coarse[-1]) ** 2))
         assert errs[1] < errs[0]
 
     def test_cmt_routes_to_pathwise_coupling(self):
         spec = scott_spec()
-        pair = cmt_coupling_from_draws(spec, *fine_draws(spec, SchemeKind.CMT, 2, RngStream(5), 6))
+        pair = cmt_coupling_from_draws(spec, *fine_draws(spec, SchemeKind.CMT, 2, RngStream(5), 6),
+                                       coupling_start(spec, SchemeKind.CMT, 6))
         assert pair.x_fine.shape == (5, 6)
         assert pair.x_coarse.shape == (3, 6)
 
@@ -211,14 +217,15 @@ class TestStepBlocks:
     @pytest.mark.parametrize("name", ["plain", "traj", "cmt"])
     def test_path_couplings(self, spec, kind, name):
         coupling = {
-            "plain": lambda *args, **kw: plain_coupling_from_draws(spec, kind, *args, **kw),
-            "traj": lambda *args, **kw: traj_coupling_from_draws(spec, kind, *args, **kw),
-            "cmt": lambda *args, **kw: cmt_coupling_from_draws(spec, *args, **kw),
+            "plain": lambda *args: plain_coupling_from_draws(spec, kind, *args),
+            "traj": lambda *args: traj_coupling_from_draws(spec, kind, *args),
+            "cmt": lambda *args: cmt_coupling_from_draws(spec, *args),
         }[name]
         fine, db = fine_draws(spec, kind, 6, RngStream(3), 9)
-        whole = coupling(fine, db)
-        carry = coupling_start(spec, SchemeKind.CMT if name == "cmt" else kind, 9)
-        parts = [coupling(block, db_k, carry=carry) for block, db_k in step_blocks(fine, db)]
+        start_kind = SchemeKind.CMT if name == "cmt" else kind
+        whole = coupling(fine, db, coupling_start(spec, start_kind, 9))
+        carry = coupling_start(spec, start_kind, 9)
+        parts = [coupling(block, db_k, carry) for block, db_k in step_blocks(fine, db)]
         assert joined([p.x_fine for p in parts]) == whole.x_fine.tobytes()
         assert joined([p.x_coarse for p in parts]) == whole.x_coarse.tobytes()
         assert joined([p.y_coarse for p in parts]) == whole.y_coarse.tobytes()
@@ -227,10 +234,10 @@ class TestStepBlocks:
     def test_terminal_coupling(self, spec, kind):
         fine, _ = fine_draws(spec, kind, 6, RngStream(4), 9)
         g = RngStream(4).child("g").normal(9)
-        whole = terminal_coupling_from_draws(spec, kind, fine, g)
+        whole = terminal_coupling_from_draws(spec, kind, fine, g, coupling_start(spec, kind, 9))
         carry = coupling_start(spec, kind, 9)
         for block, in step_blocks(fine):
-            part = terminal_coupling_from_draws(spec, kind, block, g, carry=carry)
+            part = terminal_coupling_from_draws(spec, kind, block, g, carry)
         assert part[0].tobytes() == whole[0].tobytes()
         assert part[1].tobytes() == whole[1].tobytes()
 

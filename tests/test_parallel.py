@@ -78,6 +78,12 @@ WIDE_ESTIMATORS = {
 }
 
 
+def map_blocks(fn, n, rows=1):
+    """Results of ``fn(cols)`` for the column blocks of n paths of ``rows``
+    values each, run as the items of one ``map_tasks`` call."""
+    return _parallel.map_tasks(fn, _parallel.column_blocks(n, rows), rows * n)
+
+
 def assert_same_bytes(results):
     first = np.asarray(results[0])
     for other in results[1:]:
@@ -87,32 +93,34 @@ def assert_same_bytes(results):
 
 
 class TestMapBlocks:
+    """Column blocks of a batch, taken by the pool as the items of ``map_tasks``."""
+
     def test_uneven_contiguous_blocks_in_order(self, monkeypatch):
         monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
         monkeypatch.setattr(_parallel, "WORKERS", 3)
-        blocks = _parallel.map_blocks(lambda cols: (cols.start, cols.stop), 200)
+        blocks = map_blocks(lambda cols: (cols.start, cols.stop), 200)
         assert blocks == [(0, 66), (66, 133), (133, 200)]
 
     def test_inline_below_two_minimum_blocks(self, monkeypatch):
         monkeypatch.setattr(_parallel, "WORKERS", 2)
         here = threading.current_thread().name
         n = 2 * _parallel.MIN_BLOCK - 1
-        assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n) == [here]
-        assert len(_parallel.map_blocks(lambda cols: cols, n + 1)) == 2
+        assert map_blocks(lambda cols: threading.current_thread().name, n) == [here]
+        assert len(map_blocks(lambda cols: cols, n + 1)) == 2
 
     def test_two_dimensional_work_counts_values(self, monkeypatch):
         monkeypatch.setattr(_parallel, "WORKERS", 2)
         here = threading.current_thread().name
         rows = 8
         n = 2 * _parallel.MIN_BLOCK // rows  # paths of two minimum blocks of values
-        assert _parallel.map_blocks(lambda cols: threading.current_thread().name, n - 1,
-                                    rows=rows) == [here]
+        assert map_blocks(lambda cols: threading.current_thread().name, n - 1,
+                          rows=rows) == [here]
 
         def work(cols):
             time.sleep(0.1)  # long enough for the pool thread to take the other block
             return cols, threading.current_thread().name
 
-        blocks = _parallel.map_blocks(work, n, rows=rows)
+        blocks = map_blocks(work, n, rows=rows)
         assert [cols for cols, _ in blocks] == [slice(0, n // 2), slice(n // 2, n)]
         assert len({name for _, name in blocks}) == 2
 
@@ -120,15 +128,15 @@ class TestMapBlocks:
         # per-path sums add one step at a time, so a one-path block gives
         # the bytes of the same path in a wider one
         monkeypatch.setattr(_parallel, "WORKERS", 3)
-        blocks = _parallel.map_blocks(lambda cols: cols, 5, rows=_parallel.MIN_BLOCK)
+        blocks = map_blocks(lambda cols: cols, 5, rows=_parallel.MIN_BLOCK)
         assert blocks == [slice(0, 1), slice(1, 3), slice(3, 5)]
 
     def test_wide_work_cut_into_cache_sized_blocks(self, monkeypatch):
         monkeypatch.setattr(_parallel, "WORKERS", 1)
         here = threading.current_thread().name
         rows = _parallel.BLOCK_VALUES // 4  # ten paths hold 2.5 blocks of values
-        blocks = _parallel.map_blocks(lambda cols: (cols, threading.current_thread().name),
-                                      10, rows=rows)
+        blocks = map_blocks(lambda cols: (cols, threading.current_thread().name),
+                            10, rows=rows)
         assert [cols for cols, _ in blocks] == [slice(0, 3), slice(3, 6), slice(6, 10)]
         assert all(name == here for _, name in blocks)
 
@@ -139,12 +147,12 @@ class TestMapBlocks:
         monkeypatch.setattr(_parallel, "_pool", None)
 
         def outer(cols):
-            inner = _parallel.map_blocks(
+            inner = map_blocks(
                 lambda c: (c.start, c.stop, threading.current_thread().name), 1000)
             return inner, threading.current_thread().name
 
         results = []
-        caller = threading.Thread(target=lambda: results.extend(_parallel.map_blocks(outer, 1000)),
+        caller = threading.Thread(target=lambda: results.extend(map_blocks(outer, 1000)),
                                   daemon=True)
         caller.start()
         caller.join(timeout=30)
@@ -171,7 +179,7 @@ class TestMapBlocks:
             return cols.start
 
         with pytest.raises(ValueError, match="first block"):
-            _parallel.map_blocks(work, 200)
+            map_blocks(work, 200)
         assert 0 in finished and sorted(finished) == sorted(started)
 
 
@@ -370,14 +378,26 @@ class TestWorkerCountInvariance:
         widths = [PATH_BLOCK, PATH_BLOCK, WIDE - 2 * PATH_BLOCK]
         assert sorted(steps) == sorted((k0, w) for k0 in (0, 2, 4) for w in widths)
 
+    def test_a_call_batch_is_one_pool_pass(self, monkeypatch):
+        # a depth-1 batch of conditional call values over three path
+        # blocks: each item prices its paths in its last step block, so
+        # pricing takes no pass of its own
+        monkeypatch.setattr(_parallel, "MIN_BLOCK", SMALL_BLOCK)
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        passes, executor = [], _parallel._executor
+        monkeypatch.setattr(_parallel, "_executor", lambda: passes.append(1) or executor())
+        values = conditional_call_values(scott_spec(), SchemeKind.WEAKTRAJ1, 8, 100.0,
+                                         RngStream(25), WIDE, depth=1)
+        assert len(passes) == 1 and values.shape == (2, WIDE)
+
     def test_small_blocks_split_every_cell(self, monkeypatch):
         # the convergence tests above: cells of 200 to 400 paths, 4 or 8
         # fine steps, so each cell runs in two or more step blocks of one
         # path block each (test_path_block_items splits a step block's
-        # paths), and the call values in two or more blocks of paths
+        # paths), and two steps of 200 paths are cut in two column blocks
         two_step_blocks(monkeypatch)
         assert schemes.block_steps(300) == 2
-        assert len(_parallel.map_blocks(lambda cols: cols, 200, rows=2)) == 2
+        assert _parallel.column_blocks(200, 2) == [slice(0, 100), slice(100, 200)]
 
     @pytest.mark.parametrize("name", list(WIDE_ESTIMATORS))
     def test_path_block_items(self, monkeypatch, name):
@@ -390,9 +410,10 @@ class TestWorkerCountInvariance:
             slice(0, PATH_BLOCK), slice(PATH_BLOCK, 2 * PATH_BLOCK), slice(2 * PATH_BLOCK, WIDE)]
         assert_same_bytes([whole] + across_workers(monkeypatch, compute))
 
-    # Level 3 is 16 fine steps: two step blocks at both BLOCK_VALUES of
-    # across_layouts, over three path blocks, the last one narrow.
-    @pytest.mark.parametrize("level", [0, 2, 3])
+    # Level 1 is 4 fine steps, shorter than one step block; level 3 is 16:
+    # two step blocks at both BLOCK_VALUES of across_layouts. Both over
+    # three path blocks, the last one narrow.
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_mlmc_call_sampler(self, monkeypatch, level):
         sampler = call_level_sampler(scott_spec(), SchemeKind.WEAKTRAJ1, 100.0)
         assert len(across_layouts(monkeypatch, lambda: sampler(

@@ -388,7 +388,7 @@ class TestFactorDraws:
         drift_and_mult(spec, SchemeKind.WEAK2, draws)
         with pytest.raises(NumericalError):
             drift_and_mult(spec, SchemeKind.WEAKTRAJ1, draws)
-        coarse = coarsen_factor_draws(spec, SchemeKind.WEAK2, draws)
+        coarse = coarsen_factor_draws(spec, SchemeKind.WEAK2, draws, spec.y0)
         assert coarse.dW.shape == coarse.iW.shape == (2, 5)
         assert coarse.dW.strides == coarse.iW.strides == (0, 0)
 
@@ -400,7 +400,7 @@ class TestFactorDraws:
     def test_coarsen_identities(self):
         spec = scott_spec()
         fine = factor_draws(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 7)
-        coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine)
+        coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine, spec.y0)
         assert coarse.delta == pytest.approx(2 * fine.delta)
         assert np.allclose(coarse.dW, fine.dW[0::2] + fine.dW[1::2])
         assert np.allclose(coarse.iW, fine.iW[0::2] + fine.iW[1::2] + fine.delta * fine.dW[0::2])
@@ -409,7 +409,7 @@ class TestFactorDraws:
     def test_coarsen_generic_reruns_recursion(self):
         spec = gbm_factor_spec()
         fine = factor_draws(spec, SchemeKind.WEAKTRAJ1, 8, RngStream(9), 3)
-        coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine)
+        coarse = coarsen_factor_draws(spec, SchemeKind.WEAKTRAJ1, fine, spec.y0)
         y = np.full(3, spec.y0)
         for k in range(4):
             y = milstein_step_y(spec, y, coarse.delta, coarse.dW[k])
@@ -419,7 +419,7 @@ class TestFactorDraws:
         spec = scott_spec()
         fine = factor_draws(spec, SchemeKind.EULER, 3, RngStream(0), 2)
         with pytest.raises(InvalidParameterError):
-            coarsen_factor_draws(spec, SchemeKind.EULER, fine)
+            coarsen_factor_draws(spec, SchemeKind.EULER, fine, spec.y0)
 
     def test_brownian_increment_variance(self):
         normals = BlockStreams(RngStream(4), 100_000).draw(4, ("b",))["b"]
@@ -515,7 +515,8 @@ class TestDriftAndMult:
 TEMPLATE_ONLY = {
     "drift_and_mult": lambda spec, fine, kind: schemes.drift_and_mult(spec, kind, fine),
     "terminal_coupling_from_draws": lambda spec, fine, kind: (
-        coupling.terminal_coupling_from_draws(spec, kind, fine, np.zeros(2))),
+        coupling.terminal_coupling_from_draws(spec, kind, fine, np.zeros(2),
+                                              coupling.coupling_start(spec, kind, 2))),
     "coupled_lookback_levels": lambda spec, fine, kind: (
         coupling.coupled_lookback_levels(spec, kind, 2, RngStream(0), 4)),
     "lookback_single_level": lambda spec, fine, kind: (
