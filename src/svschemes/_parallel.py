@@ -12,10 +12,13 @@ block to their values, and a one-row draw of a whole batch is shared out
 one stream at a time. Whole tasks, such as the cells of a convergence
 ladder or the items of a price, are shared out the same way, and all of
 these run in one taker loop (``map_tasks``), the caller beside the pool.
-Work nested in an item runs inline, and the values of a step block are a
-budget summed over all takers (``step_values``). Callers join results in
-item order before any reduction across paths, so every output is the
-same bytes for any number of workers.
+Work nested in an item runs inline. BLOCK_VALUES is one budget summed
+over all takers: the column blocks bound for the pool hold a share of it
+each (``column_blocks``), as do the step blocks inside an item
+(``step_values``), so the work in flight holds one budget, not one per
+taker. Callers join results in item order before any
+reduction across paths, so every output is the same bytes for any
+number of workers.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # conditional call values and the coupled errors.
 MIN_BLOCK = 32768
 # Most values per block of work over several rows, so that its arrays and
-# temporaries stay cache-sized; summed over all takers, it also sizes
-# schemes.block_steps (``step_values``).
+# temporaries stay cache-sized. It is summed over all takers: a share of
+# it sizes the column blocks bound for the pool (``column_blocks``) and
+# the step blocks inside an item (``step_values``).
 BLOCK_VALUES = 2**17
 
 _pool: ThreadPoolExecutor | None = None
@@ -56,7 +60,9 @@ def _parallel_here() -> bool:
 
 def step_values() -> int:
     """Values a step block may hold here: BLOCK_VALUES is shared by all
-    takers, so inside an item each gets BLOCK_VALUES // WORKERS."""
+    takers, so inside an item each gets BLOCK_VALUES // WORKERS, the most
+    a column block bound for the pool holds (``column_blocks``); outside
+    one it gets them all."""
     return BLOCK_VALUES // WORKERS if getattr(_in_block, "flag", False) else BLOCK_VALUES
 
 
@@ -115,20 +121,25 @@ def map_tasks(fn, items, values: int) -> list:
 def column_blocks(n: int, rows: int, unit: int = 1) -> list[slice]:
     """Contiguous slices covering range(n), cut at multiples of ``unit``.
 
-    ``n`` counts paths (columns) and ``rows`` the values per path. The work
-    is cut into blocks of at most BLOCK_VALUES values, and into one block
-    per worker when each then holds MIN_BLOCK values or more; never into
-    more blocks than there are units of ``unit`` columns (the last one may
-    be narrower), which the blocks share out evenly. ``schemes.advance_blocks``
-    and ``pricing.path_moments`` cut a batch once, with ``rows`` the steps
-    of a full step block, and each block carries its columns through every
-    step block, so a grid of fewer steps gets narrower blocks, never wider
-    ones.
+    ``n`` counts paths (columns) and ``rows`` the values per path. The
+    blocks share out the units of ``unit`` columns (the last one may be
+    narrower) evenly, each holding at most a budget of values, or one unit
+    where a unit holds more: BLOCK_VALUES // WORKERS where they may run on
+    the pool, so the blocks in flight hold one BLOCK_VALUES between them
+    (the share ``step_values`` gives a step block inside an item), and
+    BLOCK_VALUES where they run inline. On the pool there is also one block
+    per worker when each then holds MIN_BLOCK values or more.
+    ``schemes.advance_blocks`` and ``pricing.path_moments`` cut a batch
+    once, with ``rows`` the steps of a full step block, and each block
+    carries its columns through every step block, so a grid of fewer steps
+    gets narrower blocks, never wider ones.
     """
-    count = -(-rows * n // BLOCK_VALUES)
-    if _parallel_here():
-        count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
+    pool = _parallel_here()
+    budget = BLOCK_VALUES // WORKERS if pool else BLOCK_VALUES
     units = -(-n // unit)
+    count = -(-units // max(1, budget // (rows * unit)))
+    if pool:
+        count = max(count, min(WORKERS, rows * n // MIN_BLOCK))
     count = max(1, min(units, count))
     edges = [min(n, unit * (units * i // count)) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]

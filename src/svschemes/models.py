@@ -169,8 +169,12 @@ class _EvenNodes:
 
 # Scott coefficients from one exp(y) and one expm1(y) per node; the
 # spec's f, F, h1 and h2 evaluate these formulas too (scott_model), and
-# h is the closed form. Every other derived entry is the generic one.
+# h is the closed form. The constant sigma = nu and sigma' = 0 are
+# zero-stride views, so no step builds or multiplies a constant array.
+# Every other derived entry is the generic one.
 _SCOTT_FORMULAS = {
+    "sigma": lambda p, get: np.broadcast_to(float(p.nu), np.shape(get("y"))),
+    "sigma1": lambda p, get: np.broadcast_to(0.0, np.shape(get("y"))),
     "exp": lambda p, get: np.exp(get("y")),
     "F": lambda p, get: p.sigma0 * np.expm1(get("y")) / p.nu,
     "f": lambda p, get: p.sigma0 * get("exp"),

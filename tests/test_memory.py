@@ -87,19 +87,29 @@ def test_price_peak_does_not_grow_with_paths(monkeypatch, name):
     assert long <= 1.1 * short, f"peak {long} B at 32 path blocks, {short} B at 8"
 
 
-def test_cells_in_flight_share_the_step_budget(monkeypatch):
-    # two ladder cells run at once on two workers, each on step blocks of
-    # half the values: together about one cell's peak at one worker
-    config = ExperimentConfig(n_ladder=(2, 4, 8, 16, 32, 64), npaths=PATHS)
-
-    def run(_):
-        run_strong_conv(scott_spec(), config, RngStream(4))
-
+def worker_peaks(monkeypatch, run) -> dict:
+    """Peaks of ``run(None)`` on one and on two workers."""
     peaks = {}
     for workers in (1, 2):
         monkeypatch.setattr(_parallel, "WORKERS", workers)
         run(None)  # warm caches and the pool outside the measurement
         peaks[workers] = peak_bytes(run, None)
+    return peaks
+
+
+def test_cells_in_flight_share_the_step_budget(monkeypatch):
+    # two ladder cells run at once on two workers, each on step blocks of
+    # half the values: together about one cell's peak at one worker
+    config = ExperimentConfig(n_ladder=(2, 4, 8, 16, 32, 64), npaths=PATHS)
+    peaks = worker_peaks(monkeypatch, lambda _: run_strong_conv(scott_spec(), config, RngStream(4)))
+    assert peaks[2] <= 1.5 * peaks[1], f"peak {peaks[2]} B on two workers, {peaks[1]} B on one"
+
+
+def test_price_items_in_flight_share_the_step_budget(monkeypatch):
+    # two items of a price run at once on two workers, each of half the
+    # values: together about the peak of one worker's items
+    peaks = worker_peaks(monkeypatch, lambda _: romano_touzi_call(
+        scott_spec(), SchemeKind.WEAK2, 8, 100.0, RngStream(9), 32 * PATH_BLOCK))
     assert peaks[2] <= 1.5 * peaks[1], f"peak {peaks[2]} B on two workers, {peaks[1]} B on one"
 
 

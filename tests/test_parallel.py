@@ -126,10 +126,26 @@ class TestMapBlocks:
 
     def test_blocks_may_hold_one_path(self, monkeypatch):
         # per-path sums add one step at a time, so a one-path block gives
-        # the bytes of the same path in a wider one
+        # the bytes of the same path in a wider one; a path of MIN_BLOCK
+        # values is all that a share of BLOCK_VALUES // 3 holds
         monkeypatch.setattr(_parallel, "WORKERS", 3)
         blocks = map_blocks(lambda cols: cols, 5, rows=_parallel.MIN_BLOCK)
-        assert blocks == [slice(0, 1), slice(1, 3), slice(3, 5)]
+        assert blocks == [slice(i, i + 1) for i in range(5)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_blocks_in_flight_share_the_budget(self, monkeypatch, workers):
+        # on the pool, a column block of whole path blocks holds at most
+        # BLOCK_VALUES // WORKERS values, unless it is one path block
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        share = _parallel.BLOCK_VALUES // workers
+        for rows in (1, 2, 8, 14, 26, 64):
+            for n in (PATH_BLOCK - 1, 3 * PATH_BLOCK, WIDE, 100_000, 10**6):
+                blocks = _parallel.column_blocks(n, rows, PATH_BLOCK)
+                assert blocks[0].start == 0 and blocks[-1].stop == n
+                assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+                for b in blocks:
+                    assert b.start % PATH_BLOCK == 0
+                    assert (b.stop - b.start) * rows <= share or b.stop - b.start <= PATH_BLOCK
 
     def test_wide_work_cut_into_cache_sized_blocks(self, monkeypatch):
         monkeypatch.setattr(_parallel, "WORKERS", 1)
@@ -395,9 +411,13 @@ class TestWorkerCountInvariance:
         # fine steps, so each cell runs in two or more step blocks of one
         # path block each (test_path_block_items splits a step block's
         # paths), and two steps of 200 paths are cut in two column blocks
+        # inline and in four, of 100 values each, for two workers
         two_step_blocks(monkeypatch)
         assert schemes.block_steps(300) == 2
+        monkeypatch.setattr(_parallel, "WORKERS", 1)
         assert _parallel.column_blocks(200, 2) == [slice(0, 100), slice(100, 200)]
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        assert _parallel.column_blocks(200, 2) == [slice(a, a + 50) for a in range(0, 200, 50)]
 
     @pytest.mark.parametrize("name", list(WIDE_ESTIMATORS))
     def test_path_block_items(self, monkeypatch, name):

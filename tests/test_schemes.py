@@ -10,7 +10,7 @@ from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, sc
 
 from svschemes import _parallel, coupling, mlmc, models, pricing, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
-from svschemes.models import OUParams, VolModelSpec
+from svschemes.models import VolModelSpec
 from svschemes.rng import BlockStreams, RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
     FactorDraws,
