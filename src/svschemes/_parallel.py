@@ -16,9 +16,13 @@ Work nested in an item runs inline. BLOCK_VALUES is one budget summed
 over all takers: the column blocks bound for the pool hold a share of it
 each (``column_blocks``), as do the step blocks inside an item
 (``step_values``), so the work in flight holds one budget, not one per
-taker. Callers join results in item order before any
-reduction across paths, so every output is the same bytes for any
-number of workers.
+taker. A step block's floor can hold more than a share: it has at least
+``schemes.MIN_STEPS`` steps, a multiple of its coarsening factor, and one
+path block. So two ladder cells of 10,000 paths hold one 8 x 10,000 step
+block each, and a weak-error refinement over a 32-step ladder draws 32
+steps of a path block (131,072 values) per taker. Callers join results in
+item order before any reduction across paths, so every output is the
+same bytes for any number of workers.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ MIN_BLOCK = 32768
 # Most values per block of work over several rows, so that its arrays and
 # temporaries stay cache-sized. It is summed over all takers: a share of
 # it sizes the column blocks bound for the pool (``column_blocks``) and
-# the step blocks inside an item (``step_values``).
+# the step blocks inside an item (``step_values``), unless a step block's
+# floor (MIN_STEPS, the coarsening factor, one path block) is larger.
 BLOCK_VALUES = 2**17
 
 _pool: ThreadPoolExecutor | None = None

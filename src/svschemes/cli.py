@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
-model config), 3 when a numerical guard trips.
+model config), 3 when a numerical guard trips, with one stderr line: a
+command ignores the RuntimeWarnings numpy raises in svschemes modules.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .analysis import (
     BENCHMARK_CALL_PRICE,
@@ -205,7 +207,9 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        with warnings.catch_warnings():  # unlike np.errstate, seen by the pool threads
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"svschemes\.")
+            return _run(args)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

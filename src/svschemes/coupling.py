@@ -20,17 +20,18 @@ log-asset nodes and adds Brownian-bridge minima over each fine substep,
 reusing one uniform per fine substep at both levels.
 
 The carry contract: the ``*_from_draws`` kernels and ``level_sums`` consume
-pre-drawn randomness (so experiment harnesses can share draws, and their
-node table, across schemes) one step block at a time, each advancing the
-per-path carry its caller passes in (``coupling_start``) from the block's
-first node to its last. The caller reads the carry once, in the pass that
-advanced it, as a (levels, paths) array, finest first: the terminal
-log-assets (``terminal_values``), the lookback payoffs, and the call values
-of ``pricing.conditional_call_values``. Row l of a carry has the step
-2^l * delta; ``level_variances`` is the one place that scales its summed
-squared multipliers by it. The lookback estimators draw the factor normals
-up to "dW" (the spot endpoints of the bridge read dW), the B-increments "b"
-and the bridge uniforms "u" through ``schemes.advance_blocks``.
+pre-drawn randomness (so experiment harnesses can share draws, and the node
+table each draw carries, across schemes) one step block at a time, each
+advancing the per-path carry its caller passes in (``coupling_start``) from
+the block's first node to its last. The caller reads the carry once, in
+the pass that advanced it, as a (levels, paths) array, finest first: the
+terminal log-assets (``terminal_values``), the lookback payoffs, and the
+call values of ``pricing.conditional_call_values``. Row l of a carry has
+the step 2^l * delta; ``level_variances`` is the one place that scales its
+summed squared multipliers by it. The lookback estimators draw the factor
+normals up to "dW" (the spot endpoints of the bridge read dW), the
+B-increments "b" and the bridge uniforms "u" through
+``schemes.advance_blocks``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .schemes import (
     coarsen_factor_draws,
     drift_and_mult,
     require_template,
-    with_coeffs,
 )
 
 
@@ -120,15 +120,15 @@ def lookback_db_mid(db1, db2, v1, v2):
 
 def _template_coupling(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws,
                        db_fine: np.ndarray, carry: np.ndarray, traj: bool):
-    """Plain or trajectorial coupling; returns the paths, the coarse draws
-    with their node table, the coarse B-increments and the fine multipliers."""
+    """Plain or trajectorial coupling; returns the paths, the coarse draws,
+    the coarse B-increments and the fine multipliers."""
     drift_f, mult_f = drift_and_mult(spec, kind, fine)
     x_f = _assemble_x(spec.x0, drift_f, mult_f, db_fine, carry[0, 0])
     if traj:
         db_c = coupled_db_tilde(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])
     else:
         db_c = plain_coarse_db(db_fine)
-    coarse = with_coeffs(spec, coarsen_factor_draws(spec, kind, fine, carry[1, 1]), (kind,))
+    coarse = coarsen_factor_draws(spec, kind, fine, carry[1, 1])
     x_c = _assemble_x(spec.x0, *drift_and_mult(spec, kind, coarse), db_c, carry[1, 0])
     carry[:, 1] = fine.y[-1], coarse.y[-1]
     return CoupledPaths(x_f, fine.y, x_c, coarse.y), coarse, db_c, mult_f
@@ -156,13 +156,11 @@ def cmt_coupling_from_draws(spec: VolModelSpec, fine: FactorDraws, db_fine: np.n
     return CoupledPaths(x_f, y_f, x_c, y_c)
 
 
-def level_sums(spec: VolModelSpec, kind: SchemeKind, fine: FactorDraws, carry: np.ndarray):
+def level_sums(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws, carry: np.ndarray):
     """Add each level's drifts and squared multipliers into its carry's
     log-asset and value rows, a step at a time: numpy's order for an axis-0
     sum over two or more paths, here for any number of paths. Level j of the
-    carry reads the j-th halving of the draws ``fine``; the halvings read the
-    node table of ``fine`` (OU-backed specs) or carry their own factor."""
-    draws = with_coeffs(spec, fine, (kind,))
+    carry reads the j-th halving of ``draws`` (``coarsen_factor_draws``)."""
     for j, level in enumerate(carry):
         if j:
             draws = coarsen_factor_draws(spec, kind, draws, level[1])
@@ -230,7 +228,7 @@ def _bridge_low(spec: VolModelSpec, draws: FactorDraws, x: np.ndarray, db: np.nd
                 uniforms: np.ndarray, low: np.ndarray):
     """Lower the spot minima ``low`` in place by each step's Brownian-bridge
     minimum between its left spot and an exponential-Euler spot endpoint,
-    drawn from the step's uniform; ``draws`` carry their node table."""
+    drawn from the step's uniform."""
     f_vals, psi_vals = draws.coeffs.prev("f"), draws.coeffs.prev("psi")
     left = np.exp(x[:-1])
     right = left * (1.0 + spec.r * draws.delta
@@ -252,7 +250,6 @@ def lookback_payoffs_from_draws(spec: VolModelSpec, kind: SchemeKind, fine: Fact
     anchor stays frozen at the left coarse node. The carry's values hold
     the fine and coarse spot minima.
     """
-    fine = with_coeffs(spec, fine, (kind,))
     pair, coarse, db_tilde, mult_f = _template_coupling(spec, kind, fine, db_fine, carry,
                                                         traj=True)
     db_mid = lookback_db_mid(db_fine[0::2], db_fine[1::2], mult_f[0::2], mult_f[1::2])

@@ -8,12 +8,12 @@ where drift_k and mult_k depend only on the factor-side randomness
 (Y values, W increments and the time integral iW). ``drift_and_mult``
 computes those two arrays for every step of a draw; the couplings, the
 terminal-form simulation and the Romano-Touzi conditioning all reuse
-them. It reads the model coefficients from a node table
-(``models.NodeCoeffs``), which evaluates each coefficient once per
-factor draw; draws that carry a table (``FactorDraws.coeffs``) share it
-between schemes and with their coarsened draws. CMT does not fit the
-template (its update mixes dB into the factor recursion) and keeps a
-dedicated recursion.
+them. It reads the model coefficients from the node table
+(``models.NodeCoeffs``) that every factor draw carries from the moment it
+is drawn (``FactorDraws.coeffs``), which evaluates each coefficient once
+per draw for every scheme that reads it. CMT does not fit the template
+(its update mixes dB into the factor recursion) and keeps a dedicated
+recursion.
 
 Simulation is vectorized across paths: arrays are laid out with shape
 (steps, paths). Every normal has its own stream per path block
@@ -40,7 +40,6 @@ state, so each works in O(paths x B) memory beside its output.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -114,17 +113,17 @@ class FactorDraws:
     increment whose normal was not drawn is a NaN view of that shape with
     zero strides (``undrawn``), so a scheme that reads it yields NaN, which
     the finiteness checks (the radicand, the estimate) raise as a
-    NumericalError. For OU-backed specs y is the exact solution
-    at the grid nodes and stays consistent under coarsening (coarse nodes
-    = fine even nodes), and the coarse draws read the node table
-    ``coeffs`` of the fine draws when those carry one.
+    NumericalError. ``coeffs`` is the node table of y, made with the draws.
+    For OU-backed specs y is the exact solution at the grid nodes and stays
+    consistent under coarsening (coarse nodes = fine even nodes), and the
+    coarse draws read the fine draws' table.
     """
 
     delta: float
     y: np.ndarray
     dW: np.ndarray
     iW: np.ndarray
-    coeffs: NodeCoeffs | None = None
+    coeffs: NodeCoeffs
 
 
 def undrawn(shape) -> np.ndarray:
@@ -160,15 +159,6 @@ def block_steps(npaths: int, multiple: int = 2) -> int:
     a pool item), at least MIN_STEPS, rounded down to a multiple of
     ``multiple`` (a coarsening factor) and at least ``multiple``."""
     return multiple * max(1, max(MIN_STEPS, _parallel.step_values() // npaths) // multiple)
-
-
-def with_coeffs(spec: VolModelSpec, draws: FactorDraws, kinds) -> FactorDraws:
-    """The draws with a node table, built for the template schemes ``kinds``
-    unless the draws already carry one."""
-    if draws.coeffs is not None:
-        return draws
-    both_ends = frozenset().union(*(_SCHEMES[kind].both_ends for kind in kinds))
-    return dataclasses.replace(draws, coeffs=spec.node_table(spec, draws.y, both_ends))
 
 
 def is_template(kind: SchemeKind) -> bool:
@@ -305,27 +295,28 @@ def draw_brownian_increments(normals: np.ndarray, delta: float) -> np.ndarray:
     return normals
 
 
-def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normals: dict,
+def draw_factor_paths(spec: VolModelSpec, kinds, n_steps: int, normals: dict,
                       start) -> FactorDraws:
     """The factor draws of a step block of an n_steps grid from its drawn
     normals, each of shape (steps, paths), from the values ``start`` (y0 at
-    the grid's first node).
+    the grid's first node), with the one node table that the schemes
+    ``kinds`` read.
 
     ``normals`` holds the factor normals of ``factor_normals`` by name (and
     may hold other streams' draws). They are mixed in place (``rng.mix``)
     into the law of the spec: (dY_stoch, dW, iW) on an OU-backed spec,
     whose y follows the exact transition y' = (mean_shift + decay*y) +
     dY_stoch a row at a time; (dW, iW) on a generic one, whose y follows
-    Milstein (NV for the weak scheme). Increments whose normals are
-    missing are ``undrawn``.
+    the recursion of ``kinds[0]``: Milstein, or NV for the weak scheme.
+    Increments whose normals are missing are ``undrawn``.
     """
     g = [normals.get(name) for name in _FACTOR[spec.ou is None:]]
     _check_batch(n_steps, g[0].shape[1])
-    _require_ou(spec, kind)
+    _require_ou(spec, kinds[0])
     delta = spec.T / n_steps
     if spec.ou is None:
         dW, iW = mix(joint_chol(delta), g)
-        y = _recursive_factor_path(spec, delta, dW, kind, start)
+        y = _recursive_factor_path(spec, delta, dW, kinds[0], start)
     else:
         dy, dW, iW = mix(ou_triple_chol(spec.ou, delta), g)
         decay, mean_shift, _, _, _ = ou_transition_moments(spec.ou, delta)
@@ -336,8 +327,9 @@ def draw_factor_paths(spec: VolModelSpec, kind: SchemeKind, n_steps: int, normal
             y_next += mean_shift
             y_next += dy[k]
     shape = g[0].shape
-    return FactorDraws(delta=delta, y=y, dW=undrawn(shape) if dW is None else dW,
-                       iW=undrawn(shape) if iW is None else iW)
+    both_ends = frozenset().union(*(_SCHEMES[kind].both_ends for kind in kinds))
+    return FactorDraws(delta, y, undrawn(shape) if dW is None else dW,
+                       undrawn(shape) if iW is None else iW, spec.node_table(spec, y, both_ends))
 
 
 def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carry: np.ndarray,
@@ -356,10 +348,10 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
     than an item of a full step block. Each item opens its own path blocks'
     streams and carries its columns through every step block: it draws the
     block's factor normals that ``kinds`` and ``reads`` need and the
-    streams, builds its factor draws (those of ``kinds[0]``, with one node
-    table for ``kinds``) from its paths' last node of the step block before,
-    and runs ``advance(k0, draws, *streams, carry)`` with k0 the block's
-    first step in the grid, its streams in ``reads`` order, and a view of
+    streams, builds its factor draws (``draw_factor_paths``) from its paths'
+    last node of the step block before, and runs ``advance(k0, draws,
+    *streams, carry)`` with k0 the block's first step in the grid, its
+    streams in ``reads`` order, and a view of
     the carry's last axis. Once an item has built its factor draws, it keeps
     only the arrays that ``advance`` reads: on an OU-backed spec, the spent
     dY normals are freed first. The block with k0 + its steps == n_steps is
@@ -377,12 +369,12 @@ def advance_blocks(spec: VolModelSpec, kinds, n_steps: int, rng: RngStream, carr
         last = spec.y0  # the paths' factor node at the end of the step block before
         for k0 in range(0, n_steps, size):
             drawn = batch.draw(min(size, n_steps - k0), names)
-            draws = draw_factor_paths(spec, kinds[0], n_steps, drawn, last)
+            draws = draw_factor_paths(spec, kinds, n_steps, drawn, last)
             last = draws.y[-1].copy()
             arrays = [draw_brownian_increments(drawn[name], draws.delta) if name == "b"
                       else drawn[name] for name in streams]
             del drawn  # spent normals go now; draws and arrays hold what is read
-            advance(k0, with_coeffs(spec, draws, kinds), *arrays, carry[..., cols])
+            advance(k0, draws, *arrays, carry[..., cols])
             del draws, arrays  # before the next step block is drawn
 
     _parallel.map_tasks(item, _parallel.column_blocks(npaths, size, PATH_BLOCK),
@@ -398,9 +390,10 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     uses iW_coarse = iW_1 + iW_2 + delta_fine * dW_1. For OU-backed
     specs the coarse factor values are the fine even nodes (the exact
     solution restricted to the coarse grid), and the coarse node table
-    reads the fine one; generic specs re-run their factor recursion on
-    the summed increments, from the coarse values ``start``, which OU-backed
-    specs do not read. Undrawn increments stay undrawn.
+    reads the fine one (``even_nodes``); generic specs re-run the factor
+    recursion of ``kind`` on the summed increments, from the coarse values
+    ``start``, which OU-backed specs do not read, and make a new table for
+    ``kind``. Undrawn increments stay undrawn.
     """
     if fine.dW.shape[0] % 2 != 0:
         raise InvalidParameterError("fine draws must have an even number of steps")
@@ -410,10 +403,10 @@ def coarsen_factor_draws(spec: VolModelSpec, kind: SchemeKind,
     iW_c = (fine.iW[0::2] if _is_undrawn(fine.iW)
             else fine.iW[0::2] + fine.iW[1::2] + fine.delta * fine.dW[0::2])
     if spec.ou is not None:
-        coeffs = None if fine.coeffs is None else fine.coeffs.even_nodes()
-        return FactorDraws(delta=delta_c, y=fine.y[::2], dW=dW_c, iW=iW_c, coeffs=coeffs)
+        return FactorDraws(delta_c, fine.y[::2], dW_c, iW_c, fine.coeffs.even_nodes())
     y_c = _recursive_factor_path(spec, delta_c, dW_c, kind, start)
-    return FactorDraws(delta=delta_c, y=y_c, dW=dW_c, iW=iW_c)
+    return FactorDraws(delta_c, y_c, dW_c, iW_c,
+                       spec.node_table(spec, y_c, _SCHEMES[kind].both_ends))
 
 
 def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws):
@@ -421,12 +414,10 @@ def drift_and_mult(spec: VolModelSpec, kind: SchemeKind, draws: FactorDraws):
 
     Conditionally on the factor draws, the log-asset path is
     x_{k+1} = x_k + drift[k] + mult[k]*dB[k]; both arrays have shape
-    (N, paths). The coefficients come from the node table of ``draws``,
-    built here if they carry none.
+    (N, paths). The coefficients come from the node table of ``draws``.
     """
     require_template(kind)
     _require_ou(spec, kind)
-    draws = with_coeffs(spec, draws, (kind,))
     prev, nxt = draws.coeffs.prev, draws.coeffs.next
     delta = draws.delta
     sqrt1m = _sqrt1m_rho2(spec)

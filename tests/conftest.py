@@ -1,7 +1,9 @@
 """Shared model fixtures for the test suite."""
 
+import ctypes
 import dataclasses
 import math
+import platform
 
 import numpy as np
 
@@ -13,7 +15,19 @@ from svschemes.models import (
     scott_model,
 )
 from svschemes.rng import BlockStreams
-from svschemes.schemes import draw_factor_paths, factor_normals
+from svschemes.schemes import FactorDraws, draw_factor_paths, factor_normals
+
+
+# The suite frees and allocates the same large step-block temporaries over
+# and over. Under glibc's default thresholds each one is mapped in afresh
+# and its pages fault again; these settings keep them in the heap for the
+# test process (the library and the CLI leave the allocator alone).
+# mallopt's parameter numbers are M_TRIM_THRESHOLD = -1 and
+# M_MMAP_THRESHOLD = -3 (malloc.h).
+if platform.libc_ver()[0] == "glibc":
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, 64 << 20)
+    _libc.mallopt(-1, 256 << 20)
 
 
 def pytest_configure(config):
@@ -26,7 +40,12 @@ def factor_draws(spec, kind, n_steps, rng, npaths, reads=()):
     """Factor draws of ``kind`` on an n_steps grid for the paths of ``rng``,
     with the factor normals that ``kind`` and ``reads`` read."""
     normals = BlockStreams(rng, npaths).draw(n_steps, factor_normals(spec, (kind,), reads))
-    return draw_factor_paths(spec, kind, n_steps, normals, spec.y0)
+    return draw_factor_paths(spec, (kind,), n_steps, normals, spec.y0)
+
+
+def table_draws(spec, delta, y, dW, iW):
+    """Factor draws of the given arrays, with the spec's node table of y."""
+    return FactorDraws(delta, y, dW, iW, spec.node_table(spec, y))
 
 
 def across_layouts(monkeypatch, compute) -> set:

@@ -25,6 +25,10 @@ SCOTT_CFG = {
 # turn NaN or infinite.
 BLOWUP_CFG = dict(SCOTT_CFG, y0=400.0)
 
+# A config the loader accepts whose weak-trajectorial price overflows on
+# the way to the estimate's finiteness check.
+OVERFLOW_CFG = dict(SCOTT_CFG, sigma0=50.0, y0=3.0, nu=5.0, rho=-0.9)
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -368,6 +372,16 @@ class TestNumericalGuards:
                           "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "radicand is not finite" in capsys.readouterr().err
+
+    def test_numerical_trouble_prints_one_line(self, tmp_path):
+        # numpy's overflow warnings from the library stay off stderr: the
+        # guard's message is all the user sees
+        proc = run_fresh(["-m", "svschemes.cli", "price", "--scheme", "weaktraj1", "--steps",
+                          "8", "--paths", "1000", "--config", write_cfg(tmp_path, OVERFLOW_CFG)],
+                         tmp_path)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:"), proc.stderr
 
 
 class TestColdStart:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
+from conftest import const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec, table_draws
 
 from svschemes.coupling import (
     _lookback_payoffs,
@@ -12,6 +13,7 @@ from svschemes.coupling import (
     coupled_db_tilde,
     coupled_lookback_levels,
     coupling_start,
+    level_sums,
     lookback_db_mid,
     lookback_payoffs_from_draws,
     lookback_single_level,
@@ -20,13 +22,14 @@ from svschemes.coupling import (
     terminal_coupling_from_draws,
     traj_coupling_from_draws,
 )
+from svschemes import schemes
 from svschemes.errors import InvalidParameterError
 from svschemes.analysis import ExperimentConfig, run_strong_conv
 from svschemes.pricing import conditional_call_values, romano_touzi_call
 from svschemes.rng import PATH_BLOCK, BlockStreams, RngStream
 from svschemes.schemes import (
-    FactorDraws,
     SchemeKind,
+    advance_blocks,
     draw_brownian_increments,
     draw_factor_paths,
     factor_normals,
@@ -38,7 +41,7 @@ def fine_draws(spec, kind, n_coarse, rng, npaths):
     """Factor draws (every normal) and B-increments of 2*n_coarse fine steps."""
     normals = BlockStreams(rng, npaths).draw(
         2 * n_coarse, factor_normals(spec, (kind,), reads=("iW",)) + ("b",))
-    fine = draw_factor_paths(spec, kind, 2 * n_coarse, normals, spec.y0)
+    fine = draw_factor_paths(spec, (kind,), 2 * n_coarse, normals, spec.y0)
     return fine, draw_brownian_increments(normals["b"], fine.delta)
 
 
@@ -195,10 +198,10 @@ class TestTerminalCoupling:
         assert abs(a.mean() - b.mean()) < 4 * se
 
 
-def step_blocks(fine, *per_step, size=4):
+def step_blocks(spec, fine, *per_step, size=4):
     """The draws and per-step arrays of steps k..k+size, for each block start k."""
     for k in range(0, fine.dW.shape[0], size):
-        block = FactorDraws(fine.delta, fine.y[k:k + size + 1], fine.dW[k:k + size],
+        block = table_draws(spec, fine.delta, fine.y[k:k + size + 1], fine.dW[k:k + size],
                             fine.iW[k:k + size])
         yield (block,) + tuple(a[k:k + size] for a in per_step)
 
@@ -225,7 +228,7 @@ class TestStepBlocks:
         start_kind = SchemeKind.CMT if name == "cmt" else kind
         whole = coupling(fine, db, coupling_start(spec, start_kind, 9))
         carry = coupling_start(spec, start_kind, 9)
-        parts = [coupling(block, db_k, carry) for block, db_k in step_blocks(fine, db)]
+        parts = [coupling(block, db_k, carry) for block, db_k in step_blocks(spec, fine, db)]
         assert joined([p.x_fine for p in parts]) == whole.x_fine.tobytes()
         assert joined([p.x_coarse for p in parts]) == whole.x_coarse.tobytes()
         assert joined([p.y_coarse for p in parts]) == whole.y_coarse.tobytes()
@@ -236,7 +239,7 @@ class TestStepBlocks:
         g = RngStream(4).child("g").normal(9)
         whole = terminal_coupling_from_draws(spec, kind, fine, g, coupling_start(spec, kind, 9))
         carry = coupling_start(spec, kind, 9)
-        for block, in step_blocks(fine):
+        for block, in step_blocks(spec, fine):
             part = terminal_coupling_from_draws(spec, kind, block, g, carry)
         assert part[0].tobytes() == whole[0].tobytes()
         assert part[1].tobytes() == whole[1].tobytes()
@@ -262,11 +265,52 @@ class TestStepBlocks:
         lookback_payoffs_from_draws(spec, kind, fine, db, u, whole)
         whole = _lookback_payoffs(spec, whole)
         carry = coupling_start(spec, kind, 9, np.inf)
-        for block, db_k, u_k in step_blocks(fine, db, u):
+        for block, db_k, u_k in step_blocks(spec, fine, db, u):
             lookback_payoffs_from_draws(spec, kind, block, db_k, u_k, carry)
         part = _lookback_payoffs(spec, carry)
         assert part[0].tobytes() == whole[0].tobytes()
         assert part[1].tobytes() == whole[1].tobytes()
+
+
+class TestOneTablePerDraw:
+    """A draw's node table is built once, where the draw is made: the
+    kernels read it, and a coarsening reads the fine table's even nodes on
+    an OU-backed spec or makes its own table on a generic one."""
+
+    # kernel, number of levels it advances
+    KERNELS = {
+        "plain": (lambda spec, kind, draws, db, u, carry:
+                  plain_coupling_from_draws(spec, kind, draws, db, carry), 2),
+        "traj": (lambda spec, kind, draws, db, u, carry:
+                 traj_coupling_from_draws(spec, kind, draws, db, carry), 2),
+        "lookback": (lambda spec, kind, draws, db, u, carry:
+                     lookback_payoffs_from_draws(spec, kind, draws, db, u, carry), 2),
+        "level_sums": (lambda spec, kind, draws, db, u, carry:
+                       level_sums(spec, kind, draws, carry), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @pytest.mark.parametrize("spec", [scott_spec(), gbm_factor_spec(rho=-0.3)])
+    def test_builds_per_step_block(self, monkeypatch, spec, name):
+        kernel, levels = self.KERNELS[name]
+        builds, blocks = [], []
+
+        def counted(*args):
+            builds.append(None)
+            return spec.node_table(*args)
+
+        monkeypatch.setattr(schemes, "block_steps", lambda npaths, multiple=2: 4)
+        counting = dataclasses.replace(spec, node_table=counted)
+        kind = SchemeKind.WEAKTRAJ1
+
+        def advance(_, draws, db, u, carry):
+            blocks.append(None)
+            kernel(counting, kind, draws, db, u, carry)
+
+        carry = coupling_start(spec, kind, 9, np.inf, levels=levels)
+        advance_blocks(counting, (kind,), 12, RngStream(6), carry, advance, reads=("dW", "b", "u"))
+        assert len(blocks) == 3
+        assert len(builds) == len(blocks) * (1 if spec.ou is not None else levels)
 
 
 class TestDriverStreams:

@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import gbm_factor_spec, scott_spec
+from conftest import gbm_factor_spec, scott_spec, table_draws
 
 from svschemes import _parallel, schemes
 from svschemes.analysis import (
@@ -39,7 +39,6 @@ from svschemes.mlmc import call_level_sampler
 from svschemes.pricing import conditional_call_values, romano_touzi_call
 from svschemes.rng import RngStream
 from svschemes.schemes import (
-    FactorDraws,
     SchemeKind,
     drift_and_mult,
     simulate_paths,
@@ -156,7 +155,7 @@ def fixed_draws(spec, n_steps=8, npaths=40):
     y[0] = spec.y0
     np.cumsum(0.4 * dW, axis=0, out=y[1:])
     y[1:] += spec.y0
-    return FactorDraws(delta, y, dW, iW)
+    return table_draws(spec, delta, y, dW, iW)
 
 
 def drift_mult_digest(kind, cutoff="floor"):

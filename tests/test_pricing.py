@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import across_layouts, const_vol_ou_spec, factor_draws, scott_spec
+from conftest import across_layouts, const_vol_ou_spec, factor_draws, scott_spec, table_draws
 
 from svschemes import _parallel, models
 from svschemes.coupling import coupling_start, level_sums
@@ -24,7 +24,7 @@ from svschemes.pricing import (
     romano_touzi_call,
 )
 from svschemes.rng import RngStream
-from svschemes.schemes import FactorDraws, SchemeKind
+from svschemes.schemes import SchemeKind
 
 
 class TestBsCall:
@@ -145,7 +145,7 @@ class TestConditionalValues:
         level_sums(spec, kind, draws, batch)
         for j in range(64):
             alone = coupling_start(spec, kind, 1)
-            path = FactorDraws(draws.delta, draws.y[:, j:j + 1], draws.dW[:, j:j + 1],
+            path = table_draws(spec, draws.delta, draws.y[:, j:j + 1], draws.dW[:, j:j + 1],
                                draws.iW[:, j:j + 1])
             level_sums(spec, kind, path, alone)
             assert alone.tobytes() == batch[..., j:j + 1].tobytes(), j

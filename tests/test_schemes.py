@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec
+from conftest import (coeff, const_vol_ou_spec, factor_draws, gbm_factor_spec, scott_spec,
+                      table_draws)
 
 from svschemes import _parallel, coupling, mlmc, models, pricing, schemes
 from svschemes.errors import InvalidParameterError, NumericalError
 from svschemes.models import VolModelSpec
 from svschemes.rng import BlockStreams, RngStream, ou_transition_moments, ou_triple_chol, ou_triple_cov
 from svschemes.schemes import (
-    FactorDraws,
     SchemeKind,
     advance_blocks,
     block_steps,
@@ -32,7 +32,7 @@ from svschemes.schemes import (
 
 def one_step(spec, kind, x, y_prev, y_next, delta, dB, dW=0.0, iW=0.0):
     """x after one template step: drift_and_mult on a one-step, one-path FactorDraws."""
-    draws = FactorDraws(delta, np.array([[y_prev], [y_next]], dtype=float),
+    draws = table_draws(spec, delta, np.array([[y_prev], [y_next]], dtype=float),
                         np.array([[dW]], dtype=float), np.array([[iW]], dtype=float))
     drift, mult = drift_and_mult(spec, kind, draws)
     return float(x + drift[0, 0] + mult[0, 0] * dB)
@@ -476,7 +476,8 @@ def assert_stepwise(spec, kind, draws):
     """Each step k of ``draws`` gives the bytes of drift_and_mult on step k alone."""
     drift, mult = drift_and_mult(spec, kind, draws)
     for k in range(draws.dW.shape[0]):
-        step = FactorDraws(draws.delta, draws.y[k:k + 2], draws.dW[k:k + 1], draws.iW[k:k + 1])
+        step = table_draws(spec, draws.delta, draws.y[k:k + 2], draws.dW[k:k + 1],
+                           draws.iW[k:k + 1])
         drift_k, mult_k = drift_and_mult(spec, kind, step)
         assert drift_k[0].tobytes() == drift[k].tobytes(), (kind, k)
         assert np.asarray(mult_k[0]).tobytes() == np.asarray(mult[k]).tobytes(), (kind, k)
